@@ -97,7 +97,7 @@ def _cmd_measure(args) -> int:
         f"surface_area: {hz.format_value(pt.surface_area(poly), bits=128)}",
     ]
     if poly.dim == 3:
-        iv = pt.intrinsic_volumes_3d(poly)
+        iv = poly.intrinsic_volumes
         lines.append(f"V1: {hz.format_value(iv.v1, bits=128)}")
         lines.append(f"V2: {hz.format_value(iv.v2, bits=128)}")
         lines.append(f"V3: {hz.format_value(iv.v3)}")

@@ -201,10 +201,6 @@ def count(body: Body, budget: int = DEFAULT_BUDGET) -> CountResult:
     raise ValueError(f"unknown body kind {body.kind!r}")
 
 
-def count_translate(t, poly: LatticePolytope, budget: int = DEFAULT_BUDGET) -> CountResult:
-    return count(Body.translated(t, poly), budget)
-
-
 def count_halfopen_parallelepiped(body: Body, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Both methods: exact half-open enumeration and |det|; they must agree."""
     gens = [list(g) for g in body.generators]

@@ -24,7 +24,6 @@ from blichfeldt import lattice as lt
 from blichfeldt import polytope as pt
 from blichfeldt.counting import Body
 from blichfeldt.interval import Interval, pi, root_interval, sqrt_interval
-from blichfeldt.linalg import affine_rank
 from blichfeldt.radical import (
     MAX_BITS,
     Cmp,
@@ -216,19 +215,15 @@ def check(
     if id is InequalityId.GENERAL_THM_4_1 and n > lt.MU_MAX_DIM:
         return out_of_scope("covering-radius computation limited to n <= 4")
 
-    result = _cached(
+    g = _cached(
         cache, ("count", _key(body)), lambda: ct.count(body, budget=budget)
-    )
-    g = result.count
+    ).count
     payload: dict = {"count": g}
 
-    if id in TRANSLATED_IDS:
-        if lat.contains(body.translate):
-            return unmet("translate lies in the lattice")
-    else:
-        # full-dimensionality of K cap Lambda, certified from the point set
-        if result.points is None or affine_rank(result.points) != n:
-            return unmet("dim(K cap Lambda) < n")
+    # an untranslated polytope needs no dimension test: its vertices are
+    # lattice points, and hull() rejects a flat vertex set
+    if id in TRANSLATED_IDS and lat.contains(body.translate):
+        return unmet("translate lies in the lattice")
 
     vol = _cached(cache, ("vol", _key(poly)), lambda: pt.volume(poly))
     payload["volume"] = vol
@@ -236,11 +231,6 @@ def check(
 
     def surface():
         return _cached(cache, ("surf", _key(poly)), lambda: pt.surface_area(poly))
-
-    def intrinsic():
-        return _cached(
-            cache, ("iv3", _key(poly)), lambda: pt.intrinsic_volumes_3d(poly)
-        )
 
     if id is InequalityId.BLICHFELDT_1_1:
         lhs, rhs = g, Fraction(math.factorial(n)) * vol + n
@@ -287,7 +277,7 @@ def check(
             F / det_sub
         )
     elif id in (InequalityId.WILLS_3_2, InequalityId.OVERHAGEN_3_3):
-        iv = intrinsic()
+        iv = poly.intrinsic_volumes
         base = iv.v2 + (Fraction(1) + iv.v3)   # RadicalSum
         lhs = g
         if isinstance(iv.v1, RadicalSum):
@@ -406,6 +396,10 @@ def boundary_layer_audit(
     if not _is_integer_lattice(lat):
         raise ValueError("audit requires the integer lattice")
     n = poly.dim
+    if lat.basis != lt.Lattice.standard(n).basis:
+        # norms, the unit cube and facet areas below are taken in the
+        # coordinates of the vertices, so they must be the ambient ones
+        poly = pt.hull([lat.to_ambient(v) for v in poly.vertices])
     result = ct.count(Body.from_polytope(poly), budget=budget)
     if result.points is None:
         raise ct.EnumerationBudgetError(budget)
@@ -587,7 +581,16 @@ def run_corpus(
     max_bits: int = MAX_BITS,
 ) -> CorpusReport:
     """Every id against every corpus entry, deterministically ordered."""
-    entries = build_corpus(spec)
+    return check_corpus(build_corpus(spec), ids, budget=budget, max_bits=max_bits)
+
+
+def check_corpus(
+    entries,
+    ids,
+    budget: int = ct.DEFAULT_BUDGET,
+    max_bits: int = MAX_BITS,
+) -> CorpusReport:
+    """Every id against every given ``CorpusEntry``, in the given order."""
     rows = []
     violations = []
     summary: dict = {}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 
 def iroot(n: int, k: int) -> int:
@@ -155,20 +155,8 @@ _PI_CACHE: dict[int, Interval] = {}
 
 
 def _atan_inv(x: int, bits: int) -> Interval:
-    """Enclosure of atan(1/x) for an integer x >= 2 (alternating series)."""
-    # terms t_k = 1/((2k+1) x^(2k+1)); consecutive partial sums bracket the limit
-    s = Fraction(0)
-    k = 0
-    prev = None
-    while True:
-        term = Fraction(1, (2 * k + 1) * x ** (2 * k + 1))
-        s = s + term if k % 2 == 0 else s - term
-        if term < Fraction(1, 1 << (bits + 8)):
-            if prev is None:
-                prev = s - term
-            return Interval(min(s, prev), max(s, prev))
-        prev = s
-        k += 1
+    """Enclosure of atan(1/x) for an integer x >= 2."""
+    return _atan_series(Fraction(1, x), bits)
 
 
 def pi(bits: int) -> Interval:
@@ -180,23 +168,37 @@ def pi(bits: int) -> Interval:
 
 
 def _atan_series(t: Fraction, bits: int) -> Interval:
-    """atan for |t| <= 1/2 via the alternating Taylor series."""
+    """atan for |t| <= 1/2 via the alternating Taylor series.
+
+    The terms are (-1)^k t^(2k+1)/(2k+1); the series stops at the first
+    term N below 2^-(bits+8), and the partial sums S_N and S_(N-1) bracket
+    the limit (S_(-1) = 0).  With t = a/b both sums are kept as integer
+    numerators over the common denominator lcm(1, 3, .., 2k+1) * b^(2k+1),
+    so the loop does no gcd work; only the two endpoints are reduced.
+    """
     if t == 0:
         return Interval.point(0)
-    s = Fraction(0)
+    a, b = t.numerator, t.denominator
+    asq, bsq = a * a, b * b
+    apow, bpow = a, b           # a^(2k+1), b^(2k+1)
+    den_lcm = 1                 # lcm(1, 3, .., 2k+1)
+    num = 0                     # S_k * den_lcm * b^(2k+1)
     k = 0
-    prev = None
-    tsq = t * t
-    power = t
     while True:
-        term = power / (2 * k + 1)
-        s += term
-        if abs(term) < Fraction(1, 1 << (bits + 8)):
-            if prev is None:
-                prev = s - term
+        d = 2 * k + 1
+        step = d // gcd(den_lcm, d)
+        den_lcm *= step
+        term = den_lcm // d * apow
+        if k % 2:
+            term = -term
+        num = num * step * bsq + term
+        # |t^d / d| < 2^-(bits+8), cross-multiplied
+        if abs(apow) << (bits + 8) < d * bpow:
+            den = den_lcm * bpow
+            s, prev = Fraction(num, den), Fraction(num - term, den)
             return Interval(min(s, prev), max(s, prev))
-        prev = s
-        power = -power * tsq
+        apow *= asq
+        bpow *= bsq
         k += 1
 
 

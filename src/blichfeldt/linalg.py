@@ -40,14 +40,6 @@ def mat_vec(m, v):
     return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
 
 
-def vec_mat(v, m):
-    return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0]))]
-
-
-def transpose(m):
-    return [list(col) for col in zip(*m)]
-
-
 def det_bareiss(m) -> int:
     """Exact determinant of a square integer matrix (fraction-free elimination)."""
     n = len(m)
@@ -255,10 +247,6 @@ def kernel_basis(c):
 
 # ---------------------------------------------------------------------------
 # rational matrices
-
-
-def frac_mat(m):
-    return [[Fraction(x) for x in row] for row in m]
 
 
 def frac_mat_mul(a, b):

@@ -123,6 +123,11 @@ class LatticePolytope:
         """Squared Euclidean norm of the i-th primitive dual normal."""
         return dual_norm_sq(self.lattice, self.facets[i].normal)
 
+    @cached_property
+    def intrinsic_volumes(self) -> "IntrinsicVolumes3":
+        """V0..V3 (dimension 3 only), built once per polytope."""
+        return intrinsic_volumes_3d(self)
+
     def scaled(self, c: int) -> "LatticePolytope":
         return hull([tuple(c * x for x in v) for v in self.vertices], self.lattice)
 
@@ -504,7 +509,11 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
             v1 = v1 + RadicalSum.sqrt(len_sq) / 4
         return IntrinsicVolumes3(1, v1, v2, v3)
 
+    enclosures: dict[int, Interval] = {}   # V1 per precision
+
     def v1_fn(bits: int) -> Interval:
+        if bits in enclosures:
+            return enclosures[bits]
         work = bits + 16
         total = Interval.point(0)
         for len_sq, dot, nn in edge_data:
@@ -515,7 +524,8 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
                 cos = Interval.point(dot) / sqrt_fraction(nn, work)
                 angle = acos_interval(cos, work)
             total = total + length * angle
-        return (total / (2 * pi(work))).round_out(bits)
+        enclosures[bits] = (total / (2 * pi(work))).round_out(bits)
+        return enclosures[bits]
 
     return IntrinsicVolumes3(1, v1_fn, v2, v3)
 
@@ -524,7 +534,7 @@ def steiner_volume(poly: LatticePolytope, rho, bits: int = 128) -> Interval:
     """Enclosure of vol(P + rho*B_3) via the Steiner polynomial (n = 3)."""
     if poly.dim != 3:
         raise ValueError("dimension unsupported")
-    iv = intrinsic_volumes_3d(poly)
+    iv = poly.intrinsic_volumes
     work = bits + 16
     if callable(rho):
         r = rho(work)

@@ -48,8 +48,8 @@ def corpus_entries():
 
 
 @pytest.fixture(scope="module")
-def corpus_report():
-    return hz.run_corpus(CORPUS_SPEC, list(SOUNDNESS_IDS))
+def corpus_report(corpus_entries):
+    return hz.check_corpus(corpus_entries, list(SOUNDNESS_IDS))
 
 
 def _count(body):

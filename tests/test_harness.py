@@ -134,6 +134,13 @@ class TestVerdicts:
         r = _check(I.CONJECTURE_1_4, body)
         assert r.verdict in (V.HOLDS, V.HOLDS_WITH_EQUALITY, V.VIOLATED)
 
+    def test_main_theorem_above_point_retention_limit(self):
+        # [0,50]^3 holds 51^3 = 132,651 points, more than count() keeps
+        assert 51**3 > ct.POINT_RETENTION_LIMIT
+        r = _check(I.MAIN_THM_1_1, Body.from_polytope(_cube(3, 50)))
+        assert r.verdict is V.HOLDS
+        assert r.lhs == 51**3
+
     def test_strict_ids_fixed(self):
         assert I.MAIN_THM_1_1 in hz.STRICT_IDS
         assert I.DIM3_THM_1_2 in hz.STRICT_IDS
@@ -148,6 +155,35 @@ class TestVerdicts:
         keys_after_one = set(cache)
         _check(I.DIM3_THM_1_2, body, cache=cache)
         assert set(cache) == keys_after_one  # count/vol/surface reused
+
+
+class TestIntrinsicVolumeReuse:
+    """V1 costs one arccos per slanted edge and precision, whatever reads it."""
+
+    def test_one_acos_per_edge_and_precision(self, monkeypatch):
+        poly = pt.hull(TestBoundaryLayerAudit.RIDGE_BODIES[1])
+        slanted = sum(
+            1 for _, (i, j) in pt.polytope_edges(poly)
+            if sum(a * b for a, b in zip(poly.facets[i].normal, poly.facets[j].normal))
+        )
+        assert slanted > 0
+        calls = []
+        acos = pt.acos_interval
+
+        def counted(c, bits):
+            calls.append(bits)
+            return acos(c, bits)
+
+        monkeypatch.setattr(pt, "acos_interval", counted)
+        entry = wt.CorpusEntry(index=0, name="hull", body=Body.from_polytope(poly))
+        report = hz.check_corpus(
+            [entry], [I.WILLS_3_2, I.OVERHAGEN_3_3, I.BOKOWSKI_3_4]
+        )
+        hz.report_to_json(report)
+        # the comparisons and slacks read V1 at 128 bits (arccos at 144);
+        # the Steiner volume at 128 bits reads it at 144 (arccos at 160)
+        assert sorted(set(calls)) == [144, 160]
+        assert len(calls) == 2 * slanted
 
 
 class TestFormatValue:
@@ -190,6 +226,17 @@ class TestBoundaryLayerAudit:
     def test_partition(self):
         record = hz.boundary_layer_audit(_cube(3, 3))
         assert record.l1_count + record.l2_count == record.total
+
+    def test_unimodular_basis_audits_ambient_body(self):
+        # coefficients c map to c0 (1,3,0) + c1 e2 + c2 e3; the facet normal
+        # (0,1,0) in coefficients is (-3,1,0) in the ambient space
+        lat = Lattice([[1, 3, 0], [0, 1, 0], [0, 0, 1]])
+        poly = _cube(3, 2)
+        skewed = pt.hull(poly.vertices, lattice=lat)
+        twin = pt.hull([(x, 3 * x + y, z) for x, y, z in poly.vertices])
+        record = hz.boundary_layer_audit(skewed)
+        assert record == hz.boundary_layer_audit(twin)
+        assert record != hz.boundary_layer_audit(poly)
 
     # Bodies on which an orthogonal projection onto the facet hyperplane
     # left a boundary-layer point uncovered; the cube-direction prism

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from blichfeldt.interval import (
     Interval,
+    _atan_inv,
+    _atan_series,
     acos_interval,
     atan_interval,
     iroot,
@@ -129,6 +131,58 @@ class TestTrig:
         )
         p = pi(96)
         assert total.lo <= p.hi and p.lo <= total.hi
+
+
+def _atan_series_fraction(t: Fraction, bits: int) -> Interval:
+    """Reference: the same alternating series summed in Fractions.
+
+    Stops at the first term below 2^-(bits+8) and returns the last two
+    partial sums, exactly as the integer kernel must.
+    """
+    if t == 0:
+        return Interval.point(0)
+    s = Fraction(0)
+    k = 0
+    prev = None
+    tsq = t * t
+    power = t
+    while True:
+        term = power / (2 * k + 1)
+        s += term
+        if abs(term) < Fraction(1, 1 << (bits + 8)):
+            if prev is None:
+                prev = s - term
+            return Interval(min(s, prev), max(s, prev))
+        prev = s
+        power = -power * tsq
+        k += 1
+
+
+SERIES_BITS = (64, 128, 144, 160, 256)
+
+
+class TestAtanSeriesOracle:
+    """The integer-numerator series returns the Fraction series' interval."""
+
+    @given(
+        st.fractions(
+            min_value=Fraction(-1, 2), max_value=Fraction(1, 2),
+            max_denominator=2**160,
+        ),
+        st.sampled_from(SERIES_BITS),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_random_rationals(self, t, bits):
+        got = _atan_series(t, bits)
+        want = _atan_series_fraction(t, bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("x", (5, 239))
+    @pytest.mark.parametrize("bits", SERIES_BITS)
+    def test_machin_arguments(self, x, bits):
+        want = _atan_series_fraction(Fraction(1, x), bits)
+        for got in (_atan_series(Fraction(1, x), bits), _atan_inv(x, bits)):
+            assert (got.lo, got.hi) == (want.lo, want.hi)
 
 
 class TestSquarefree:
