@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -33,6 +34,19 @@ class _CliError(Exception):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Replace a regular file (or create one) atomically; write others in place.
+
+    A device node, FIFO or other non-regular target is opened and written,
+    never replaced by a regular file.
+    """
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
@@ -252,7 +266,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--precision-max-bits", type=int, default=MAX_BITS)
     common.add_argument("--format", choices=("csv", "json", "human"),
                         default="human")
-    common.add_argument("--out", default=None, help="output path (atomic write)")
+    common.add_argument("--out", default=None,
+                        help="output path (atomic write for a regular file)")
 
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -13,13 +13,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from operator import mul
 
 from blichfeldt import linalg
 from blichfeldt.lattice import Lattice
 from blichfeldt.polytope import LatticePolytope
 
 DEFAULT_BUDGET = 10 ** 8
-POINT_RETENTION_LIMIT = 10 ** 5
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -88,7 +88,6 @@ class Body:
 @dataclass(frozen=True)
 class CountResult:
     count: int
-    points: tuple | None       # coefficient vectors; None above retention limit
     method: str
 
 
@@ -112,50 +111,57 @@ def _int_threshold(rhs: Fraction, strict: bool) -> int:
     return f
 
 
-def _enumerate_linear(constraints, box, budget, collect):
-    """Integer points satisfying c.x <= t for all integer (c, t) pairs.
+def _box_rows(box, budget):
+    """Base points (0, x_1, .., x_{n-1}) of the box's rows along x_0.
 
-    Sweeps outer coordinates; the innermost coordinate is solved as an
-    exact 1D slab.  Memory is O(1) in the count unless collecting.
+    Raises ``EnumerationBudgetError`` when the box holds more cells than
+    the budget allows.
     """
     los, his = box
-    n = len(los)
     total_cells = 1
     for lo, hi in zip(los, his):
         total_cells *= max(0, hi - lo + 1)
     if total_cells > budget:
         raise EnumerationBudgetError(budget)
     if total_cells == 0:
-        return 0, [] if collect else None
+        return ()
+    outer = [range(lo, hi + 1) for lo, hi in zip(los[1:], his[1:])]
+    return ((0,) + rest for rest in itertools.product(*outer))
+
+
+def _row_interval(constraints, base, lb, ub):
+    """The x_0 range [lb', ub'] of the row base + x_0 e_0 inside [lb, ub].
+
+    ``base`` has x_0 = 0; the points kept satisfy c.x <= t for every
+    integer pair (c, t).  The row is empty when lb' > ub'.
+    """
+    for c, t in constraints:
+        rem = t - sum(map(mul, c, base))
+        c0 = c[0]
+        if c0 > 0:
+            ub = min(ub, rem // c0)
+        elif c0 < 0:
+            lb = max(lb, -(rem // (-c0)))  # ceil(rem / c0)
+        elif rem < 0:
+            return lb, lb - 1
+        if lb > ub:
+            break
+    return lb, ub
+
+
+def _enumerate_linear(constraints, box, budget) -> int:
+    """Number of integer points of the box with c.x <= t for all (c, t).
+
+    Sweeps outer coordinates; the innermost coordinate is solved as an
+    exact 1D slab, so memory is O(1) in the count.
+    """
+    lo0, hi0 = box[0][0], box[1][0]
     count = 0
-    points = [] if collect else None
-    outer_ranges = [range(los[j], his[j] + 1) for j in range(1, n)]
-    for rest in itertools.product(*outer_ranges):
-        lb, ub = los[0], his[0]
-        ok = True
-        for c, t in constraints:
-            rem = t - sum(c[j + 1] * rest[j] for j in range(n - 1))
-            c0 = c[0]
-            if c0 > 0:
-                ub = min(ub, rem // c0)
-            elif c0 < 0:
-                lb = max(lb, -(rem // (-c0)))  # ceil(rem / c0)
-            else:
-                if rem < 0:
-                    ok = False
-                    break
-            if lb > ub:
-                ok = False
-                break
-        if not ok:
-            continue
-        count += ub - lb + 1
-        if points is not None:
-            if count <= POINT_RETENTION_LIMIT:
-                points.extend((x0,) + rest for x0 in range(lb, ub + 1))
-            else:
-                points = None
-    return count, points
+    for base in _box_rows(box, budget):
+        lb, ub = _row_interval(constraints, base, lo0, hi0)
+        if lb <= ub:
+            count += ub - lb + 1
+    return count
 
 
 def _polytope_constraints(poly: LatticePolytope, t_coeff=None):
@@ -186,14 +192,12 @@ def count(body: Body, budget: int = DEFAULT_BUDGET) -> CountResult:
     if body.kind == "polytope":
         cons = _polytope_constraints(body.polytope)
         box = _polytope_box(body.polytope)
-        c, pts = _enumerate_linear(cons, box, budget, collect=True)
-        return CountResult(c, tuple(pts) if pts is not None else None, "enumeration")
+        return CountResult(_enumerate_linear(cons, box, budget), "enumeration")
     if body.kind == "translated_polytope":
         t_coeff = body.lattice.to_coeff(body.translate)
         cons = _polytope_constraints(body.polytope, t_coeff)
         box = _polytope_box(body.polytope, t_coeff)
-        c, pts = _enumerate_linear(cons, box, budget, collect=True)
-        return CountResult(c, tuple(pts) if pts is not None else None, "enumeration")
+        return CountResult(_enumerate_linear(cons, box, budget), "enumeration")
     if body.kind == "halfopen_parallelepiped":
         return count_halfopen_parallelepiped(body, budget)
     if body.kind == "ball":
@@ -227,12 +231,12 @@ def count_halfopen_parallelepiped(body: Body, budget: int = DEFAULT_BUDGET) -> C
         ])
     los = [min(c[j] for c in corners).__ceil__() for j in range(n)]
     his = [max(c[j] for c in corners).__floor__() for j in range(n)]
-    cnt, pts = _enumerate_linear(cons, (los, his), budget, collect=True)
+    cnt = _enumerate_linear(cons, (los, his), budget)
     if cnt != abs(det):
         raise ArithmeticError(
             f"parallelepiped count {cnt} disagrees with |det| = {abs(det)}"
         )
-    return CountResult(cnt, tuple(pts) if pts is not None else None, "enumeration")
+    return CountResult(cnt, "enumeration")
 
 
 def _count_ball(body: Body, budget: int) -> CountResult:
@@ -253,19 +257,13 @@ def _count_ball(body: Body, budget: int) -> CountResult:
     basis = lat.basis
     center = body.center
     cnt = 0
-    pts = []
     for x in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
         y = [
             sum(x[i] * basis[i][k] for i in range(n)) - center[k] for k in range(n)
         ]
         if sum(v * v for v in y) <= body.radius_sq:
             cnt += 1
-            if pts is not None:
-                if cnt <= POINT_RETENTION_LIMIT:
-                    pts.append(x)
-                else:
-                    pts = None
-    return CountResult(cnt, tuple(pts) if pts is not None else None, "enumeration")
+    return CountResult(cnt, "enumeration")
 
 
 def inner_parallel_thresholds(poly: LatticePolytope, rho_sq):
@@ -289,8 +287,7 @@ def count_inner_parallel(
     """Exact count of lattice points of the inner parallel body P - rho*B."""
     cons = inner_parallel_thresholds(poly, rho_sq)
     box = _polytope_box(poly)
-    cnt, pts = _enumerate_linear(cons, box, budget, collect=True)
-    return CountResult(cnt, tuple(pts) if pts is not None else None, "enumeration")
+    return CountResult(_enumerate_linear(cons, box, budget), "enumeration")
 
 
 def pick_quantities(poly: LatticePolytope, budget: int = DEFAULT_BUDGET):

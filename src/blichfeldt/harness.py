@@ -18,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from blichfeldt import counting as ct
 from blichfeldt import lattice as lt
@@ -365,8 +366,13 @@ class AuditRecord:
         )
 
 
-def _l1_norm(v) -> int:
-    return sum(abs(int(x)) for x in v)
+def _covers(intervals, lo, hi) -> bool:
+    """True when the integer intervals [lb, ub] together cover [lo, hi]."""
+    for lb, ub in sorted(intervals):
+        if lo > hi or lb > lo:
+            break
+        lo = max(lo, ub + 1)
+    return lo > hi
 
 
 def boundary_layer_audit(
@@ -381,6 +387,10 @@ def boundary_layer_audit(
     support direction c_i = sign(a)/2: a lattice point z is in Q_i when
     b - gamma_i <= a.z <= b, with gamma_i = ceil(|a|_1/2) - 1, and
     z + ((b - a.z)/|a|_1) sign(a) lies in F_i.
+
+    All of it is counted in one sweep of the rows of P's integer box: each
+    row's points of P, of L1 and of every Q_i form an interval of x_0, and
+    no point list is kept.
     """
     # Why every point of L2 is covered: take the facet i minimising
     # r_i = (b_i - a_i.z)/(|a_i|_1/2).  A point of L2 has r_i < 1, so z lies
@@ -392,6 +402,12 @@ def boundary_layer_audit(
     # shift is not an integer vector, so the image is a non-lattice translate
     # of the facet lattice, and the translate lemma in dimension n-1 bounds
     # the layer by (n-1)! vol(F_i).  Layer 0 is F_i itself (Blichfeldt).
+    #
+    # Why sweeping P's own box finds every point of Q_i: such a point is
+    # z = p - (j/|a|_1) sign(a) with p in F_i and 0 <= j <= gamma_i, so each
+    # coordinate of z is within j/|a|_1 < 1/2 of P's bounding box.  P's
+    # vertices are integral, so are the box's corners, and an integer
+    # coordinate that close to the box lies in it.
     lat = poly.lattice
     if not _is_integer_lattice(lat):
         raise ValueError("audit requires the integer lattice")
@@ -400,112 +416,86 @@ def boundary_layer_audit(
         # norms, the unit cube and facet areas below are taken in the
         # coordinates of the vertices, so they must be the ambient ones
         poly = pt.hull([lat.to_ambient(v) for v in poly.vertices])
-    result = ct.count(Body.from_polytope(poly), budget=budget)
-    if result.points is None:
-        raise ct.EnumerationBudgetError(budget)
-    points = result.points
-    g = result.count
+    inside = [(tuple(int(c) for c in f.normal), int(f.offset)) for f in poly.facets]
+    interior, gammas, prisms = [], [], []
+    for a, b in inside:
+        l1 = sum(map(abs, a))
+        # L1: a.z <= b - |a|_1/2, integer left side
+        interior.append((a, b - (l1 + 1) // 2))
+        gamma = -(-l1 // 2) - 1
+        sign = [(c > 0) - (c < 0) for c in a]
+        # Q_i: the slab b - gamma <= a.z <= b, and h.x <= b_h for the swept
+        # image x = z + ((b - a.z)/|a|_1) sign(a) of z; scaled by |a|_1 > 0
+        # that is (|a|_1 h - (h.sign) a).z <= |a|_1 b_h - b (h.sign)
+        cons = [(a, b), (tuple(-c for c in a), gamma - b)]
+        for h, bh in inside:
+            hs = sum(map(mul, h, sign))
+            cons.append((tuple(l1 * x - hs * y for x, y in zip(h, a)), l1 * bh - b * hs))
+        gammas.append(gamma)
+        prisms.append(cons)
+
+    los, his = ct._polytope_box(poly)
+    g = l1_count = 0
+    l2_covered = True
+    layer_counts = [[0] * (gamma + 1) for gamma in gammas]
+    for base in ct._box_rows((los, his), budget):
+        prism_rows = []
+        for (a, b), cons, counts in zip(inside, prisms, layer_counts):
+            lb, ub = ct._row_interval(cons, base, los[0], his[0])
+            if lb <= ub:
+                prism_rows.append((lb, ub))
+                slack = b - sum(map(mul, a, base))
+                for x0 in range(lb, ub + 1):
+                    counts[slack - a[0] * x0] += 1
+        plb, pub = ct._row_interval(inside, base, los[0], his[0])
+        if plb > pub:
+            continue
+        g += pub - plb + 1
+        qlb, qub = ct._row_interval(interior, base, plb, pub)
+        if qlb <= qub:
+            l1_count += qub - qlb + 1
+            l2_rows = ((plb, qlb - 1), (qub + 1, pub))
+        else:
+            l2_rows = ((plb, pub),)
+        l2_covered = l2_covered and all(_covers(prism_rows, lo, hi) for lo, hi in l2_rows)
+    l2_count = g - l1_count
     vol = pt.volume(poly)
-    facets = poly.facets
-
-    def in_l1(z):
-        for f in facets:
-            l1 = _l1_norm(f.normal)
-            # a.z <= b - |a|_1/2, integer left side
-            if sum(c * x for c, x in zip(f.normal, z)) > int(f.offset) - (l1 + 1) // 2:
-                return False
-        return True
-
-    l1_pts = [z for z in points if in_l1(z)]
-    l2_pts = [z for z in points if not in_l1(z)]
-
-    def facet_norm_sq(i):
-        return sum(Fraction(c) * c for c in facets[i].normal)
-
-    def project_in_facet(i, z):
-        """z + ((b - a.z)/|a|_1) sign(a), swept onto aff(F_i), lies in F_i.
-
-        Scaled by |a|_1 > 0, so every comparison is between integers.
-        """
-        f = facets[i]
-        l1 = _l1_norm(f.normal)
-        slack = int(f.offset) - sum(c * x for c, x in zip(f.normal, z))
-        sign = [(c > 0) - (c < 0) for c in f.normal]
-        return all(
-            l1 * sum(c * x for c, x in zip(h.normal, z))
-            + slack * sum(c * s for c, s in zip(h.normal, sign))
-            <= l1 * int(h.offset)
-            for h in facets
-        )
-
-    def in_prism(i, z):
-        f = facets[i]
-        gamma = -(-_l1_norm(f.normal) // 2) - 1
-        az = sum(c * x for c, x in zip(f.normal, z))
-        return int(f.offset) - gamma <= az <= int(f.offset) and project_in_facet(i, z)
-
-    l2_covered = all(any(in_prism(i, z) for i in range(len(facets))) for z in l2_pts)
 
     facet_audits = []
     prisms_ok = True
     layers_ok = True
-    for i, f in enumerate(facets):
-        gamma = -(-_l1_norm(f.normal) // 2) - 1
+    for i, counts in enumerate(layer_counts):
         normalized, _ = pt.facet_lattice_volume(poly, i)
-        # candidates: lattice points of the slab under the facet
-        cons = [
-            (tuple(int(c) for c in f.normal), int(f.offset)),
-            (tuple(-int(c) for c in f.normal), -(int(f.offset) - gamma)),
-        ]
-        los, his = ct._polytope_box(poly)
-        los = [lo - gamma for lo in los]
-        his = [hi + gamma for hi in his]
-        _, slab = ct._enumerate_linear(cons, (los, his), budget, collect=True)
-        if slab is None:
-            raise ct.EnumerationBudgetError(budget)
-        members = [z for z in slab if project_in_facet(i, z)]
-        layer_counts = []
-        for j in range(gamma + 1):
-            level = int(f.offset) - j
-            layer_counts.append(
-                sum(
-                    1
-                    for z in members
-                    if sum(c * x for c, x in zip(f.normal, z)) == level
-                )
-            )
-        prism_count = sum(layer_counts)
+        prism_count = sum(counts)
         bound = (_sqrt_n(n) + 1) * Fraction(math.factorial(n - 1), 2) * (
-            RadicalSum.rational(normalized) * RadicalSum.sqrt(facet_norm_sq(i))
+            RadicalSum.rational(normalized) * RadicalSum.sqrt(poly.facet_norm_sq(i))
         ) + (n - 1)
         prism_ok = certified_compare(prism_count, bound) is Cmp.LESS
-        layer_ok = True
         per_layer = Fraction(math.factorial(n - 1)) * normalized
-        for j, cnt in enumerate(layer_counts):
-            limit = per_layer + (n - 1 if j == 0 else 0)
-            if cnt > limit:
-                layer_ok = False
+        layer_ok = all(
+            cnt <= per_layer + (n - 1 if j == 0 else 0) for j, cnt in enumerate(counts)
+        )
         facet_audits.append(FacetAudit(
-            facet_index=i, gamma=gamma, prism_count=prism_count,
-            layer_counts=tuple(layer_counts), prism_bound_ok=prism_ok,
+            facet_index=i, gamma=gammas[i], prism_count=prism_count,
+            layer_counts=tuple(counts), prism_bound_ok=prism_ok,
             layer_bounds_ok=layer_ok,
         ))
         prisms_ok = prisms_ok and prism_ok
         layers_ok = layers_ok and layer_ok
 
     f0, gcounts = pt.vertex_facet_counts(poly)
-    vertex_ok = sum(f0) >= len(gcounts) + len(facets) * (n - 1)
+    vertex_ok = sum(f0) >= len(gcounts) + len(inside) * (n - 1)
 
     return AuditRecord(
         total=g,
-        l1_count=len(l1_pts),
-        l2_count=len(l2_pts),
-        l1_volume_ok=len(l1_pts) <= vol,
+        l1_count=l1_count,
+        l2_count=l2_count,
+        l1_volume_ok=l1_count <= vol,
         l2_covered_ok=l2_covered,
         prisms_ok=prisms_ok,
         vertex_count_ok=vertex_ok,
         layers_ok=layers_ok,
-        partition_ok=len(l1_pts) + len(l2_pts) == g,
+        partition_ok=l1_count + l2_count == g,
         facets=tuple(facet_audits),
     )
 
@@ -540,9 +530,7 @@ def count_inner_parallel_pi(
         asq = poly.facet_norm_sq(i)
         t = int(f.offset) - ceil_sqrt_over_pi(asq)
         cons.append((tuple(int(c) for c in f.normal), t))
-    box = ct._polytope_box(poly)
-    cnt, _ = ct._enumerate_linear(cons, box, budget, collect=False)
-    return cnt
+    return ct._enumerate_linear(cons, ct._polytope_box(poly), budget)
 
 
 def chain_consistency(poly: pt.LatticePolytope, budget: int = ct.DEFAULT_BUDGET):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import stat
+import threading
 from fractions import Fraction
 
 import pytest
@@ -47,6 +49,24 @@ class TestCount:
         code, out, _ = _run(capsys, ["count", "--body", cube_body, "--out", target])
         assert code == 0 and out == ""
         assert open(target).read().strip() == "count: 27"
+
+    def test_out_fifo_written_in_place(self, capsys, cube_body, tmp_path):
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, encoding="utf-8") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        code, out, _ = _run(capsys, ["count", "--body", cube_body, "--out", fifo])
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 0 and out == ""
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got == ["count: 27\n"]
 
 
 class TestMeasure:
@@ -95,6 +115,12 @@ class TestAudit:
         assert "points: 27" in out
         assert "interior_layer: 1" in out
         assert "all_ok: True" in out
+
+    def test_budget_exhausted(self, capsys, cube_body):
+        code, out, err = _run(capsys, ["audit", "--body", cube_body, "--budget", "2"])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "budget" in err
 
     def test_requires_untranslated(self, capsys, tmp_path):
         body = wt.half_translate(wt.simplex_Sk(3, 1), (Fraction(1, 2), 0, 0))

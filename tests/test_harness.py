@@ -1,17 +1,21 @@
 """Inequality checkers, boundary-layer audit, corpus runner, reports."""
 
+import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from blichfeldt import counting as ct
 from blichfeldt import harness as hz
 from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
 from blichfeldt.counting import Body
 from blichfeldt.harness import InequalityId as I, Verdict as V
 from blichfeldt.lattice import Lattice
+from blichfeldt.radical import Cmp, RadicalSum, certified_compare
+from blichfeldt.rng import Rng
 
 
 def _cube(n, side):
@@ -135,8 +139,7 @@ class TestVerdicts:
         assert r.verdict in (V.HOLDS, V.HOLDS_WITH_EQUALITY, V.VIOLATED)
 
     def test_main_theorem_above_point_retention_limit(self):
-        # [0,50]^3 holds 51^3 = 132,651 points, more than count() keeps
-        assert 51**3 > ct.POINT_RETENTION_LIMIT
+        # [0,50]^3 holds 51^3 = 132,651 points
         r = _check(I.MAIN_THM_1_1, Body.from_polytope(_cube(3, 50)))
         assert r.verdict is V.HOLDS
         assert r.lhs == 51**3
@@ -198,6 +201,92 @@ class TestFormatValue:
         assert s.startswith("[") and "@" in s
 
 
+def _reference_audit(poly):
+    """The per-point audit that the row sweep replaced, as its oracle.
+
+    Every lattice point is tested on its own.  The points of facet prism i
+    are the points of the slab b - gamma_i <= a.z <= b in P's bounding box
+    widened by gamma_i, kept when z + ((b - a.z)/|a|_1) sign(a) satisfies
+    every facet inequality (compared in integers scaled by |a|_1).
+    """
+    n = poly.dim
+    facets = [(tuple(int(c) for c in f.normal), int(f.offset)) for f in poly.facets]
+    los = [min(v[j] for v in poly.vertices) for j in range(n)]
+    his = [max(v[j] for v in poly.vertices) for j in range(n)]
+
+    def dot(a, z):
+        return sum(c * x for c, x in zip(a, z))
+
+    def l1_norm(a):
+        return sum(abs(c) for c in a)
+
+    def gamma(a):
+        return -(-l1_norm(a) // 2) - 1
+
+    def slab(a, b, g):
+        lo = [x - g for x in los]
+        hi = [x + g for x in his]
+        for rest in itertools.product(*(range(l, h + 1) for l, h in zip(lo[1:], hi[1:]))):
+            r = b - dot(a[1:], rest)        # r - g <= a0 x0 <= r
+            if a[0] == 0:
+                xs = range(lo[0], hi[0] + 1) if 0 <= r <= g else ()
+            else:
+                ends = (Fraction(r - g, a[0]), Fraction(r, a[0]))
+                xs = range(max(lo[0], math.ceil(min(ends))),
+                           min(hi[0], math.floor(max(ends))) + 1)
+            yield from ((x0,) + rest for x0 in xs)
+
+    def project_in_facet(a, b, z):
+        l1 = l1_norm(a)
+        slack = b - dot(a, z)
+        sign = [(c > 0) - (c < 0) for c in a]
+        return all(l1 * dot(h, z) + slack * dot(h, sign) <= l1 * bh for h, bh in facets)
+
+    box = itertools.product(*(range(lo, hi + 1) for lo, hi in zip(los, his)))
+    points = [z for z in box if all(dot(a, z) <= b for a, b in facets)]
+    l1_pts = {
+        z for z in points
+        if all(dot(a, z) <= b - (l1_norm(a) + 1) // 2 for a, b in facets)
+    }
+    l2_pts = [z for z in points if z not in l1_pts]
+    members = [
+        {z for z in slab(a, b, gamma(a)) if project_in_facet(a, b, z)}
+        for a, b in facets
+    ]
+    facet_audits = []
+    for i, (a, b) in enumerate(facets):
+        normalized, _ = pt.facet_lattice_volume(poly, i)
+        layer_counts = tuple(
+            sum(1 for z in members[i] if dot(a, z) == b - j) for j in range(gamma(a) + 1)
+        )
+        bound = (RadicalSum.sqrt(n) + 1) * Fraction(math.factorial(n - 1), 2) * (
+            RadicalSum.rational(normalized) * RadicalSum.sqrt(sum(c * c for c in a))
+        ) + (n - 1)
+        per_layer = math.factorial(n - 1) * normalized
+        facet_audits.append(hz.FacetAudit(
+            facet_index=i, gamma=gamma(a), prism_count=len(members[i]),
+            layer_counts=layer_counts,
+            prism_bound_ok=certified_compare(len(members[i]), bound) is Cmp.LESS,
+            layer_bounds_ok=all(
+                cnt <= per_layer + (n - 1 if j == 0 else 0)
+                for j, cnt in enumerate(layer_counts)
+            ),
+        ))
+    f0, gcounts = pt.vertex_facet_counts(poly)
+    return hz.AuditRecord(
+        total=len(points),
+        l1_count=len(l1_pts),
+        l2_count=len(l2_pts),
+        l1_volume_ok=len(l1_pts) <= pt.volume(poly),
+        l2_covered_ok=all(any(z in m for m in members) for z in l2_pts),
+        prisms_ok=all(f.prism_bound_ok for f in facet_audits),
+        vertex_count_ok=sum(f0) >= len(gcounts) + len(facets) * (n - 1),
+        layers_ok=all(f.layer_bounds_ok for f in facet_audits),
+        partition_ok=len(l1_pts) + len(l2_pts) == len(points),
+        facets=tuple(facet_audits),
+    )
+
+
 class TestBoundaryLayerAudit:
     def test_cube_side_two(self):
         record = hz.boundary_layer_audit(_cube(3, 2))
@@ -249,6 +338,40 @@ class TestBoundaryLayerAudit:
         [(0, 3, 0), (0, 5, 2), (1, 1, 5), (1, 1, 6), (1, 3, 5), (1, 6, 0),
          (3, 5, 6), (3, 6, 2), (5, 3, 5), (5, 4, 6), (6, 3, 3)],
     )
+
+    ORACLE_BODIES = {
+        **{f"ridge {i}": lambda v=v: pt.hull(v) for i, v in enumerate(RIDGE_BODIES)},
+        "T_4": lambda: wt.reeve_Tm(3, 4),
+        "T_8": lambda: wt.reeve_Tm(3, 8),
+        "S_8": lambda: wt.simplex_Sk(3, 8),
+        "S_16": lambda: wt.simplex_Sk(3, 16),
+        **{f"cube {a}": lambda a=a: _cube(3, a) for a in (1, 2, 3)},
+        "polygon": lambda: pt.hull([(0, 0), (7, 2), (5, 6), (1, 5)]),
+    }
+
+    @pytest.mark.parametrize("name", ORACLE_BODIES)
+    def test_matches_per_point_reference(self, name):
+        poly = self.ORACLE_BODIES[name]()
+        assert hz.boundary_layer_audit(poly) == _reference_audit(poly)
+
+    @given(st.lists(st.tuples(*[st.integers(0, 6)] * 3), min_size=4, max_size=10))
+    @settings(max_examples=8, deadline=None)
+    def test_matches_per_point_reference_random(self, vertices):
+        try:
+            poly = pt.hull(vertices)
+        except pt.DegenerateHullError:
+            assume(False)
+        assert hz.boundary_layer_audit(poly) == _reference_audit(poly)
+
+    def test_slab_of_many_points(self):
+        # a facet (152, 91, -63) of this body has a slab of 102,279 lattice
+        # points in the widened box; the sweep keeps none of them
+        rng = Rng(5, stream=3)
+        for _ in range(8):
+            poly = wt.random_hull(rng, 3, 12, 14)
+        record = hz.boundary_layer_audit(poly)
+        assert (record.total, record.l1_count) == (1136, 726)
+        assert record.all_ok
 
     @pytest.mark.parametrize("vertices", RIDGE_BODIES)
     def test_ridge_points_covered(self, vertices):
