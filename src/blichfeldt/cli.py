@@ -66,14 +66,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _load_body(path: str) -> ct.Body:
+def _load_body(path: str, budget: int) -> ct.Body:
     try:
-        return wt.load_body(path)
+        return wt.load_body(path, budget)
     except FileNotFoundError as exc:
         raise _CliError(f"body-spec {path}: {exc.strerror}") from exc
     except wt.BodySpecError as exc:
         raise _CliError(f"body-spec {path}: {exc}") from exc
-    except (ValueError, pt.DegenerateHullError) as exc:
+    except (ValueError, pt.DegenerateHullError, ct.EnumerationBudgetError) as exc:
         raise _CliError(f"body-spec {path}: {exc}") from exc
 
 
@@ -90,9 +90,10 @@ def _budget(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    body = _load_body(args.body)
+    budget = _budget(args)
+    body = _load_body(args.body, budget)
     try:
-        result = ct.count(body, budget=_budget(args))
+        result = ct.count(body, budget=budget)
     except ct.EnumerationBudgetError as exc:
         raise _CliError(str(exc)) from exc
     _emit(f"count: {result.count}", args.out)
@@ -100,7 +101,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    body = _load_body(args.body)
+    body = _load_body(args.body, _budget(args))
     if body.polytope is None:
         raise _CliError("measure requires a polytope body")
     poly = body.polytope
@@ -136,10 +137,9 @@ def _cmd_check(args) -> int:
         id = hz.InequalityId(args.id)
     except ValueError as exc:
         raise _CliError(f"unknown inequality id {args.id!r}") from exc
-    body = _load_body(args.body)
-    report = hz.check(
-        id, body, budget=_budget(args), max_bits=args.precision_max_bits
-    )
+    budget = _budget(args)
+    body = _load_body(args.body, budget)
+    report = hz.check(id, body, budget=budget, max_bits=args.precision_max_bits)
     lines = [
         f"id: {id.value}",
         f"verdict: {report.verdict.value}",
@@ -155,11 +155,12 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    body = _load_body(args.body)
+    budget = _budget(args)
+    body = _load_body(args.body, budget)
     if body.kind != "polytope":
         raise _CliError("audit requires an untranslated polytope body")
     try:
-        record = hz.boundary_layer_audit(body.polytope, budget=_budget(args))
+        record = hz.boundary_layer_audit(body.polytope, budget=budget)
     except (ValueError, ct.EnumerationBudgetError) as exc:
         raise _CliError(str(exc)) from exc
     lines = [

@@ -17,15 +17,7 @@ from operator import mul
 
 from blichfeldt import linalg
 from blichfeldt.lattice import Lattice
-from blichfeldt.polytope import LatticePolytope
-
-DEFAULT_BUDGET = 10 ** 8
-
-
-class EnumerationBudgetError(RuntimeError):
-    def __init__(self, budget):
-        super().__init__(f"enumeration budget exceeded (budget={budget})")
-        self.budget = budget
+from blichfeldt.polytope import DEFAULT_BUDGET, EnumerationBudgetError, LatticePolytope
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,38 @@
 """Lattice polytopes with exact vertex/facet representations.
 
-Hulls are computed by exhaustive supporting-hyperplane search with exact
-rational predicates (every facet hyperplane is spanned by input points, so
-scanning point subsets finds them all; coplanar points cause no special
-cases).  Triangulations fan out from a vertex over recursively triangulated
-facets.  Facet normals are primitive dual-lattice vectors, so facet volumes
-split into a rational lattice-normalized part and a single square root.
+Hulls are built by one beneath-beyond sweep on Python ints (Seidel 1981;
+Edelsbrunner 1987).  Points are placed in lexicographic order; a point sees
+a boundary simplex only when it lies strictly beyond that simplex's
+hyperplane, so coplanar points need no special case.  Coning each new point
+over the boundary simplices it sees gives the placing triangulation as a
+by-product (De Loera, Rambau and Santos, *Triangulations*, 4.3), and the
+boundary simplices sharing a hyperplane tile one facet.  Volumes and facet
+volumes are sums of integer determinants over these simplices.  Facet
+normals are primitive dual-lattice vectors, so facet volumes split into a
+rational lattice-normalized part and a single square root.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, cached_property
-from math import lcm
+from functools import cached_property
+from math import factorial, gcd
+from operator import mul
 
 from blichfeldt import linalg
-from blichfeldt.interval import Interval, acos_interval, pi, sqrt_interval, sqrt_fraction
+from blichfeldt.interval import Interval, acos_interval, pi, sqrt_fraction
 from blichfeldt.lattice import Lattice, dual_coeff_to_ambient, dual_norm_sq
 from blichfeldt.radical import Cmp, Inconclusive, RadicalSum, certified_compare
+
+DEFAULT_BUDGET = 10 ** 8  # hull orientation tests, or lattice cells to enumerate
+
+
+class EnumerationBudgetError(RuntimeError):
+    def __init__(self, budget):
+        super().__init__(f"enumeration budget exceeded (budget={budget})")
+        self.budget = budget
 
 
 class DegenerateHullError(ValueError):
@@ -33,80 +46,136 @@ class Facet:
     vertex_ids: tuple
 
 
-def _hyperplane_normal(points):
-    """Primitive integer normal of the hyperplane through d points in R^d.
+def _independent(vectors, want):
+    """Positions of the vectors that, scanned in order, extend a linearly
+    independent set; stops after ``want`` of them.
 
-    Returns None if the points are affinely dependent.  Uses the
-    generalized cross product (cofactor expansion) on difference vectors.
+    Greedy choice in a matroid gives the lexicographically smallest basis.
     """
-    d = len(points[0])
-    base = points[0]
-    diffs = [[Fraction(p[j]) - Fraction(base[j]) for j in range(d)] for p in points[1:]]
-    normal = []
-    for j in range(d):
-        minor = [[row[k] for k in range(d) if k != j] for row in diffs]
-        det = linalg.frac_det(minor) if minor else Fraction(1)
-        normal.append(det if j % 2 == 0 else -det)
-    if all(x == 0 for x in normal):
-        return None
-    denom = lcm(*(x.denominator for x in normal))
-    ints = [int(x * denom) for x in normal]
-    prim, _ = linalg.primitive_vector(ints)
-    return tuple(prim)
+    basis, chosen = [], []
+    for k, v in enumerate(vectors):
+        for p, row in basis:
+            if v[p]:
+                v = [row[p] * x - v[p] * y for x, y in zip(v, row)]
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            continue
+        g = gcd(*v)
+        basis.append((pivot, [x // g for x in v]))
+        chosen.append(k)
+        if len(chosen) == want:
+            break
+    return chosen
 
 
-def convex_hull_facets(points):
-    """Facets of the convex hull of full-dimensional rational points.
+def _normal(simplex):
+    """Generalized cross product N of the edges of d points in Z^d.
 
-    Returns a list of (normal, offset, on_ids) with primitive integer
-    outward normals.  Raises DegenerateHullError for lower-dimensional
-    input.
+    N.(x - simplex[0]) is the determinant of the edges and x - simplex[0],
+    so N is normal to their hyperplane and |N| is (d-1)! times their volume.
     """
-    d = len(points[0])
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if linalg.affine_rank(pts) < d:
-        raise DegenerateHullError("degenerate: affine hull is lower-dimensional")
+    base = simplex[0]
+    d = len(base)
+    rows = [[x - y for x, y in zip(p, base)] for p in simplex[1:]]
+    return [
+        (-1) ** (d - 1 + j) * linalg.det_bareiss([r[:j] + r[j + 1:] for r in rows])
+        for j in range(d)
+    ]
+
+
+def _det(simplex) -> int:
+    """|det| of the edges of d+1 points in Z^d: d! times their volume."""
+    base = simplex[0]
+    return abs(linalg.det_bareiss([[x - y for x, y in zip(p, base)] for p in simplex[1:]]))
+
+
+def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
+    """Beneath-beyond hull of distinct, full-dimensional integer points.
+
+    The points are placed in the given order.  Returns ``(facets,
+    simplices)``.  Each facet is ``(normal, offset, on_ids, pieces)``: a
+    primitive outward normal, with ``normal.x <= offset`` on the hull, the
+    ids of every point on the facet, and the boundary (d-1)-simplices that
+    tile it.  Facets come ordered by the lexicographically smallest affinely
+    independent d-subset of their ``on_ids``.  ``simplices`` is the placing
+    triangulation; its simplices may use points that are not vertices of the
+    hull.  Every point-facet orientation test counts against ``budget``,
+    and running out raises ``EnumerationBudgetError``.
+    """
+    n, d = len(points), len(points[0])
+    diffs = [[x - y for x, y in zip(p, points[0])] for p in points]
+    first = tuple([0] + _independent(diffs, d))
+    if len(first) <= d:
+        raise DegenerateHullError("degenerate: dim(K cap Lambda) < n")
     if d == 1:
-        vals = [p[0] for p in pts]
-        lo, hi = min(vals), max(vals)
-        return [
-            ((1,), hi, tuple(i for i, p in enumerate(pts) if p[0] == hi)),
-            ((-1,), -lo, tuple(i for i, p in enumerate(pts) if p[0] == lo)),
-        ]
-    found = {}
-    for subset in itertools.combinations(range(len(pts)), d):
-        normal = _hyperplane_normal([pts[i] for i in subset])
-        if normal is None:
+        lo, hi = min(range(n), key=points.__getitem__), max(range(n), key=points.__getitem__)
+        return [((1,), points[hi][0], (hi,), ((hi,),)),
+                ((-1,), -points[lo][0], (lo,), ((lo,),))], [(lo, hi)]
+
+    # d+1 times a point inside the first simplex, hence inside every later hull
+    inner = [sum(col) for col in zip(*(points[i] for i in first))]
+    live = {}   # boundary simplex (sorted ids) -> (N, c), N.x <= c inside
+
+    def place(ids):
+        normal = _normal([points[i] for i in ids])
+        c = sum(map(mul, normal, points[ids[0]]))
+        if sum(map(mul, normal, inner)) > (d + 1) * c:
+            normal, c = [-x for x in normal], -c
+        live[ids] = (normal, c)
+
+    for k in range(d + 1):
+        place(first[:k] + first[k + 1:])
+    simplices = [first]
+    tests = 0
+    for p in range(n):
+        if p in first:
             continue
-        b = sum(normal[j] * pts[subset[0]][j] for j in range(d))
-        key = (normal, b)
-        nkey = (tuple(-x for x in normal), -b)
-        if key in found or nkey in found:
-            continue
-        values = [sum(normal[j] * p[j] for j in range(d)) for p in pts]
-        if all(v <= b for v in values):
-            found[key] = tuple(i for i, v in enumerate(values) if v == b)
-        elif all(v >= b for v in values):
-            found[nkey] = tuple(i for i, v in enumerate(values) if v == b)
-    return [(c, b, on) for (c, b), on in found.items()]
+        tests += len(live)
+        if tests > budget:
+            raise EnumerationBudgetError(budget)
+        x = points[p]
+        seen = [ids for ids, (nv, c) in live.items() if sum(map(mul, nv, x)) > c]
+        # a ridge of one seen simplex only borders an unseen one: the horizon
+        ridges = Counter(ids[:k] + ids[k + 1:] for ids in seen for k in range(d))
+        for ids in seen:
+            del live[ids]
+            simplices.append(ids + (p,))
+        for ridge, m in ridges.items():
+            if m == 1:
+                place(tuple(sorted(ridge + (p,))))
+
+    groups = {}
+    for ids, (normal, c) in live.items():
+        prim, g = linalg.primitive_vector(normal)
+        groups.setdefault((tuple(prim), c // g), []).append(ids)
+    if tests + len(groups) * n > budget:
+        raise EnumerationBudgetError(budget)
+    facets = []
+    for (normal, offset), pieces in groups.items():
+        on = tuple(i for i, x in enumerate(points) if sum(map(mul, normal, x)) == offset)
+        facets.append((normal, offset, on, tuple(pieces)))
+
+    def first_basis(facet):
+        on = facet[2]
+        rest = _independent([diffs[i] for i in on[1:]], d - 1)
+        return (on[0],) + tuple(on[1 + k] for k in rest)
+
+    facets.sort(key=first_basis)
+    return facets, simplices
 
 
 class LatticePolytope:
     """Full-dimensional lattice polytope in coefficient coordinates."""
 
-    def __init__(self, lattice: Lattice, vertices, facets):
+    def __init__(self, lattice: Lattice, vertices, facets, simplices, facet_simplices):
         self.lattice = lattice
         self.dim = lattice.dim
         self.vertices = vertices      # tuple of integer coefficient tuples
         self.facets = facets          # tuple of Facet
-
-    @cached_property
-    def incidence(self):
-        """vertex x facet boolean incidence matrix."""
-        return tuple(
-            tuple(vi in f.vertex_ids for f in self.facets)
-            for vi in range(len(self.vertices))
-        )
+        # placing triangulation: d-simplices as tuples of points, which need
+        # not be vertices; facet_simplices[i] tiles facet i likewise
+        self.simplices = simplices
+        self.facet_simplices = facet_simplices
 
     def contains(self, point_coeff) -> bool:
         p = [Fraction(x) for x in point_coeff]
@@ -129,7 +198,24 @@ class LatticePolytope:
         return intrinsic_volumes_3d(self)
 
     def scaled(self, c: int) -> "LatticePolytope":
-        return hull([tuple(c * x for x in v) for v in self.vertices], self.lattice)
+        """c*P for an integer c >= 1, without a new hull.
+
+        Normals, facet vertex ids and the triangulation's simplices carry
+        over; points and offsets are multiplied by c.
+        """
+        if c < 1:
+            raise ValueError("scale factor must be at least 1")
+
+        def points(simplex):
+            return tuple(tuple(c * x for x in p) for p in simplex)
+
+        return LatticePolytope(
+            self.lattice,
+            points(self.vertices),
+            tuple(Facet(f.normal, c * f.offset, f.vertex_ids) for f in self.facets),
+            tuple(map(points, self.simplices)),
+            tuple(tuple(map(points, pieces)) for pieces in self.facet_simplices),
+        )
 
     def __repr__(self):
         return (
@@ -138,137 +224,62 @@ class LatticePolytope:
         )
 
 
-def hull(points, lattice: Lattice | None = None) -> LatticePolytope:
-    """Exact convex hull of lattice points (coefficient coordinates)."""
+def hull(points, lattice: Lattice | None = None,
+         budget: int = DEFAULT_BUDGET) -> LatticePolytope:
+    """Exact convex hull of lattice points (coefficient coordinates).
+
+    ``budget`` bounds the hull's orientation tests (``convex_hull_facets``).
+    """
     pts = sorted({tuple(int(x) for x in p) for p in points})
     if lattice is None:
         lattice = Lattice.standard(len(pts[0]))
     d = lattice.dim
     if any(len(p) != d for p in pts):
         raise ValueError("point dimension mismatch")
-    if linalg.affine_rank(pts) < d:
-        raise DegenerateHullError("degenerate: dim(K cap Lambda) < n")
-    raw = convex_hull_facets(pts)
+    raw, simplices = convex_hull_facets(pts, budget)
     # vertices: points whose active facet normals span the whole space
     active = {i: [] for i in range(len(pts))}
-    for c, b, on in raw:
+    for c, b, on, _ in raw:
         for i in on:
             active[i].append(c)
-    vertex_ids = [
-        i for i in range(len(pts))
-        if len(active[i]) >= d and linalg.frac_rank(active[i]) == d
-    ]
+    vertex_ids = [i for i in range(len(pts)) if len(_independent(active[i], d)) == d]
     remap = {old: new for new, old in enumerate(vertex_ids)}
-    vertices = tuple(pts[i] for i in vertex_ids)
+
+    def points_of(ids):
+        return tuple(pts[i] for i in ids)
+
     facets = tuple(
         Facet(
             normal=c,
             offset=Fraction(b),
             vertex_ids=tuple(sorted(remap[i] for i in on if i in remap)),
         )
-        for c, b, on in raw
+        for c, b, on, _ in raw
     )
-    return LatticePolytope(lattice, vertices, facets)
+    return LatticePolytope(
+        lattice,
+        points_of(vertex_ids),
+        facets,
+        tuple(map(points_of, simplices)),
+        tuple(tuple(map(points_of, pieces)) for *_, pieces in raw),
+    )
 
 
 # ---------------------------------------------------------------------------
-# triangulation and volume
-
-
-def _sort_polygon(points, ids):
-    """Order indices of convex-position 2D points counterclockwise."""
-    cx = sum(points[i][0] for i in ids) / len(ids)
-    cy = sum(points[i][1] for i in ids) / len(ids)
-
-    def half(i):
-        dx, dy = points[i][0] - cx, points[i][1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def compare(i, j):
-        hi, hj = half(i), half(j)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        dxi, dyi = points[i][0] - cx, points[i][1] - cy
-        dxj, dyj = points[j][0] - cx, points[j][1] - cy
-        cross = dxi * dyj - dyi * dxj
-        return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-    return sorted(ids, key=cmp_to_key(compare))
-
-
-def triangulate_points(points, ids=None, reverse=False):
-    """Simplices (index tuples) triangulating the hull of full-dim points.
-
-    Fan construction: cone from an extreme vertex over recursively
-    triangulated facets.  ``reverse`` picks the opposite fan apex (and
-    polygon orientation), giving an independent triangulation.
-    """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
-    if ids is None:
-        ids = list(range(len(pts)))
-    d = len(pts[0])
-    if d == 1:
-        lo = min(ids, key=lambda i: pts[i][0])
-        hi = max(ids, key=lambda i: pts[i][0])
-        return [(lo, hi)]
-    if d == 2:
-        ring = _sort_polygon(pts, _extreme_ids_2d(pts, ids))
-        if reverse:
-            ring = ring[::-1]
-        return [(ring[0], ring[k], ring[k + 1]) for k in range(1, len(ring) - 1)]
-    sub = [pts[i] for i in ids]
-    facets = convex_hull_facets(sub)
-    order = sorted(range(len(ids)), key=lambda k: sub[k], reverse=reverse)
-    apex_local = order[0]
-    simplices = []
-    for c, b, on in facets:
-        if apex_local in on:
-            continue
-        j = max(range(d), key=lambda j: abs(c[j]))
-        proj = [tuple(x for k, x in enumerate(sub[i]) if k != j) for i in on]
-        for tri in triangulate_points(proj, reverse=reverse):
-            simplices.append(tuple(ids[on[t]] for t in tri) + (ids[apex_local],))
-    return simplices
-
-
-def _extreme_ids_2d(pts, ids):
-    """Drop points interior to segments: keep only extreme points."""
-    facets = convex_hull_facets([pts[i] for i in ids])
-    active = {}
-    for c, b, on in facets:
-        for k in on:
-            active.setdefault(k, []).append(c)
-    keep = [
-        ids[k] for k in range(len(ids))
-        if len(active.get(k, [])) >= 2 and linalg.frac_rank(active[k]) == 2
-    ]
-    return keep
-
-
-def _simplex_volume(points, simplex) -> Fraction:
-    d = len(points[simplex[0]])
-    base = points[simplex[0]]
-    mat = [
-        [Fraction(points[i][j]) - Fraction(base[j]) for j in range(d)]
-        for i in simplex[1:]
-    ]
-    det = linalg.frac_det(mat)
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
-    return abs(det) / fact
-
-
-def triangulation(poly: LatticePolytope, reverse=False):
-    return triangulate_points(poly.vertices, reverse=reverse)
+# volume
 
 
 def normalized_volume(poly: LatticePolytope, reverse=False) -> Fraction:
-    """Volume in lattice coefficient units (Euclidean volume / det Lambda)."""
-    return sum(
-        (_simplex_volume(poly.vertices, s) for s in triangulation(poly, reverse)),
-        Fraction(0),
-    )
+    """Volume in lattice coefficient units (Euclidean volume / det Lambda).
+
+    Sums the placing triangulation ``hull`` built; ``reverse`` places the
+    vertices in reverse order instead, a second, different triangulation.
+    """
+    simplices = poly.simplices
+    if reverse:
+        vs = poly.vertices[::-1]
+        simplices = [[vs[i] for i in s] for s in convex_hull_facets(vs)[1]]
+    return Fraction(sum(map(_det, simplices)), factorial(poly.dim))
 
 
 def volume(poly: LatticePolytope) -> Fraction:
@@ -277,39 +288,24 @@ def volume(poly: LatticePolytope) -> Fraction:
 
 
 def volume_by_signed_cones(poly: LatticePolytope) -> Fraction:
-    """Independent volume computation: signed cones from the coeff origin."""
+    """Independent volume computation: signed cones from the coeff origin.
+
+    Each facet is triangulated afresh from its own vertices, projected along
+    a coordinate where its normal is nonzero (injective on the facet's
+    hyperplane), so no simplex of ``poly.simplices`` is used.
+    """
     d = poly.dim
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
-    total = Fraction(0)
-    for fi, f in enumerate(poly.facets):
-        height = f.offset  # offset - normal . origin
-        if height == 0:
+    origin = (0,) * d
+    total = 0
+    for f in poly.facets:
+        if f.offset == 0:  # offset - normal . origin: the cone is flat
             continue
-        sign = 1 if height > 0 else -1
-        for s in _facet_triangulation(poly, fi, reverse=True):
-            mat = [[Fraction(x) for x in poly.vertices[i]] for i in s]
-            det = linalg.frac_det(mat)
-            total += sign * abs(det) / fact
-    return total * poly.lattice.determinant
-
-
-def _facet_triangulation(poly: LatticePolytope, i: int, reverse=False):
-    """Triangulation of facet i as (dim)-tuples of vertex indices."""
-    f = poly.facets[i]
-    d = poly.dim
-    if d == 1:
-        return [(f.vertex_ids[0],)]
-    j = max(range(d), key=lambda j: abs(f.normal[j]))
-    proj = [
-        tuple(x for k, x in enumerate(poly.vertices[v]) if k != j)
-        for v in f.vertex_ids
-    ]
-    return [
-        tuple(f.vertex_ids[t] for t in tri)
-        for tri in triangulate_points(proj, reverse=reverse)
-    ]
+        vs = [poly.vertices[i] for i in f.vertex_ids]
+        j = max(range(d), key=lambda j: abs(f.normal[j]))
+        pieces = convex_hull_facets([v[:j] + v[j + 1:] for v in vs])[1] if d > 1 else [(0,)]
+        sign = 1 if f.offset > 0 else -1
+        total += sign * sum(_det([origin] + [vs[t] for t in s]) for s in pieces)
+    return Fraction(total, factorial(d)) * poly.lattice.determinant
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +350,17 @@ def facet_lattice_volume(poly: LatticePolytope, i: int):
 
     normalized = vol_{n-1}(F_i) / det(aff F_i cap Lambda), a rational;
     euclidean = normalized * ||a_i|| * det(Lambda) as an exact RadicalSum.
+    Each boundary simplex on F_i has edge cross product k * a_i, and the
+    facet sublattice has determinant ||a_i|| in coefficient space, so the
+    simplex adds |k| / (n-1)! to the normalized volume.
     """
     d = poly.dim
     if d == 1:
         normalized = Fraction(1)
     else:
-        ys, _ = facet_lattice_coords(poly, i)
-        simplices = triangulate_points(ys)
-        normalized = sum((_simplex_volume(ys, s) for s in simplices), Fraction(0))
+        normalized = Fraction(
+            sum(gcd(*_normal(s)) for s in poly.facet_simplices[i]), factorial(d - 1)
+        )
     asq = poly.facet_norm_sq(i)
     det = poly.lattice.determinant
     euclidean = normalized * RadicalSum.sqrt(asq * det * det)

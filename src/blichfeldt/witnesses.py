@@ -224,7 +224,7 @@ def body_to_dict(body: Body) -> dict:
     return {"schema": SCHEMA_VERSION, "lattice": lat, "body": data}
 
 
-def body_from_dict(doc: dict) -> Body:
+def body_from_dict(doc: dict, budget: int = pt.DEFAULT_BUDGET) -> Body:
     if not isinstance(doc, dict):
         raise BodySpecError("$", "document must be a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
@@ -246,7 +246,9 @@ def body_from_dict(doc: dict) -> Body:
         verts = data.get("vertices")
         if not verts:
             raise BodySpecError("body.vertices", "missing or empty")
-        poly = pt.hull([tuple(int(x) for x in v) for v in verts], lattice=lattice)
+        poly = pt.hull(
+            [tuple(int(x) for x in v) for v in verts], lattice=lattice, budget=budget
+        )
         if kind == "polytope":
             return Body.from_polytope(poly)
         t = data.get("translate")
@@ -284,10 +286,10 @@ def save_body(body: Body, path: str) -> None:
         fh.write("\n")
 
 
-def load_body(path: str) -> Body:
+def load_body(path: str, budget: int = pt.DEFAULT_BUDGET) -> Body:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise BodySpecError(f"line {exc.lineno}", exc.msg) from exc
-    return body_from_dict(doc)
+    return body_from_dict(doc, budget)

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: subcommands, exit codes, output formats."""
 
+import itertools
 import json
 import os
 import stat
@@ -247,6 +248,21 @@ class TestBudgetPlumbing:
         )
         assert code == 0
         assert out.strip() == "count: 27"
+
+    def test_hull_of_many_listed_vertices(self, capsys, tmp_path):
+        # all 343 lattice points of [0,6]^3 listed as vertices: counting the
+        # box fits a budget of 5000, placing the points in the hull does not
+        pts = [list(p) for p in itertools.product(range(7), repeat=3)]
+        doc = wt.body_to_dict(Body.from_polytope(pt.hull(pts)))
+        doc["body"]["vertices"] = pts
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = _run(capsys, ["count", "--body", str(path), "--budget", "5000"])
+        assert code == cli.EXIT_USAGE
+        assert "budget" in err
+        code, out, _ = _run(capsys, ["count", "--body", str(path)])
+        assert code == 0
+        assert out.strip() == "count: 343"
 
     def test_bad_env_value(self, capsys, cube_body, monkeypatch):
         monkeypatch.setenv("BLICH_BUDGET", "lots")

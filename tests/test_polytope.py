@@ -1,15 +1,94 @@
 """Convex hulls, volumes, surface areas, intrinsic volumes."""
 
+import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blichfeldt import linalg
 from blichfeldt import polytope as pt
+from blichfeldt import witnesses as wt
 from blichfeldt.lattice import Lattice
 from blichfeldt.polytope import DegenerateHullError
 from blichfeldt.radical import RadicalSum
 from blichfeldt.rng import Rng
+
+
+def _hyperplane_normal(points):
+    """Primitive integer normal of the hyperplane through d points in R^d,
+    or None if they are affinely dependent (generalized cross product)."""
+    d = len(points[0])
+    base = points[0]
+    diffs = [[Fraction(p[j]) - Fraction(base[j]) for j in range(d)] for p in points[1:]]
+    normal = []
+    for j in range(d):
+        minor = [[row[k] for k in range(d) if k != j] for row in diffs]
+        det = linalg.frac_det(minor) if minor else Fraction(1)
+        normal.append(det if j % 2 == 0 else -det)
+    if all(x == 0 for x in normal):
+        return None
+    denom = lcm(*(x.denominator for x in normal))
+    prim, _ = linalg.primitive_vector([int(x * denom) for x in normal])
+    return tuple(prim)
+
+
+def _reference_facets(pts):
+    """Exhaustive supporting-hyperplane search over every d-subset."""
+    d = len(pts[0])
+    if d == 1:
+        vals = [p[0] for p in pts]
+        lo, hi = min(vals), max(vals)
+        return [
+            ((1,), hi, tuple(i for i, p in enumerate(pts) if p[0] == hi)),
+            ((-1,), -lo, tuple(i for i, p in enumerate(pts) if p[0] == lo)),
+        ]
+    found = {}
+    for subset in itertools.combinations(range(len(pts)), d):
+        normal = _hyperplane_normal([pts[i] for i in subset])
+        if normal is None:
+            continue
+        b = sum(normal[j] * pts[subset[0]][j] for j in range(d))
+        key, nkey = (normal, b), (tuple(-x for x in normal), -b)
+        if key in found or nkey in found:
+            continue
+        values = [sum(normal[j] * p[j] for j in range(d)) for p in pts]
+        if all(v <= b for v in values):
+            found[key] = tuple(i for i, v in enumerate(values) if v == b)
+        elif all(v >= b for v in values):
+            found[nkey] = tuple(i for i, v in enumerate(values) if v == b)
+    return [(c, b, on) for (c, b), on in found.items()]
+
+
+def _reference_hull(points):
+    """(vertices, facets) as the exhaustive hull gives them: vertices are the
+    points whose active facet normals span the space."""
+    pts = sorted({tuple(int(x) for x in p) for p in points})
+    d = len(pts[0])
+    if linalg.affine_rank(pts) < d:
+        raise DegenerateHullError("degenerate")
+    raw = _reference_facets(pts)
+    active = {i: [] for i in range(len(pts))}
+    for c, _, on in raw:
+        for i in on:
+            active[i].append(c)
+    vertex_ids = [
+        i for i in range(len(pts))
+        if len(active[i]) >= d and linalg.frac_rank(active[i]) == d
+    ]
+    remap = {old: new for new, old in enumerate(vertex_ids)}
+    facets = tuple(
+        pt.Facet(c, Fraction(b), tuple(sorted(remap[i] for i in on if i in remap)))
+        for c, b, on in raw
+    )
+    return tuple(pts[i] for i in vertex_ids), facets
+
+
+def _assert_reference_hull(points):
+    poly = pt.hull(points)
+    assert (poly.vertices, poly.facets) == _reference_hull(points)
+    return poly
 
 
 def _cube(n, side=1):
@@ -59,6 +138,113 @@ class TestHull:
         assert c.contains((1, 1, 1))
         assert c.contains((0, 0, 2))
         assert not c.contains((3, 0, 0))
+
+
+# the boundary-layer audit's ridge bodies (tests/test_harness.py)
+RIDGE_BODIES = (
+    [(0, 1, 0), (1, 3, 4), (1, 4, 1), (1, 4, 2), (3, 1, 1), (3, 1, 4),
+     (3, 4, 6), (4, 4, 0), (6, 2, 0), (6, 3, 6), (6, 4, 0)],
+    [(0, 5, 3), (1, 0, 0), (1, 6, 3), (1, 6, 6), (2, 0, 1), (3, 1, 3),
+     (5, 0, 0), (5, 3, 1), (6, 2, 6)],
+    [(0, 3, 0), (0, 5, 2), (1, 1, 5), (1, 1, 6), (1, 3, 5), (1, 6, 0),
+     (3, 5, 6), (3, 6, 2), (5, 3, 5), (5, 4, 6), (6, 3, 3)],
+)
+
+
+@st.composite
+def _point_sets(draw, d):
+    """Lattice points with even coordinates in a small box, plus duplicates
+    and midpoints of pairs: many coplanar, collinear and interior points."""
+    pts = draw(st.lists(st.tuples(*[st.integers(0, 4)] * d), min_size=d + 1, max_size=8))
+    pts = [tuple(2 * x for x in p) for p in pts]
+    pairs = draw(st.lists(st.tuples(*[st.integers(0, len(pts) - 1)] * 2), max_size=4))
+    return pts + [tuple((x + y) // 2 for x, y in zip(pts[i], pts[j])) for i, j in pairs]
+
+
+class TestHullOracle:
+    """``hull`` against the exhaustive search it replaced, field by field."""
+
+    FIXED = {
+        **{f"S_{k} n={n}": lambda n=n, k=k: wt.simplex_Sk(n, k).vertices
+           for n in (2, 3, 4) for k in (1, 3)},
+        **{f"T_{m} n={n}": lambda n=n, m=m: wt.reeve_Tm(n, m).vertices
+           for n in (3, 4) for m in (1, 2, 4)},
+        **{f"cube {a} n={n}": lambda n=n, a=a: list(itertools.product((0, a), repeat=n))
+           for n in (2, 3, 4) for a in (1, 2)},
+        **{f"ridge {i}": lambda v=v: v for i, v in enumerate(RIDGE_BODIES)},
+        "segment": lambda: [(3,), (0,), (1,), (3,)],
+    }
+
+    @pytest.mark.parametrize("name", FIXED)
+    def test_fixed(self, name):
+        _assert_reference_hull(self.FIXED[name]())
+
+    @pytest.mark.parametrize("d, examples", [(2, 40), (3, 40), (4, 15)])
+    def test_random(self, d, examples):
+        @given(_point_sets(d))
+        @settings(max_examples=examples, deadline=None)
+        def check(pts):
+            try:
+                _reference_hull(pts)
+            except DegenerateHullError:
+                with pytest.raises(DegenerateHullError):
+                    pt.hull(pts)
+                return
+            poly = _assert_reference_hull(pts)
+            # the placing triangulation (which may use non-vertices): no flat
+            # simplex, and the volumes sum to the hull's, so none overlap
+            assert all(pt._det(s) for s in poly.simplices)
+            assert all(any(pt._normal(s)) for f in poly.facet_simplices for s in f)
+            vol = pt.normalized_volume(poly)
+            assert vol == pt.normalized_volume(poly, reverse=True)
+            assert vol * poly.lattice.determinant == pt.volume_by_signed_cones(poly)
+            # facet volumes against the facet's own hull in Z^(d-1)
+            for i in range(len(poly.facets)):
+                ys, _ = pt.facet_lattice_coords(poly, i)
+                normalized, _ = pt.facet_lattice_volume(poly, i)
+                want = pt.normalized_volume(pt.hull(ys)) if d > 2 else max(ys)[0] - min(ys)[0]
+                assert normalized == want
+
+        check()
+
+    def test_budget(self):
+        pts = list(itertools.product(range(4), repeat=3))
+        pt.hull(pts, budget=10**4)
+        with pytest.raises(pt.EnumerationBudgetError):
+            pt.hull(pts, budget=100)
+
+
+class TestScaled:
+    # hull(c * vertices) places only the vertices, so the polytope scaled
+    # here is built from its vertices too, for its triangulation to match
+    BODIES = {
+        "S_3": lambda: wt.simplex_Sk(3, 3),
+        "T_4": lambda: wt.reeve_Tm(3, 4),
+        "random 4D": lambda: pt.hull(wt.random_hull(Rng(7), 4, 12, 5).vertices),
+    }
+
+    @staticmethod
+    def _fields(poly):
+        return (poly.lattice.basis, poly.vertices, poly.facets, poly.simplices,
+                poly.facet_simplices)
+
+    @pytest.mark.parametrize("name", BODIES)
+    def test_equals_hull_of_scaled_vertices(self, name, monkeypatch):
+        poly = self.BODIES[name]()
+        want = {
+            c: self._fields(pt.hull([tuple(c * x for x in v) for v in poly.vertices]))
+            for c in range(1, 6)
+        }
+        calls = []
+        monkeypatch.setattr(pt, "hull", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(pt, "convex_hull_facets", lambda *a, **k: calls.append(a))
+        for c, fields in want.items():
+            assert self._fields(poly.scaled(c)) == fields
+        assert calls == []
+
+    def test_rejects_shrinking(self):
+        with pytest.raises(ValueError):
+            wt.simplex_Sk(3, 1).scaled(0)
 
 
 class TestVolume:
