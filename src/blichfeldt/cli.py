@@ -1,9 +1,9 @@
 """Command-line front end: count, measure, check, audit, corpus, witness.
 
 Exit codes: 0 all verdicts hold (or are observational findings), 1 a
-proved inequality reported VIOLATED, 2 usage or input error, 3 a
-comparison stayed inconclusive at the precision cap.  All numeric output
-carries provenance: exact rationals as "p/q", enclosures as
+proved inequality reported VIOLATED, 2 usage or input error or an exceeded
+budget, 3 a comparison stayed inconclusive at the precision cap.  All
+numeric output carries provenance: exact rationals as "p/q", enclosures as
 "[lo, hi]@bits".
 """
 
@@ -73,7 +73,7 @@ def _load_body(path: str, budget: int) -> ct.Body:
         raise _CliError(f"body-spec {path}: {exc.strerror}") from exc
     except wt.BodySpecError as exc:
         raise _CliError(f"body-spec {path}: {exc}") from exc
-    except (ValueError, pt.DegenerateHullError, ct.EnumerationBudgetError) as exc:
+    except (ValueError, pt.DegenerateHullError) as exc:
         raise _CliError(f"body-spec {path}: {exc}") from exc
 
 
@@ -92,11 +92,7 @@ def _budget(args) -> int:
 def _cmd_count(args) -> int:
     budget = _budget(args)
     body = _load_body(args.body, budget)
-    try:
-        result = ct.count(body, budget=budget)
-    except ct.EnumerationBudgetError as exc:
-        raise _CliError(str(exc)) from exc
-    _emit(f"count: {result.count}", args.out)
+    _emit(f"count: {ct.count(body, budget=budget).count}", args.out)
     return EXIT_OK
 
 
@@ -108,8 +104,8 @@ def _cmd_measure(args) -> int:
     bits = args.precision_max_bits
     lines = [
         f"dimension: {poly.dim}",
-        f"volume: {hz.format_value(pt.volume(poly))}",
-        f"surface_area: {hz.format_value(pt.surface_area(poly), bits=128)}",
+        f"volume: {hz.format_value(poly.volume)}",
+        f"surface_area: {hz.format_value(poly.surface_area, bits=128)}",
     ]
     if poly.dim == 3:
         iv = poly.intrinsic_volumes
@@ -122,7 +118,7 @@ def _cmd_measure(args) -> int:
 
 def _verdict_exit(verdicts) -> int:
     violated = any(
-        v is hz.Verdict.VIOLATED and id not in hz.OBSERVATIONAL_IDS
+        v is hz.Verdict.VIOLATED and not hz.INEQUALITIES[id].observational
         for id, v in verdicts
     )
     if violated:
@@ -161,7 +157,7 @@ def _cmd_audit(args) -> int:
         raise _CliError("audit requires an untranslated polytope body")
     try:
         record = hz.boundary_layer_audit(body.polytope, budget=budget)
-    except (ValueError, ct.EnumerationBudgetError) as exc:
+    except ValueError as exc:
         raise _CliError(str(exc)) from exc
     lines = [
         f"points: {record.total}",
@@ -321,7 +317,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _CliError as exc:
+    except (_CliError, ct.EnumerationBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

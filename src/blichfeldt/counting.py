@@ -12,12 +12,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
 from blichfeldt import linalg
-from blichfeldt.lattice import Lattice
-from blichfeldt.polytope import DEFAULT_BUDGET, EnumerationBudgetError, LatticePolytope
+from blichfeldt.lattice import DEFAULT_BUDGET, EnumerationBudgetError, Lattice
+from blichfeldt.polytope import LatticePolytope
 
 
 @dataclass(frozen=True)
@@ -266,8 +266,7 @@ def inner_parallel_thresholds(poly: LatticePolytope, rho_sq):
     """
     rho_sq = Fraction(rho_sq)
     cons = []
-    for i, f in enumerate(poly.facets):
-        asq = poly.facet_norm_sq(i)
+    for f, asq in zip(poly.facets, poly.facet_norms_sq):
         t = int(f.offset) - ceil_sqrt_fraction(rho_sq * asq)
         cons.append((tuple(int(c) for c in f.normal), t))
     return cons
@@ -288,12 +287,9 @@ def pick_quantities(poly: LatticePolytope, budget: int = DEFAULT_BUDGET):
     Pick's identity G = A + B/2 + 1 ties these together; used as a joint
     2D oracle for counting and volume.
     """
-    from blichfeldt.polytope import volume
-    from math import gcd
-
     if poly.dim != 2:
         raise ValueError("dimension unsupported")
-    area = volume(poly)
+    area = poly.volume
     boundary = 0
     for f in poly.facets:
         a, b = (poly.vertices[i] for i in (f.vertex_ids[0], f.vertex_ids[-1]))

@@ -1,12 +1,18 @@
 """Certified checkers for the point-count inequalities, plus audits.
 
-Each ``InequalityId`` maps to one formula with a fixed strict/non-strict
-flag.  Left- and right-hand sides are assembled as exact values
-(int/Fraction/RadicalSum) or adaptive enclosures and compared with
-``certified_compare``; a VIOLATED verdict therefore is a certificate, not
-floating-point noise.  Two ids are not theorems (CONJECTURE_1_4 is a
-conjecture, WILLS_3_2 is known to fail in general): their violations are
-reported as findings, never as artifact failures.
+``INEQUALITIES`` is one table with a row per ``InequalityId``: the
+hypotheses the statement needs (integer lattice only, dimension 3 only, a
+translated or an untranslated body, the covering radius), whether it is
+strict, whether it is observational, the note its reports carry, and a
+function giving its two sides.  ``check`` tests the hypotheses in a fixed
+order, then compares the sides with ``certified_compare``: exact values
+(int/Fraction/RadicalSum) or adaptive enclosures, so a VIOLATED verdict is
+a certificate, not floating-point noise.  A corpus run counts each body
+once for all ids; volume, surface area and facet norms are computed once
+per polytope.
+Two ids are not theorems (CONJECTURE_1_4 is a conjecture, WILLS_3_2 is
+known to fail in general): their violations are reported as findings,
+never as artifact failures.
 """
 
 from __future__ import annotations
@@ -15,23 +21,19 @@ import csv
 import enum
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import factorial
 from operator import mul
+from typing import Callable
 
 from blichfeldt import counting as ct
 from blichfeldt import lattice as lt
 from blichfeldt import polytope as pt
 from blichfeldt.counting import Body
-from blichfeldt.interval import Interval, pi, root_interval, sqrt_interval
-from blichfeldt.radical import (
-    MAX_BITS,
-    Cmp,
-    Inconclusive,
-    RadicalSum,
-    certified_compare,
-)
+from blichfeldt.interval import Interval, pi, root_interval
+from blichfeldt.radical import MAX_BITS, Cmp, Inconclusive, RadicalSum, certified_compare
 from blichfeldt.witnesses import CorpusSpec, body_to_dict, build_corpus
 
 
@@ -51,46 +53,6 @@ class InequalityId(enum.Enum):
     SKETCH_RHO_HALF = "SKETCH_RHO_HALF"
     GENERAL_THM_4_1 = "GENERAL_THM_4_1"
 
-
-#: ids whose statement is not a proved theorem; VIOLATED rows are findings.
-OBSERVATIONAL_IDS = frozenset({InequalityId.CONJECTURE_1_4, InequalityId.WILLS_3_2})
-
-#: ids with a strict "<" (equality counts as a violation).
-STRICT_IDS = frozenset({
-    InequalityId.MAIN_THM_1_1,
-    InequalityId.DIM3_THM_1_2,
-    InequalityId.BHW_LOWER_1_2,
-    InequalityId.CONJECTURE_1_4,
-    InequalityId.SKETCH_RHO_HALF,
-})
-
-#: ids stated only over the integer lattice.
-INTEGER_LATTICE_IDS = frozenset({
-    InequalityId.BLICHFELDT_1_1,
-    InequalityId.MAIN_THM_1_1,
-    InequalityId.DIM3_THM_1_2,
-    InequalityId.BHW_LOWER_1_2,
-    InequalityId.TRANSLATE_LEMMA_1_3,
-    InequalityId.WILLS_3_2,
-    InequalityId.OVERHAGEN_3_3,
-    InequalityId.MCMULLEN_SHELL,
-    InequalityId.BOKOWSKI_3_4,
-    InequalityId.SKETCH_RHO_HALF,
-})
-
-DIM3_IDS = frozenset({
-    InequalityId.DIM3_THM_1_2,
-    InequalityId.WILLS_3_2,
-    InequalityId.OVERHAGEN_3_3,
-    InequalityId.MCMULLEN_SHELL,
-    InequalityId.BOKOWSKI_3_4,
-    InequalityId.SKETCH_RHO_HALF,
-})
-
-TRANSLATED_IDS = frozenset({
-    InequalityId.TRANSLATE_LEMMA_1_3,
-    InequalityId.GENERAL_1_3_ii,
-})
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -121,18 +83,13 @@ def format_value(v, bits: int = 128) -> str:
     """Auditable text form: exact rationals as p/q, reals as [lo, hi]@bits."""
     if v is None:
         return ""
+    if isinstance(v, RadicalSum) and v.is_rational:
+        v = v.as_fraction()
     if isinstance(v, int):
         return f"{v}/1"
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, RadicalSum):
-        if v.is_rational:
-            return format_value(v.as_fraction())
-        e = v.enclosure(bits)
-        return f"[{e.lo}, {e.hi}]@{bits}"
-    if isinstance(v, Interval):
-        return f"[{v.lo}, {v.hi}]@{bits}"
-    e = v(bits)
+    e = _enclose(v, bits)
     return f"[{e.lo}, {e.hi}]@{bits}"
 
 
@@ -154,180 +111,197 @@ def _is_integer_lattice(lat: lt.Lattice) -> bool:
     )
 
 
-def _sqrt_n(n: int) -> RadicalSum:
-    return RadicalSum.sqrt(n)
-
-
-def _inner_count(poly, rho_sq, budget):
-    return ct.count_inner_parallel(poly, rho_sq, budget=budget).count
-
-
 def _rho3_enclosure(bits: int) -> Interval:
     """(3 / (4 pi))^(1/3): the radius making the unit-ball volume 1."""
     return root_interval(Interval.point(Fraction(3, 4)) / pi(bits + 16), 3, bits)
 
 
-_key = id  # builtin id(); the name is shadowed inside check()
+class _Subject:
+    """A body under check; its lattice-point count is computed at most once."""
+
+    def __init__(self, body: Body, budget: int):
+        self.body, self.budget = body, budget
+        self.lat, self.n, self.poly = body.lattice, body.dim, body.polytope
+
+    @cached_property
+    def count(self) -> int:
+        return ct.count(self.body, budget=self.budget).count
+
+    def surface(self, payload: dict) -> RadicalSum:
+        payload["surface_area"] = self.poly.surface_area
+        return self.poly.surface_area
 
 
-def _cached(cache, key, fn):
-    if cache is None:
-        return fn()
-    if key not in cache:
-        cache[key] = fn()
-    return cache[key]
+def _lattice_surface_bound(s: _Subject, payload: dict, factor=1):
+    """vol/det(L) + factor (n-1)! F / det(L) lambda_1(L*)."""
+    F = s.surface(payload)
+    det_sub = lt.min_hyperplane_sublattice_det(s.lat, s.budget)
+    scaled = factor * Fraction(factorial(s.n - 1)) * (F / det_sub)
+    return s.count, s.poly.volume / s.lat.determinant + scaled
 
 
-def check(
-    id: InequalityId,
-    body: Body,
-    description: str = "",
-    budget: int = ct.DEFAULT_BUDGET,
-    max_bits: int = MAX_BITS,
-    cache: dict | None = None,
-) -> InequalityReport:
-    """Evaluate one inequality on one body with a certified comparison.
+def _general_thm_4_1(s: _Subject, payload: dict):
+    mu = lt.inhomogeneous_minimum(s.lat, s.budget)
+    polar = lt.polar_lattice(s.lat)
+    lam_star = RadicalSum.sqrt(lt.shortest_vector(polar, s.budget).length_sq)
+    # the transference-style product, normalized by dimension; recorded
+    # for survey purposes, never bounded against a universal constant
+    payload["mu_lambda_over_n"] = (mu * lam_star) / s.n
+    return _lattice_surface_bound(s, payload, mu * lam_star + 1)
 
-    ``cache`` (optional) memoizes counts and measures across ids for the
-    same body objects; callers own its lifetime.
+
+def _v1_bound(s: _Subject, payload: dict):
+    """G <= V1 + V2 + V3 + 1 (Wills, Overhagen)."""
+    iv = s.poly.intrinsic_volumes
+    payload["v2"] = iv.v2
+    base = iv.v2 + (Fraction(1) + iv.v3)   # RadicalSum
+    if isinstance(iv.v1, RadicalSum):
+        return s.count, iv.v1 + base
+    v1 = iv.v1
+    return s.count, lambda bits: v1(bits) + base.enclosure(bits)
+
+
+def _mcmullen_shell(s: _Subject, payload: dict):
+    inner = ct.count_inner_parallel(s.poly, Fraction(1, 3), budget=s.budget).count
+    payload["inner_count"] = inner
+    return s.count - inner, s.surface(payload) + 2
+
+
+def _sketch_rho_half(s: _Subject, payload: dict):
+    F, vol = s.surface(payload), s.poly.volume
+
+    def rhs(bits):
+        factor = (_rho3_enclosure(bits) + Interval.point(Fraction(1, 2))) * 2
+        return Interval.point(vol) + factor * F.enclosure(bits)
+
+    return s.count, rhs
+
+
+@dataclass(frozen=True)
+class Inequality:
+    """One row of ``INEQUALITIES``.
+
+    ``sides(subject, payload)`` returns ``(lhs, rhs)`` of lhs <= rhs, or of
+    lhs < rhs when ``strict`` (then equality is a violation).
     """
-    desc = description or f"{body.kind} n={body.dim}"
 
-    def unmet(reason):
-        return InequalityReport(id, desc, Verdict.HYPOTHESIS_UNMET, note=reason)
+    sides: Callable
+    strict: bool = False
+    integer_lattice: bool = False   # stated over the integer lattice only
+    dim3: bool = False              # stated for dimension 3 only
+    translated: bool = False        # stated for t + P with t not in the lattice
+    covering_radius: bool = False   # needs mu(L), computed for n <= MU_MAX_DIM
+    observational: bool = False     # not a proved theorem: VIOLATED is a finding
+    note: str = ""
 
-    def out_of_scope(reason):
-        return InequalityReport(id, desc, Verdict.OUT_OF_SCOPE, note=reason)
+
+_I = InequalityId
+
+INEQUALITIES = {
+    _I.BLICHFELDT_1_1: Inequality(
+        lambda s, p: (s.count, factorial(s.n) * s.poly.volume + s.n),
+        integer_lattice=True,
+    ),
+    _I.MAIN_THM_1_1: Inequality(
+        lambda s, p: (s.count, s.poly.volume + (RadicalSum.sqrt(s.n) + 1)
+                      * Fraction(factorial(s.n - 1), 2) * s.surface(p)),
+        strict=True, integer_lattice=True,
+    ),
+    _I.DIM3_THM_1_2: Inequality(
+        lambda s, p: (s.count, s.surface(p) * 2 + s.poly.volume),
+        strict=True, integer_lattice=True, dim3=True,
+    ),
+    _I.BHW_LOWER_1_2: Inequality(
+        lambda s, p: (s.poly.volume - s.surface(p) * Fraction(1, 2), s.count),
+        strict=True, integer_lattice=True,
+    ),
+    _I.TRANSLATE_LEMMA_1_3: Inequality(
+        lambda s, p: (s.count, factorial(s.n) * s.poly.volume),
+        integer_lattice=True, translated=True,
+    ),
+    _I.GENERAL_1_3_i: Inequality(
+        lambda s, p: (s.count, factorial(s.n) * s.poly.volume / s.lat.determinant + s.n)),
+    _I.GENERAL_1_3_ii: Inequality(
+        lambda s, p: (s.count, factorial(s.n) * s.poly.volume / s.lat.determinant),
+        translated=True,
+    ),
+    _I.CONJECTURE_1_4: Inequality(
+        _lattice_surface_bound, strict=True,
+        observational=True, note="conjecture/observational",
+    ),
+    _I.WILLS_3_2: Inequality(
+        _v1_bound, integer_lattice=True, dim3=True,
+        observational=True, note="conjecture/observational",
+    ),
+    _I.OVERHAGEN_3_3: Inequality(_v1_bound, integer_lattice=True, dim3=True),
+    _I.MCMULLEN_SHELL: Inequality(_mcmullen_shell, integer_lattice=True, dim3=True),
+    _I.BOKOWSKI_3_4: Inequality(
+        lambda s, p: (s.count, lambda bits: pt.steiner_volume(s.poly, _rho3_enclosure, bits)),
+        integer_lattice=True, dim3=True,
+    ),
+    _I.SKETCH_RHO_HALF: Inequality(
+        _sketch_rho_half, strict=True, integer_lattice=True, dim3=True,
+        note="proof sketch only",
+    ),
+    _I.GENERAL_THM_4_1: Inequality(_general_thm_4_1, covering_radius=True),
+}
+
+
+def check(id: InequalityId, body: Body, description: str = "",
+          budget: int = ct.DEFAULT_BUDGET, max_bits: int = MAX_BITS) -> InequalityReport:
+    """Evaluate one inequality on one body with a certified comparison."""
+    return _check(id, _Subject(body, budget), description, max_bits)
+
+
+def _check(id, s: _Subject, description: str, max_bits: int) -> InequalityReport:
+    ineq = INEQUALITIES[id]
+    body = s.body
+    desc = description or f"{body.kind} n={s.n}"
+
+    def refused(verdict, reason):
+        return InequalityReport(id, desc, verdict, note=reason)
 
     if body.kind not in ("polytope", "translated_polytope"):
-        return out_of_scope(f"body kind {body.kind!r} not supported by checkers")
-    if (id in TRANSLATED_IDS) != (body.kind == "translated_polytope"):
-        if id in TRANSLATED_IDS:
-            return unmet("requires a translated lattice polytope")
-        return unmet("stated for untranslated bodies")
+        return refused(
+            Verdict.OUT_OF_SCOPE, f"body kind {body.kind!r} not supported by checkers"
+        )
+    if ineq.translated != (body.kind == "translated_polytope"):
+        return refused(Verdict.HYPOTHESIS_UNMET, (
+            "requires a translated lattice polytope" if ineq.translated
+            else "stated for untranslated bodies"
+        ))
+    if ineq.integer_lattice and not _is_integer_lattice(s.lat):
+        return refused(Verdict.HYPOTHESIS_UNMET, "stated over the integer lattice only")
+    if ineq.dim3 and s.n != 3:
+        return refused(Verdict.HYPOTHESIS_UNMET, "stated for dimension 3 only")
+    if ineq.covering_radius and s.n > lt.MU_MAX_DIM:
+        return refused(
+            Verdict.OUT_OF_SCOPE,
+            f"covering-radius computation limited to n <= {lt.MU_MAX_DIM}",
+        )
 
-    lat = body.lattice
-    n = body.dim
-    poly = body.polytope
-    if id in INTEGER_LATTICE_IDS and not _is_integer_lattice(lat):
-        return unmet("stated over the integer lattice only")
-    if id in DIM3_IDS and n != 3:
-        return unmet("stated for dimension 3 only")
-    if id is InequalityId.GENERAL_THM_4_1 and n > lt.MU_MAX_DIM:
-        return out_of_scope("covering-radius computation limited to n <= 4")
-
-    g = _cached(
-        cache, ("count", _key(body)), lambda: ct.count(body, budget=budget)
-    ).count
-    payload: dict = {"count": g}
-
+    payload: dict = {"count": s.count}
     # an untranslated polytope needs no dimension test: its vertices are
     # lattice points, and hull() rejects a flat vertex set
-    if id in TRANSLATED_IDS and lat.contains(body.translate):
-        return unmet("translate lies in the lattice")
-
-    vol = _cached(cache, ("vol", _key(poly)), lambda: pt.volume(poly))
-    payload["volume"] = vol
-    note = ""
-
-    def surface():
-        return _cached(cache, ("surf", _key(poly)), lambda: pt.surface_area(poly))
-
-    if id is InequalityId.BLICHFELDT_1_1:
-        lhs, rhs = g, Fraction(math.factorial(n)) * vol + n
-    elif id is InequalityId.GENERAL_1_3_i:
-        lhs = g
-        rhs = Fraction(math.factorial(n)) * vol / lat.determinant + n
-    elif id is InequalityId.TRANSLATE_LEMMA_1_3:
-        lhs, rhs = g, Fraction(math.factorial(n)) * vol
-    elif id is InequalityId.GENERAL_1_3_ii:
-        lhs = g
-        rhs = Fraction(math.factorial(n)) * vol / lat.determinant
-    elif id is InequalityId.MAIN_THM_1_1:
-        F = surface()
-        payload["surface_area"] = F
-        lhs = g
-        rhs = vol + (_sqrt_n(n) + 1) * Fraction(math.factorial(n - 1), 2) * F
-    elif id is InequalityId.DIM3_THM_1_2:
-        F = surface()
-        payload["surface_area"] = F
-        lhs, rhs = g, F * 2 + vol
-    elif id is InequalityId.BHW_LOWER_1_2:
-        F = surface()
-        payload["surface_area"] = F
-        lhs, rhs = vol - F * Fraction(1, 2), g
-    elif id is InequalityId.CONJECTURE_1_4:
-        F = surface()
-        payload["surface_area"] = F
-        det_sub = lt.min_hyperplane_sublattice_det(lat)
-        lhs = g
-        rhs = vol / lat.determinant + Fraction(math.factorial(n - 1)) * (F / det_sub)
-        note = "conjecture/observational"
-    elif id is InequalityId.GENERAL_THM_4_1:
-        F = surface()
-        payload["surface_area"] = F
-        det_sub = lt.min_hyperplane_sublattice_det(lat)
-        mu = lt.inhomogeneous_minimum(lat)
-        lam_star = RadicalSum.sqrt(lt.shortest_vector(lt.polar_lattice(lat)).length_sq)
-        factor = mu * lam_star + 1
-        # the transference-style product, normalized by dimension; recorded
-        # for survey purposes, never bounded against a universal constant
-        payload["mu_lambda_over_n"] = (mu * lam_star) / n
-        lhs = g
-        rhs = vol / lat.determinant + factor * Fraction(math.factorial(n - 1)) * (
-            F / det_sub
-        )
-    elif id in (InequalityId.WILLS_3_2, InequalityId.OVERHAGEN_3_3):
-        iv = poly.intrinsic_volumes
-        base = iv.v2 + (Fraction(1) + iv.v3)   # RadicalSum
-        lhs = g
-        if isinstance(iv.v1, RadicalSum):
-            rhs = iv.v1 + base
-        else:
-            v1 = iv.v1
-            rhs = lambda bits: v1(bits) + base.enclosure(bits)  # noqa: E731
-        payload["v2"] = iv.v2
-        if id is InequalityId.WILLS_3_2:
-            note = "conjecture/observational"
-    elif id is InequalityId.MCMULLEN_SHELL:
-        F = surface()
-        payload["surface_area"] = F
-        inner = _inner_count(poly, Fraction(1, 3), budget)
-        payload["inner_count"] = inner
-        lhs, rhs = g - inner, F + 2
-    elif id is InequalityId.BOKOWSKI_3_4:
-        lhs = g
-        rhs = lambda bits: pt.steiner_volume(poly, _rho3_enclosure, bits)  # noqa: E731
-    elif id is InequalityId.SKETCH_RHO_HALF:
-        F = surface()
-        payload["surface_area"] = F
-        lhs = g
-
-        def rhs(bits, F=F, vol=vol):
-            factor = (_rho3_enclosure(bits) + Interval.point(Fraction(1, 2))) * 2
-            return Interval.point(vol) + factor * F.enclosure(bits)
-
-        note = "proof sketch only"
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled id {id}")
+    if ineq.translated and s.lat.contains(body.translate):
+        return refused(Verdict.HYPOTHESIS_UNMET, "translate lies in the lattice")
+    payload["volume"] = s.poly.volume
+    lhs, rhs = ineq.sides(s, payload)
 
     cmp = certified_compare(lhs, rhs, max_bits=max_bits)
     if isinstance(cmp, Inconclusive):
         return InequalityReport(
             id, desc, Verdict.INCONCLUSIVE, lhs, rhs,
-            precision_bits=cmp.precision_bits, note=note, payload=payload,
+            precision_bits=cmp.precision_bits, note=ineq.note, payload=payload,
         )
-    if cmp is Cmp.GREATER:
-        verdict = Verdict.VIOLATED
-    elif cmp is Cmp.EQUAL:
-        verdict = (
-            Verdict.VIOLATED if id in STRICT_IDS else Verdict.HOLDS_WITH_EQUALITY
-        )
-    else:
-        verdict = Verdict.HOLDS
+    verdict = {
+        Cmp.LESS: Verdict.HOLDS,
+        Cmp.EQUAL: Verdict.VIOLATED if ineq.strict else Verdict.HOLDS_WITH_EQUALITY,
+        Cmp.GREATER: Verdict.VIOLATED,
+    }[cmp]
     slack = _enclose(rhs) - _enclose(lhs)
     return InequalityReport(
-        id, desc, verdict, lhs, rhs, tightness=slack, note=note, payload=payload
+        id, desc, verdict, lhs, rhs, tightness=slack, note=ineq.note, payload=payload
     )
 
 
@@ -459,7 +433,6 @@ def boundary_layer_audit(
             l2_rows = ((plb, pub),)
         l2_covered = l2_covered and all(_covers(prism_rows, lo, hi) for lo, hi in l2_rows)
     l2_count = g - l1_count
-    vol = pt.volume(poly)
 
     facet_audits = []
     prisms_ok = True
@@ -467,11 +440,11 @@ def boundary_layer_audit(
     for i, counts in enumerate(layer_counts):
         normalized, _ = pt.facet_lattice_volume(poly, i)
         prism_count = sum(counts)
-        bound = (_sqrt_n(n) + 1) * Fraction(math.factorial(n - 1), 2) * (
-            RadicalSum.rational(normalized) * RadicalSum.sqrt(poly.facet_norm_sq(i))
+        bound = (RadicalSum.sqrt(n) + 1) * Fraction(factorial(n - 1), 2) * (
+            RadicalSum.rational(normalized) * RadicalSum.sqrt(poly.facet_norms_sq[i])
         ) + (n - 1)
         prism_ok = certified_compare(prism_count, bound) is Cmp.LESS
-        per_layer = Fraction(math.factorial(n - 1)) * normalized
+        per_layer = Fraction(factorial(n - 1)) * normalized
         layer_ok = all(
             cnt <= per_layer + (n - 1 if j == 0 else 0) for j, cnt in enumerate(counts)
         )
@@ -490,7 +463,7 @@ def boundary_layer_audit(
         total=g,
         l1_count=l1_count,
         l2_count=l2_count,
-        l1_volume_ok=l1_count <= vol,
+        l1_volume_ok=l1_count <= poly.volume,
         l2_covered_ok=l2_covered,
         prisms_ok=prisms_ok,
         vertex_count_ok=vertex_ok,
@@ -498,50 +471,6 @@ def boundary_layer_audit(
         partition_ok=l1_count + l2_count == g,
         facets=tuple(facet_audits),
     )
-
-
-# ---------------------------------------------------------------------------
-# inner-parallel chain consistency (dimension 3)
-
-
-def ceil_sqrt_over_pi(q: Fraction, max_bits: int = MAX_BITS) -> int:
-    """Smallest integer >= sqrt(q / pi) for a positive rational q.
-
-    sqrt(q/pi) is irrational, so enclosure refinement always separates it
-    from the nearest integers.
-    """
-    bits = 64
-    while bits <= max_bits:
-        iv = sqrt_interval(Interval.point(q) / pi(bits), bits)
-        lo = -((-iv.lo.numerator) // iv.lo.denominator)  # ceil
-        hi = -((-iv.hi.numerator) // iv.hi.denominator)
-        if lo == hi:
-            return lo
-        bits *= 2
-    raise ArithmeticError("could not separate sqrt(q/pi) from an integer")
-
-
-def count_inner_parallel_pi(
-    poly: pt.LatticePolytope, budget: int = ct.DEFAULT_BUDGET
-) -> int:
-    """G(P - pi^(-1/2) * B): facet cutoffs b_i - ceil(sqrt(||a_i||^2 / pi))."""
-    cons = []
-    for i, f in enumerate(poly.facets):
-        asq = poly.facet_norm_sq(i)
-        t = int(f.offset) - ceil_sqrt_over_pi(asq)
-        cons.append((tuple(int(c) for c in f.normal), t))
-    return ct._enumerate_linear(cons, ct._polytope_box(poly), budget)
-
-
-def chain_consistency(poly: pt.LatticePolytope, budget: int = ct.DEFAULT_BUDGET):
-    """The two inner-body counts used back-to-back in the 3D proof.
-
-    Returns (count at rho = 3^(-1/2), count at rho = pi^(-1/2)); the first
-    must not exceed the second because 3 > pi makes its radius larger.
-    """
-    a = ct.count_inner_parallel(poly, Fraction(1, 3), budget=budget).count
-    b = count_inner_parallel_pi(poly, budget=budget)
-    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -562,38 +491,25 @@ class CorpusReport:
     violations: tuple    # (row, reloadable body dict)
 
 
-def run_corpus(
-    spec: CorpusSpec,
-    ids,
-    budget: int = ct.DEFAULT_BUDGET,
-    max_bits: int = MAX_BITS,
-) -> CorpusReport:
+def run_corpus(spec: CorpusSpec, ids, budget: int = ct.DEFAULT_BUDGET,
+               max_bits: int = MAX_BITS) -> CorpusReport:
     """Every id against every corpus entry, deterministically ordered."""
     return check_corpus(build_corpus(spec), ids, budget=budget, max_bits=max_bits)
 
 
-def check_corpus(
-    entries,
-    ids,
-    budget: int = ct.DEFAULT_BUDGET,
-    max_bits: int = MAX_BITS,
-) -> CorpusReport:
+def check_corpus(entries, ids, budget: int = ct.DEFAULT_BUDGET,
+                 max_bits: int = MAX_BITS) -> CorpusReport:
     """Every id against every given ``CorpusEntry``, in the given order."""
     rows = []
     violations = []
     summary: dict = {}
     for entry in entries:
-        cache: dict = {}
+        subject = _Subject(entry.body, budget)   # one count for all ids
         for id in ids:
             try:
-                report = check(
-                    id, entry.body, description=entry.name,
-                    budget=budget, max_bits=max_bits, cache=cache,
-                )
+                report = _check(id, subject, entry.name, max_bits)
             except ct.EnumerationBudgetError as exc:
-                report = InequalityReport(
-                    id, entry.name, Verdict.OUT_OF_SCOPE, note=str(exc)
-                )
+                report = InequalityReport(id, entry.name, Verdict.OUT_OF_SCOPE, note=str(exc))
             row = CorpusRow(index=entry.index, name=entry.name, report=report)
             rows.append(row)
             s = summary.setdefault(
@@ -619,7 +535,7 @@ def soundness_failures(report: CorpusReport):
         row
         for row in report.rows
         if row.report.verdict is Verdict.VIOLATED
-        and row.report.id not in OBSERVATIONAL_IDS
+        and not INEQUALITIES[row.report.id].observational
     ]
 
 

@@ -6,7 +6,8 @@ and Euclidean geometry enters only through the Gram matrix.  Shortest
 vectors come from exact Fincke-Pohst-style enumeration on the rational
 Gram matrix, Voronoi-relevant vectors from coset-wise minimization in
 L/2L, and the covering radius from exact Dirichlet-Voronoi vertex
-enumeration.
+enumeration.  Enumeration nodes and the vertex candidates tried count
+against a budget, and running out raises ``EnumerationBudgetError``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt
+from math import comb, isqrt
 
 from blichfeldt import linalg
 from blichfeldt.linalg import DegenerateBasisError
@@ -24,10 +25,17 @@ from blichfeldt.radical import RadicalSum
 SVP_MAX_DIM = 6
 RELEVANT_MAX_DIM = 5
 MU_MAX_DIM = 4
+DEFAULT_BUDGET = 10 ** 8  # enumeration nodes, hull orientation tests or lattice cells
 
 
 class DimensionUnsupportedError(ValueError):
     pass
+
+
+class EnumerationBudgetError(RuntimeError):
+    def __init__(self, budget):
+        super().__init__(f"enumeration budget exceeded (budget={budget})")
+        self.budget = budget
 
 
 class Lattice:
@@ -151,11 +159,12 @@ def _ceil_minus_sqrt(a: Fraction, t: Fraction) -> int:
     return -_floor_plus_sqrt(-a, t)
 
 
-def enum_ellipsoid(gram, center, radius_sq):
+def enum_ellipsoid(gram, center, radius_sq, budget: int = DEFAULT_BUDGET):
     """All integer vectors x with (x - center)^T G (x - center) <= radius_sq.
 
     Exact enumeration: the LDL^T decomposition gives certified per-level
-    bounds, so nothing inside the ellipsoid is missed.
+    bounds, so nothing inside the ellipsoid is missed.  Every candidate
+    coordinate tried counts against ``budget``.
     """
     n = len(gram)
     center = [Fraction(c) for c in center]
@@ -163,9 +172,11 @@ def enum_ellipsoid(gram, center, radius_sq):
     L, D = _ldl(gram)
     out = []
     x = [0] * n
+    nodes = 0
 
     def rec(j, remaining, ys):
         # ys[i] for i > j already fixed; z_j = y_j + sum_{i>j} L[i][j] y_i
+        nonlocal nodes
         if j < 0:
             out.append(tuple(x))
             return
@@ -173,6 +184,9 @@ def enum_ellipsoid(gram, center, radius_sq):
         bound = remaining / D[j]
         lo = _ceil_minus_sqrt(center[j] - u, bound)
         hi = _floor_plus_sqrt(center[j] - u, bound)
+        nodes += max(0, hi - lo + 1)
+        if nodes > budget:
+            raise EnumerationBudgetError(budget)
         for xj in range(lo, hi + 1):
             y = xj - center[j]
             z = y + u
@@ -193,13 +207,13 @@ def _canonical_sign(v):
     return v
 
 
-def shortest_vector(lat: Lattice) -> ShortestVectorResult:
+def shortest_vector(lat: Lattice, budget: int = DEFAULT_BUDGET) -> ShortestVectorResult:
     """Exact shortest nonzero vector via certified enumeration."""
     if lat.dim > SVP_MAX_DIM:
         raise DimensionUnsupportedError("dimension unsupported")
     g = lat.gram
     radius = min(g[i][i] for i in range(lat.dim))
-    candidates = [v for v in enum_ellipsoid(g, [0] * lat.dim, radius) if any(v)]
+    candidates = [v for v in enum_ellipsoid(g, [0] * lat.dim, radius, budget) if any(v)]
     best = min(lat.norm_sq_of_coeff(v) for v in candidates)
     minimizers = sorted({
         _canonical_sign(v) for v in candidates if lat.norm_sq_of_coeff(v) == best
@@ -207,7 +221,7 @@ def shortest_vector(lat: Lattice) -> ShortestVectorResult:
     return ShortestVectorResult(length_sq=best, minimizers=tuple(minimizers))
 
 
-def relevant_vectors(lat: Lattice):
+def relevant_vectors(lat: Lattice, budget: int = DEFAULT_BUDGET):
     """Voronoi-relevant vectors, by Voronoi's criterion on L/2L cosets.
 
     Returns coefficient vectors, both signs included; at most 2*(2^n - 1).
@@ -224,7 +238,7 @@ def relevant_vectors(lat: Lattice):
         bound = lat.norm_sq_of_coeff(parity)
         center = [Fraction(-p, 2) for p in parity]
         # x = parity + 2y ; |x|^2 = 4*(y + parity/2)^T G (y + parity/2)
-        ys = enum_ellipsoid(gram4, center, bound)
+        ys = enum_ellipsoid(gram4, center, bound, budget)
         vecs = [tuple(p + 2 * y for p, y in zip(parity, yv)) for yv in ys]
         norms = [lat.norm_sq_of_coeff(v) for v in vecs]
         best = min(norms)
@@ -234,12 +248,17 @@ def relevant_vectors(lat: Lattice):
     return sorted(out)
 
 
-def dirichlet_voronoi_cell(lat: Lattice) -> DirichletVoronoiCell:
-    """DV cell facets from relevant vectors, vertices from exact n-subsets."""
+def dirichlet_voronoi_cell(lat: Lattice, budget: int = DEFAULT_BUDGET) -> DirichletVoronoiCell:
+    """DV cell facets from relevant vectors, vertices from exact n-subsets.
+
+    The n-subsets to try count against ``budget`` before any is tried.
+    """
     if lat.dim > MU_MAX_DIM:
         raise DimensionUnsupportedError("dimension unsupported")
     n = lat.dim
-    rel = relevant_vectors(lat)
+    rel = relevant_vectors(lat, budget)
+    if comb(len(rel), n) > budget:
+        raise EnumerationBudgetError(budget)
     facets = []
     for v in rel:
         amb = lat.to_ambient(v)
@@ -259,20 +278,20 @@ def dirichlet_voronoi_cell(lat: Lattice) -> DirichletVoronoiCell:
     return DirichletVoronoiCell(relevant_vectors=tuple(rel), vertices=tuple(sorted(vertices)))
 
 
-def covering_radius_sq(lat: Lattice) -> Fraction:
+def covering_radius_sq(lat: Lattice, budget: int = DEFAULT_BUDGET) -> Fraction:
     """mu(L)^2: the largest squared vertex norm of the DV cell."""
-    cell = dirichlet_voronoi_cell(lat)
+    cell = dirichlet_voronoi_cell(lat, budget)
     return max(sum(x * x for x in v) for v in cell.vertices)
 
 
-def inhomogeneous_minimum(lat: Lattice) -> RadicalSum:
+def inhomogeneous_minimum(lat: Lattice, budget: int = DEFAULT_BUDGET) -> RadicalSum:
     """mu(L), exact (single square root of a rational)."""
-    return RadicalSum.sqrt(covering_radius_sq(lat))
+    return RadicalSum.sqrt(covering_radius_sq(lat, budget))
 
 
-def min_hyperplane_sublattice_det(lat: Lattice) -> RadicalSum:
+def min_hyperplane_sublattice_det(lat: Lattice, budget: int = DEFAULT_BUDGET) -> RadicalSum:
     """det(L) * lambda_1(L*): the minimal (n-1)-sublattice determinant."""
-    lam_sq = shortest_vector(polar_lattice(lat)).length_sq
+    lam_sq = shortest_vector(polar_lattice(lat), budget).length_sq
     return lat.determinant * RadicalSum.sqrt(lam_sq)
 
 
@@ -291,37 +310,6 @@ def hyperplane_sublattice_det_sq(lat: Lattice, dual_coeff) -> Fraction:
         for i in range(m)
     ]
     return linalg.frac_det(gram)
-
-
-def primitive_in_dual(lat: Lattice, normal):
-    """Primitive dual-lattice vector positively proportional to ``normal``.
-
-    Returns (coeffs, scale): coefficients in the dual basis with gcd 1, and
-    the rational scale with normal = scale * dual_vector.
-    """
-    normal = [Fraction(x) for x in normal]
-    if all(x == 0 for x in normal):
-        raise ValueError("zero normal")
-    # dual-basis coordinates of the normal: m_j = normal . b_j
-    m = [
-        sum(normal[k] * lat.basis[j][k] for k in range(lat.dim))
-        for j in range(lat.dim)
-    ]
-    from math import gcd, lcm
-
-    denom = lcm(*(x.denominator for x in m)) if len(m) > 1 else m[0].denominator
-    ints = [int(x * denom) for x in m]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    coeffs = [x // g for x in ints]
-    # fix orientation: normal must be a positive multiple of the dual vector
-    j = next(i for i, x in enumerate(coeffs) if x != 0)
-    scale = m[j] / coeffs[j]
-    if scale < 0:
-        coeffs = [-x for x in coeffs]
-        scale = -scale
-    return tuple(coeffs), scale
 
 
 def dual_coeff_to_ambient(lat: Lattice, coeffs):

@@ -2,8 +2,8 @@
 
 Integer matrices are plain lists of lists of Python ints; rational matrices
 use ``fractions.Fraction``.  Determinants use fraction-free (Bareiss)
-elimination, normal forms use classic row/column reduction with tracked
-unimodular transforms.
+elimination; kernels of primitive vectors come from an explicit
+unimodular transform.
 """
 
 from __future__ import annotations
@@ -26,18 +26,6 @@ def mat_copy(m):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
-def mat_vec(m, v):
-    return [sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m))]
 
 
 def det_bareiss(m) -> int:
@@ -78,129 +66,6 @@ def _xgcd(a, b):
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def _hnf_upper(m):
-    """Row-style upper-triangular HNF: returns (H, U) with H = U*M.
-
-    Requires full row rank; raises DegenerateBasisError otherwise.
-    """
-    rows = len(m)
-    cols = len(m[0])
-    h = mat_copy(m)
-    u = identity(rows)
-    pivot_row = 0
-    pivot_cols = []
-    for col in range(cols):
-        if pivot_row >= rows:
-            break
-        # clear column below pivot_row via gcd row operations
-        nz = [i for i in range(pivot_row, rows) if h[i][col] != 0]
-        if not nz:
-            continue
-        i0 = nz[0]
-        if i0 != pivot_row:
-            h[pivot_row], h[i0] = h[i0], h[pivot_row]
-            u[pivot_row], u[i0] = u[i0], u[pivot_row]
-        for i in range(pivot_row + 1, rows):
-            if h[i][col] == 0:
-                continue
-            g, x, y = _xgcd(h[pivot_row][col], h[i][col])
-            p = h[pivot_row][col] // g
-            q = h[i][col] // g
-            # new pivot row = x*rp + y*ri ; new row i = -q*rp + p*ri
-            rp, ri = h[pivot_row], h[i]
-            h[pivot_row] = [x * rp[j] + y * ri[j] for j in range(cols)]
-            h[i] = [-q * rp[j] + p * ri[j] for j in range(cols)]
-            up, ui = u[pivot_row], u[i]
-            u[pivot_row] = [x * up[j] + y * ui[j] for j in range(rows)]
-            u[i] = [-q * up[j] + p * ui[j] for j in range(rows)]
-        if h[pivot_row][col] < 0:
-            h[pivot_row] = [-x for x in h[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        # reduce entries above the pivot
-        piv = h[pivot_row][col]
-        for i in range(pivot_row):
-            q = h[i][col] // piv
-            if q:
-                h[i] = [h[i][j] - q * h[pivot_row][j] for j in range(cols)]
-                u[i] = [u[i][j] - q * u[pivot_row][j] for j in range(rows)]
-        pivot_cols.append(col)
-        pivot_row += 1
-    if pivot_row < rows:
-        raise DegenerateBasisError("degenerate basis")
-    return h, u
-
-
-def hermite_normal_form(m):
-    """Lower-triangular HNF: returns (H, U) with H = U*M, |det U| = 1.
-
-    M must have full row rank.  For square M the diagonal of H is positive
-    and its product equals |det M|.
-    """
-    rows = len(m)
-    cols = len(m[0])
-    rev = [[m[rows - 1 - i][cols - 1 - j] for j in range(cols)] for i in range(rows)]
-    hr, ur = _hnf_upper(rev)
-    h = [[hr[rows - 1 - i][cols - 1 - j] for j in range(cols)] for i in range(rows)]
-    u = [[ur[rows - 1 - i][rows - 1 - j] for j in range(rows)] for i in range(rows)]
-    return h, u
-
-
-def smith_normal_form(m):
-    """Invariant factors d_1 | d_2 | ... | d_n of a nonsingular square matrix."""
-    n = len(m)
-    if det_bareiss(m) == 0:
-        raise DegenerateBasisError("singular matrix")
-    a = mat_copy(m)
-
-    def _min_pivot(t):
-        best = None
-        for i in range(t, n):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        return best
-
-    invariants = []
-    for t in range(n):
-        while True:
-            i, j = _min_pivot(t)
-            if i != t:
-                a[t], a[i] = a[i], a[t]
-            if j != t:
-                for row in a:
-                    row[t], row[j] = row[j], row[t]
-            done = True
-            for i in range(t + 1, n):
-                q = a[i][t] // a[t][t]
-                if q:
-                    a[i] = [a[i][k] - q * a[t][k] for k in range(n)]
-                if a[i][t] != 0:
-                    done = False
-            for j in range(t + 1, n):
-                q = a[t][j] // a[t][t]
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j] != 0:
-                    done = False
-            if not done:
-                continue
-            # pivot must divide every remaining entry
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            a[t] = [a[t][k] + a[bad][k] for k in range(n)]
-        invariants.append(abs(a[t][t]))
-    return invariants
 
 
 def primitive_vector(v):
@@ -247,14 +112,6 @@ def kernel_basis(c):
 
 # ---------------------------------------------------------------------------
 # rational matrices
-
-
-def frac_mat_mul(a, b):
-    inner, cols = len(b), len(b[0])
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0)) for j in range(cols)]
-        for i in range(len(a))
-    ]
 
 
 def frac_mat_vec(m, v):
@@ -344,11 +201,3 @@ def frac_rank(m) -> int:
             break
     return rank
 
-
-def affine_rank(points) -> int:
-    """Dimension of the affine hull of a list of rational points."""
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [[Fraction(p[j]) - Fraction(base[j]) for j in range(len(base))] for p in points[1:]]
-    return frac_rank(diffs)

@@ -23,16 +23,14 @@ from operator import mul
 
 from blichfeldt import linalg
 from blichfeldt.interval import Interval, acos_interval, pi, sqrt_fraction
-from blichfeldt.lattice import Lattice, dual_coeff_to_ambient, dual_norm_sq
-from blichfeldt.radical import Cmp, Inconclusive, RadicalSum, certified_compare
-
-DEFAULT_BUDGET = 10 ** 8  # hull orientation tests, or lattice cells to enumerate
-
-
-class EnumerationBudgetError(RuntimeError):
-    def __init__(self, budget):
-        super().__init__(f"enumeration budget exceeded (budget={budget})")
-        self.budget = budget
+from blichfeldt.lattice import (
+    DEFAULT_BUDGET,
+    EnumerationBudgetError,
+    Lattice,
+    dual_coeff_to_ambient,
+    dual_norm_sq,
+)
+from blichfeldt.radical import RadicalSum
 
 
 class DegenerateHullError(ValueError):
@@ -165,7 +163,11 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
 
 
 class LatticePolytope:
-    """Full-dimensional lattice polytope in coefficient coordinates."""
+    """Full-dimensional lattice polytope in coefficient coordinates.
+
+    Its measures (volume, surface area, facet norms, intrinsic volumes) are
+    cached properties: each is computed once, on first use.
+    """
 
     def __init__(self, lattice: Lattice, vertices, facets, simplices, facet_simplices):
         self.lattice = lattice
@@ -183,18 +185,26 @@ class LatticePolytope:
             sum(c * x for c, x in zip(f.normal, p)) <= f.offset for f in self.facets
         )
 
-    def bounding_box(self):
-        los = [min(v[j] for v in self.vertices) for j in range(self.dim)]
-        his = [max(v[j] for v in self.vertices) for j in range(self.dim)]
-        return los, his
+    @cached_property
+    def volume(self) -> Fraction:
+        """Exact Euclidean volume."""
+        return normalized_volume(self) * self.lattice.determinant
 
-    def facet_norm_sq(self, i) -> Fraction:
-        """Squared Euclidean norm of the i-th primitive dual normal."""
-        return dual_norm_sq(self.lattice, self.facets[i].normal)
+    @cached_property
+    def surface_area(self) -> RadicalSum:
+        """Exact surface area: the facets' Euclidean volumes, summed."""
+        return sum(
+            (facet_lattice_volume(self, i)[1] for i in range(len(self.facets))), RadicalSum()
+        )
+
+    @cached_property
+    def facet_norms_sq(self) -> tuple:
+        """Squared Euclidean norms of the primitive dual facet normals."""
+        return tuple(dual_norm_sq(self.lattice, f.normal) for f in self.facets)
 
     @cached_property
     def intrinsic_volumes(self) -> "IntrinsicVolumes3":
-        """V0..V3 (dimension 3 only), built once per polytope."""
+        """V0..V3 (dimension 3 only)."""
         return intrinsic_volumes_3d(self)
 
     def scaled(self, c: int) -> "LatticePolytope":
@@ -282,11 +292,6 @@ def normalized_volume(poly: LatticePolytope, reverse=False) -> Fraction:
     return Fraction(sum(map(_det, simplices)), factorial(poly.dim))
 
 
-def volume(poly: LatticePolytope) -> Fraction:
-    """Exact Euclidean volume."""
-    return normalized_volume(poly) * poly.lattice.determinant
-
-
 def volume_by_signed_cones(poly: LatticePolytope) -> Fraction:
     """Independent volume computation: signed cones from the coeff origin.
 
@@ -361,18 +366,10 @@ def facet_lattice_volume(poly: LatticePolytope, i: int):
         normalized = Fraction(
             sum(gcd(*_normal(s)) for s in poly.facet_simplices[i]), factorial(d - 1)
         )
-    asq = poly.facet_norm_sq(i)
+    asq = poly.facet_norms_sq[i]
     det = poly.lattice.determinant
     euclidean = normalized * RadicalSum.sqrt(asq * det * det)
     return normalized, euclidean
-
-
-def surface_area(poly: LatticePolytope) -> RadicalSum:
-    total = RadicalSum()
-    for i in range(len(poly.facets)):
-        _, eucl = facet_lattice_volume(poly, i)
-        total = total + eucl
-    return total
 
 
 def vertex_facet_counts(poly: LatticePolytope):
@@ -383,72 +380,6 @@ def vertex_facet_counts(poly: LatticePolytope):
         for v in f.vertex_ids:
             g[v] += 1
     return f0, g
-
-
-# ---------------------------------------------------------------------------
-# inner parallel systems
-
-
-@dataclass
-class InnerParallelSystem:
-    """Shifted half-space system {a_i . x <= b_i - rho*||a_i||}."""
-
-    normals: tuple            # primitive normals (coeff space)
-    rhs: tuple                # RadicalSum right-hand sides
-    emptiness_flag: bool | None = None  # set by is_empty when inconclusive
-
-    def is_empty(self, max_bits: int = 4096):
-        """Exact emptiness by Fourier-Motzkin elimination.
-
-        Returns True/False, or None when a comparison stays inconclusive
-        at max precision (flagged, never silently dropped).
-        """
-        cons = [
-            ([Fraction(c) for c in n], r) for n, r in zip(self.normals, self.rhs)
-        ]
-        d = len(self.normals[0])
-        for var in range(d):
-            pos, neg, zero = [], [], []
-            for coeffs, r in cons:
-                if coeffs[var] > 0:
-                    pos.append((coeffs, r))
-                elif coeffs[var] < 0:
-                    neg.append((coeffs, r))
-                else:
-                    zero.append((coeffs, r))
-            new = list(zero)
-            for (ca, ra) in pos:
-                for (cb, rb) in neg:
-                    a, b = ca[var], -cb[var]
-                    coeffs = [b * ca[k] + a * cb[k] for k in range(d)]
-                    new.append((coeffs, b * ra + a * rb))
-            cons = new
-        inconclusive = False
-        for coeffs, r in cons:
-            verdict = certified_compare(r, 0, max_bits)
-            if verdict is Cmp.LESS:
-                self.emptiness_flag = True
-                return True
-            if isinstance(verdict, Inconclusive):
-                inconclusive = True
-        if inconclusive:
-            self.emptiness_flag = None
-            return None
-        self.emptiness_flag = False
-        return False
-
-
-def inner_parallel_system(poly: LatticePolytope, rho_sq) -> InnerParallelSystem:
-    rho_sq = Fraction(rho_sq)
-    if rho_sq < 0:
-        raise ValueError("rho_sq must be non-negative")
-    normals = []
-    rhs = []
-    for i, f in enumerate(poly.facets):
-        asq = poly.facet_norm_sq(i)
-        normals.append(f.normal)
-        rhs.append(RadicalSum.rational(f.offset) - RadicalSum.sqrt(rho_sq * asq))
-    return InnerParallelSystem(normals=tuple(normals), rhs=tuple(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +416,8 @@ def polytope_edges(poly: LatticePolytope):
 def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
     if poly.dim != 3:
         raise ValueError("dimension unsupported")
-    v3 = volume(poly)
-    v2 = surface_area(poly) / 2
+    v3 = poly.volume
+    v2 = poly.surface_area / 2
     edge_data = []
     all_right_angles = True
     lat = poly.lattice
@@ -497,7 +428,7 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
         ai = dual_coeff_to_ambient(lat, poly.facets[fi].normal)
         aj = dual_coeff_to_ambient(lat, poly.facets[fj].normal)
         dot = sum(x * y for x, y in zip(ai, aj))
-        nn = poly.facet_norm_sq(fi) * poly.facet_norm_sq(fj)
+        nn = poly.facet_norms_sq[fi] * poly.facet_norms_sq[fj]
         edge_data.append((len_sq, dot, nn))
         if dot != 0:
             all_right_angles = False

@@ -315,9 +315,9 @@ def certified_compare(x, y, max_bits: int = MAX_BITS):
     while True:
         ix = _enclosure_at(x, bits)
         iy = _enclosure_at(y, bits)
-        if ix.hi < iy.lo:
+        if ix.strictly_less(iy):
             return Cmp.LESS
-        if ix.lo > iy.hi:
+        if iy.strictly_less(ix):
             return Cmp.GREATER
         fixed = isinstance(x, Interval) and isinstance(y, Interval)
         if bits >= max_bits or fixed:

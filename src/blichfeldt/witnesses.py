@@ -88,14 +88,6 @@ def random_lattice(rng: Rng, n: int, max_abs_det: int = 8) -> Lattice:
     raise RuntimeError("repeated degeneracy beyond retry limit")
 
 
-def random_unimodular_lattice(rng: Rng, n: int) -> Lattice:
-    for _ in range(_RETRY_LIMIT):
-        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        if abs(det_bareiss([r[:] for r in rows])) == 1:
-            return Lattice(rows)
-    raise RuntimeError("repeated degeneracy beyond retry limit")
-
-
 def random_hull(
     rng: Rng,
     n: int,
@@ -113,18 +105,6 @@ def random_hull(
             return pt.hull(pts, lattice=lattice)
         except DegenerateHullError:
             continue
-    raise RuntimeError("repeated degeneracy beyond retry limit")
-
-
-def random_translate(rng: Rng, lattice: Lattice, q_max: int = 16):
-    """Rational ambient vector t with t not in the lattice (denominators <= q_max)."""
-    n = lattice.dim
-    for _ in range(_RETRY_LIMIT):
-        q = rng.randint(2, q_max)
-        coeff = [Fraction(rng.randint(-q, q), q) for _ in range(n)]
-        t = lattice.to_ambient(coeff)
-        if not lattice.contains(t):
-            return t
     raise RuntimeError("repeated degeneracy beyond retry limit")
 
 

@@ -64,7 +64,7 @@ def test_criterion_1_witness_identities():
             sk = wt.simplex_Sk(n, k)
             if _count(Body.from_polytope(sk)) != k + n:
                 failures.append(f"point count of S_{k} (n={n})")
-            if pt.volume(sk) != Fraction(k, math.factorial(n)):
+            if sk.volume != Fraction(k, math.factorial(n)):
                 failures.append(f"volume of S_{k} (n={n})")
             t = tuple(Fraction(1, 2) if j == 0 else Fraction(0) for j in range(n))
             if _count(wt.half_translate(sk, t)) != k:
@@ -77,7 +77,7 @@ def test_criterion_1_witness_identities():
             # Blichfeldt's bound n! vol + n = n + m caps the count
             if _count(Body.from_polytope(tm)) != n + m:
                 failures.append(f"point count of T_{m} (n={n})")
-            if pt.volume(tm) != Fraction(m, math.factorial(n)):
+            if tm.volume != Fraction(m, math.factorial(n)):
                 failures.append(f"volume of T_{m} (n={n})")
             if _count(wt.half_translate(tm, (Fraction(1, 2),) * n)) != m:
                 failures.append(f"count of v/2 + T_{m} (n={n})")
@@ -127,7 +127,7 @@ def test_criterion_3_surface_area_closed_form():
     for n in range(2, 6):
         sk = wt.simplex_Sk(n, 1)
         expected = (RadicalSum.rational(n) + RadicalSum.sqrt(n)) / math.factorial(n - 1)
-        if pt.surface_area(sk) != expected:
+        if sk.surface_area != expected:
             ok = False
     threshold = (RadicalSum.rational(3) + RadicalSum.sqrt(3)) / 2
     if certified_compare(threshold, Fraction(9, 4)) is not Cmp.GREATER:
@@ -367,7 +367,7 @@ def test_criterion_8_oracle_equivalence(corpus_entries):
 
     for entry in corpus_entries:
         poly = entry.body.polytope
-        if pt.volume(poly) != pt.volume_by_signed_cones(poly):
+        if poly.volume != pt.volume_by_signed_cones(poly):
             ok = False
             notes.append(f"triangulation mismatch on {entry.name}")
             break

@@ -5,12 +5,14 @@ import json
 import os
 import stat
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
 from blichfeldt import cli, counting as ct, polytope as pt, witnesses as wt
 from blichfeldt.counting import Body
+from blichfeldt.lattice import Lattice
 
 
 @pytest.fixture()
@@ -263,6 +265,35 @@ class TestBudgetPlumbing:
         code, out, _ = _run(capsys, ["count", "--body", str(path)])
         assert code == 0
         assert out.strip() == "count: 343"
+
+    def test_check_count_over_budget(self, capsys, tmp_path):
+        # S_30 in Z^3: counting its box [0,30] x [0,1]^2 takes 124 cells
+        path = str(tmp_path / "s30.json")
+        argv = ["witness", "--family", "simplex_Sk", "--n", "3", "--k", "30", "--out", path]
+        assert _run(capsys, argv)[0] == 0
+        code, out, err = _run(
+            capsys, ["check", "--id", "MAIN_THM_1_1", "--body", path, "--budget", "50"]
+        )
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "budget" in err
+
+    def test_check_lattice_invariants_over_budget(self, capsys, tmp_path):
+        # conv{0, e1, e2, e3} over a skewed basis of determinant k + 1: the
+        # enumerations behind its covering radius exceed 10^5 nodes
+        k = 30
+        lattice = Lattice([[k, 1, 0], [k + 1, 1, 1], [k * k, k, k + 1]])
+        corners = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        path = str(tmp_path / "skewed.json")
+        wt.save_body(Body.from_polytope(pt.hull(corners, lattice=lattice)), path)
+        start = time.perf_counter()
+        code, out, err = _run(
+            capsys, ["check", "--id", "GENERAL_THM_4_1", "--body", path, "--budget", "100000"]
+        )
+        assert time.perf_counter() - start < 10
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "budget" in err
 
     def test_bad_env_value(self, capsys, cube_body, monkeypatch):
         monkeypatch.setenv("BLICH_BUDGET", "lots")

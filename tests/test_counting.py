@@ -29,7 +29,8 @@ def _simplex_Sk(n, k):
 
 
 def _brute_force_polytope(poly):
-    lo, hi = poly.bounding_box()
+    lo = [min(v[j] for v in poly.vertices) for j in range(poly.dim)]
+    hi = [max(v[j] for v in poly.vertices) for j in range(poly.dim)]
     total = 0
     def rec(prefix, j):
         nonlocal total

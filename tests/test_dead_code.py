@@ -1,0 +1,63 @@
+"""No public function or method of the package is called only by tests.
+
+Every public module-level function and every public method in
+``src/blichfeldt/`` must be referenced by name somewhere in ``src/``,
+``scripts/`` or ``bench/``.  The names below are the exceptions: the
+independent oracles that tests hold production results against, and the
+enclosure width that tests read to judge precision.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "blichfeldt"
+
+ALLOWED = {
+    "volume_by_signed_cones",        # polytope: second triangulation for volume
+    "facet_lattice_coords",          # polytope: explicit facet sublattice basis
+    "facet_sublattice_det_sq",       # polytope: facet determinant from that basis
+    "hyperplane_sublattice_det_sq",  # lattice: kernel route to det(L) lambda_1(L*)
+    "pick_quantities",               # counting: Pick's identity in 2D
+    "width",                         # interval: tests' precision gauge
+}
+
+
+def _public_definitions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield path.name, node.name, node.name
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield path.name, f"{node.name}.{item.name}", item.name
+
+
+def _referenced_names():
+    names = set()
+    for folder in ("src", "scripts", "bench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_no_function_only_tests_call():
+    used = _referenced_names()
+    unused = [
+        f"{module}: {qualified}"
+        for module, qualified, name in _public_definitions()
+        if not name.startswith("_") and name not in used and name not in ALLOWED
+    ]
+    assert unused == []
+
+
+def test_allowlist_is_current():
+    defined = {name for _, _, name in _public_definitions()}
+    assert ALLOWED <= defined

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from blichfeldt import counting as ct
 from blichfeldt import harness as hz
 from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
@@ -88,6 +89,12 @@ class TestVerdicts:
         assert _check(I.DIM3_THM_1_2, body).verdict is V.HOLDS
         assert _check(I.BHW_LOWER_1_2, body).verdict is V.HOLDS
 
+    def test_lower_bound_in_every_dimension(self):
+        # vol - F/2 < G is not a 3D-only statement: [0,3]^2 gives 9 - 6 < 16
+        r = _check(I.BHW_LOWER_1_2, Body.from_polytope(_cube(2, 3)))
+        assert r.verdict is V.HOLDS
+        assert (r.lhs, r.rhs) == (RadicalSum.rational(3), 16)
+
     def test_translate_lemma_equality_on_reeve(self):
         # G(v/2 + T_m) = m = 3! vol(T_m): equality, and the lemma is not strict
         body = wt.half_translate(wt.reeve_Tm(3, 5), (Fraction(1, 2),) * 3)
@@ -145,19 +152,46 @@ class TestVerdicts:
         assert r.lhs == 51**3
 
     def test_strict_ids_fixed(self):
-        assert I.MAIN_THM_1_1 in hz.STRICT_IDS
-        assert I.DIM3_THM_1_2 in hz.STRICT_IDS
-        assert I.BHW_LOWER_1_2 in hz.STRICT_IDS
-        assert I.BLICHFELDT_1_1 not in hz.STRICT_IDS
-        assert I.TRANSLATE_LEMMA_1_3 not in hz.STRICT_IDS
+        table = hz.INEQUALITIES
+        assert table[I.MAIN_THM_1_1].strict
+        assert table[I.DIM3_THM_1_2].strict
+        assert table[I.BHW_LOWER_1_2].strict
+        assert not table[I.BLICHFELDT_1_1].strict
+        assert not table[I.TRANSLATE_LEMMA_1_3].strict
 
-    def test_cache_shared_across_ids(self):
-        body = Body.from_polytope(_cube(3, 2))
-        cache = {}
-        _check(I.MAIN_THM_1_1, body, cache=cache)
-        keys_after_one = set(cache)
-        _check(I.DIM3_THM_1_2, body, cache=cache)
-        assert set(cache) == keys_after_one  # count/vol/surface reused
+
+class TestInequalityTable:
+    def test_one_row_per_id(self):
+        assert set(hz.INEQUALITIES) == set(I)
+
+    def test_observational_rows(self):
+        observational = {id for id, row in hz.INEQUALITIES.items() if row.observational}
+        assert observational == {I.CONJECTURE_1_4, I.WILLS_3_2}
+
+    def test_each_measure_computed_once(self, monkeypatch):
+        # all 14 ids on one slanted 3D hull: one count, one volume, one
+        # surface area (one facet volume per facet), one norm per facet
+        calls = {"count": 0, "volume": 0, "facet_volume": 0, "norm": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ct, "count", counted("count", ct.count))
+        monkeypatch.setattr(pt, "normalized_volume", counted("volume", pt.normalized_volume))
+        monkeypatch.setattr(
+            pt, "facet_lattice_volume", counted("facet_volume", pt.facet_lattice_volume)
+        )
+        monkeypatch.setattr(pt, "dual_norm_sq", counted("norm", pt.dual_norm_sq))
+        poly = pt.hull(TestBoundaryLayerAudit.RIDGE_BODIES[1])
+        entry = wt.CorpusEntry(index=0, name="hull", body=Body.from_polytope(poly))
+        report = hz.check_corpus([entry], list(I))
+        assert len(report.rows) == 14
+        assert hz.soundness_failures(report) == []
+        facets = len(poly.facets)
+        assert calls == {"count": 1, "volume": 1, "facet_volume": facets, "norm": facets}
 
 
 class TestIntrinsicVolumeReuse:
@@ -277,7 +311,7 @@ def _reference_audit(poly):
         total=len(points),
         l1_count=len(l1_pts),
         l2_count=len(l2_pts),
-        l1_volume_ok=len(l1_pts) <= pt.volume(poly),
+        l1_volume_ok=len(l1_pts) <= poly.volume,
         l2_covered_ok=all(any(z in m for m in members) for z in l2_pts),
         prisms_ok=all(f.prism_bound_ok for f in facet_audits),
         vertex_count_ok=sum(f0) >= len(gcounts) + len(facets) * (n - 1),
@@ -409,27 +443,6 @@ class TestBoundaryLayerAudit:
         t = Fraction(14, sum(c * c for c in a))
         orthogonal = tuple(x + t * c for x, c in zip(z, a))
         assert not poly.contains(orthogonal)
-
-
-class TestChainConsistency:
-    def test_cube(self):
-        a, b = hz.chain_consistency(_cube(3, 5))
-        assert a == b == 64  # both radii round to the same facet shifts here
-        assert a <= b
-
-    def test_ordering_general(self):
-        for poly in (_cube(3, 2), wt.simplex_Sk(3, 6), wt.reeve_Tm(3, 4)):
-            a, b = hz.chain_consistency(poly)
-            assert a <= b  # 3^(-1/2) > pi^(-1/2): smaller inner body
-
-
-class TestCeilSqrtOverPi:
-    def test_values(self):
-        # sqrt(1/pi) ~ 0.564, sqrt(4/pi) ~ 1.128, sqrt(9/pi) ~ 1.693
-        assert hz.ceil_sqrt_over_pi(Fraction(1)) == 1
-        assert hz.ceil_sqrt_over_pi(Fraction(4)) == 2
-        assert hz.ceil_sqrt_over_pi(Fraction(9)) == 2
-        assert hz.ceil_sqrt_over_pi(Fraction(100)) == 6
 
 
 def _small_spec(seed=9):

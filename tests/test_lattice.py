@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blichfeldt import counting as ct
 from blichfeldt import lattice as lt
+from blichfeldt import polytope as pt
 from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.radical import RadicalSum
@@ -152,22 +154,21 @@ class TestHyperplaneSublatticeDet:
         assert via_polar * via_polar == RadicalSum.rational(best)
 
 
-class TestPrimitiveInDual:
-    def test_axis_normal(self):
+class TestBudget:
+    def test_enumeration_candidates(self):
+        # the unit ball of Z^3 holds 7 points; the search tries 15 coordinates
         lat = Lattice.standard(3)
-        coeffs, scale = lt.primitive_in_dual(lat, (0, 0, 5))
-        assert coeffs == (0, 0, 1)
-        assert scale == 5
+        assert lt.shortest_vector(lat, budget=15).length_sq == 1
+        with pytest.raises(lt.EnumerationBudgetError):
+            lt.shortest_vector(lat, budget=14)
 
-    def test_rational_normal(self):
-        lat = Lattice.standard(2)
-        coeffs, scale = lt.primitive_in_dual(lat, (Fraction(1, 2), Fraction(3, 2)))
-        assert coeffs == (1, 3)
-        assert scale == Fraction(1, 2)
+    def test_voronoi_vertex_candidates(self):
+        # Z^3 has 6 relevant vectors, so C(6, 3) = 20 vertex candidates
+        lat = Lattice.standard(3)
+        assert len(lt.dirichlet_voronoi_cell(lat, budget=20).vertices) == 8
+        with pytest.raises(lt.EnumerationBudgetError):
+            lt.dirichlet_voronoi_cell(lat, budget=19)
 
-    def test_orientation(self):
-        lat = Lattice.standard(2)
-        coeffs, scale = lt.primitive_in_dual(lat, (-2, 0))
-        assert scale > 0
-        amb = lt.dual_coeff_to_ambient(lat, coeffs)
-        assert tuple(scale * x for x in amb) == (-2, 0)
+    def test_one_error_type(self):
+        assert pt.EnumerationBudgetError is ct.EnumerationBudgetError
+        assert ct.EnumerationBudgetError is lt.EnumerationBudgetError

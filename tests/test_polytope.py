@@ -34,6 +34,12 @@ def _hyperplane_normal(points):
     return tuple(prim)
 
 
+def _affine_rank(points) -> int:
+    """Dimension of the affine hull of a list of rational points."""
+    base = points[0]
+    return linalg.frac_rank([[Fraction(x) - y for x, y in zip(p, base)] for p in points[1:]])
+
+
 def _reference_facets(pts):
     """Exhaustive supporting-hyperplane search over every d-subset."""
     d = len(pts[0])
@@ -66,7 +72,7 @@ def _reference_hull(points):
     points whose active facet normals span the space."""
     pts = sorted({tuple(int(x) for x in p) for p in points})
     d = len(pts[0])
-    if linalg.affine_rank(pts) < d:
+    if _affine_rank(pts) < d:
         raise DegenerateHullError("degenerate")
     raw = _reference_facets(pts)
     active = {i: [] for i in range(len(pts))}
@@ -161,6 +167,15 @@ def _point_sets(draw, d):
     return pts + [tuple((x + y) // 2 for x, y in zip(pts[i], pts[j])) for i, j in pairs]
 
 
+class TestAffineRank:
+    """The oracle's flatness test."""
+
+    def test_affine_rank(self):
+        assert _affine_rank([(0, 0), (1, 0), (0, 1)]) == 2
+        assert _affine_rank([(0, 0), (1, 1), (2, 2)]) == 1
+        assert _affine_rank([(5, 7)]) == 0
+
+
 class TestHullOracle:
     """``hull`` against the exhaustive search it replaced, field by field."""
 
@@ -249,19 +264,19 @@ class TestScaled:
 
 class TestVolume:
     def test_cube(self):
-        assert pt.volume(_cube(3, 2)) == 8
-        assert pt.volume(_cube(4)) == 1
+        assert _cube(3, 2).volume == 8
+        assert _cube(4).volume == 1
 
     def test_simplex(self):
         for n in (2, 3, 4):
             for k in (1, 3, 7):
-                assert pt.volume(_simplex_Sk(n, k)) == Fraction(k, _factorial(n))
+                assert _simplex_Sk(n, k).volume == Fraction(k, _factorial(n))
 
     def test_lattice_normalization(self):
         # same vertex coordinates over a sublattice scale by |det|
         lat = Lattice([[2, 0], [0, 1]])
         tri = pt.hull([(0, 0), (1, 0), (0, 1)], lattice=lat)
-        assert pt.volume(tri) == Fraction(1, 2) * 2
+        assert tri.volume == Fraction(1, 2) * 2
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 3))
     @settings(max_examples=30, deadline=None)
@@ -276,13 +291,13 @@ class TestVolume:
                 break
             except DegenerateHullError:
                 continue
-        assert pt.volume(poly) == pt.volume_by_signed_cones(poly)
+        assert poly.volume == pt.volume_by_signed_cones(poly)
         assert pt.normalized_volume(poly) == pt.normalized_volume(poly, reverse=True)
 
 
 class TestSurfaceArea:
     def test_cube(self):
-        assert pt.surface_area(_cube(3, 2)) == RadicalSum.rational(24)
+        assert _cube(3, 2).surface_area == RadicalSum.rational(24)
 
     def test_simplex_closed_form(self):
         # F(S_1) = (n + sqrt(n)) / (n-1)!
@@ -290,7 +305,7 @@ class TestSurfaceArea:
             expected = (
                 RadicalSum.rational(n) + RadicalSum.sqrt(n)
             ) / _factorial(n - 1)
-            assert pt.surface_area(_simplex_Sk(n, 1)) == expected
+            assert _simplex_Sk(n, 1).surface_area == expected
 
     def test_facet_lattice_volume_consistency(self):
         poly = _simplex_Sk(3, 2)
@@ -304,13 +319,13 @@ class TestSurfaceArea:
                 RadicalSum.rational(normalized) * RadicalSum.sqrt(det_sq)
             )
             total = total + euclidean
-        assert total == pt.surface_area(poly)
+        assert total == poly.surface_area
 
     def test_homogeneity(self):
         poly = _simplex_Sk(3, 1)
         doubled = poly.scaled(2)
-        assert pt.volume(doubled) == 8 * pt.volume(poly)
-        assert pt.surface_area(doubled) == RadicalSum.rational(4) * pt.surface_area(poly)
+        assert doubled.volume == 8 * poly.volume
+        assert doubled.surface_area == RadicalSum.rational(4) * poly.surface_area
 
 
 class TestIntrinsicVolumes:
@@ -359,16 +374,6 @@ class TestSteinerVolume:
         small = pt.steiner_volume(_cube(3), Fraction(1, 2), bits=96)
         large = pt.steiner_volume(_cube(3), 1, bits=96)
         assert small.strictly_less(large)
-
-
-class TestInnerParallel:
-    def test_unit_cube_shrinks_to_empty(self):
-        sys = pt.inner_parallel_system(_cube(3), Fraction(1, 1))
-        assert sys.is_empty()
-
-    def test_large_cube_keeps_core(self):
-        sys = pt.inner_parallel_system(_cube(3, 4), Fraction(1, 1))
-        assert not sys.is_empty()
 
 
 class TestEdgesAndIncidence:

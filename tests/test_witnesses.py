@@ -8,7 +8,6 @@ import pytest
 from blichfeldt import counting as ct
 from blichfeldt import witnesses as wt
 from blichfeldt.counting import Body
-from blichfeldt.polytope import volume
 from blichfeldt.rng import Rng
 
 
@@ -24,7 +23,7 @@ class TestSimplexFamily:
         for n in (2, 3, 4):
             for k in (1, 4, 9):
                 sk = wt.simplex_Sk(n, k)
-                assert volume(sk) == Fraction(k, _factorial(n))
+                assert sk.volume == Fraction(k, _factorial(n))
                 assert ct.count(Body.from_polytope(sk)).count == n + k
 
     def test_half_translate_count(self):
@@ -46,7 +45,7 @@ class TestReeveFamily:
         for n in (3, 4):
             for m in (1, 2, 5):
                 tm = wt.reeve_Tm(n, m)
-                assert volume(tm) == Fraction(m, _factorial(n))
+                assert tm.volume == Fraction(m, _factorial(n))
 
     def test_counts(self):
         # the long diagonal passes through the interior: m-1 extra points
@@ -63,7 +62,7 @@ class TestReeveFamily:
                 tm = wt.reeve_Tm(n, m)
                 body = wt.half_translate(tm, (Fraction(1, 2),) * n)
                 assert ct.count(body).count == m
-                assert m == _factorial(n) * volume(tm)
+                assert m == _factorial(n) * tm.volume
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -86,23 +85,11 @@ class TestRandomGenerators:
             lat = wt.random_lattice(rng, 3, max_abs_det=8)
             assert 1 <= lat.determinant <= 8
 
-    def test_random_unimodular(self):
-        rng = Rng(7)
-        for _ in range(10):
-            assert wt.random_unimodular_lattice(rng, 2).determinant == 1
-
-    def test_random_translate_avoids_lattice(self):
-        rng = Rng(3)
-        lat = wt.random_lattice(rng, 2)
-        for _ in range(10):
-            t = wt.random_translate(rng, lat)
-            assert not lat.contains(t)
-
     def test_random_hull_full_dimensional(self):
         rng = Rng(11)
         poly = wt.random_hull(rng, 3, 10, 5)
         assert poly.dim == 3
-        assert volume(poly) > 0
+        assert poly.volume > 0
 
 
 class TestCorpus:
