@@ -7,7 +7,8 @@ are built once, by this checkout's ``bench/workloads.py`` for the given
 seed; the commands run under ``--repo``'s ``src/``.  Covered:
 ``blichfeldt corpus --format json|csv`` on the five ``corpus`` specs, the
 ``count``/``measure``/``check`` commands of the ``bodies`` workload on its
-body files, and ``audit`` (human/json/csv) on the side-2 cube.  Each line is
+body files, ``audit`` (human/json/csv) on the side-2 cube, and ``count`` on
+a 4D ball and on a 3D ball with lattice points on its sphere.  Each line is
 ``sha256  exit-code  command``.
 
 Usage:
@@ -23,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -32,6 +34,7 @@ import workloads  # noqa: E402
 from blichfeldt import polytope as pt  # noqa: E402
 from blichfeldt import witnesses as wt  # noqa: E402
 from blichfeldt.counting import Body  # noqa: E402
+from blichfeldt.lattice import Lattice  # noqa: E402
 
 
 def _commands(seed: int, workdir: str):
@@ -46,6 +49,22 @@ def _commands(seed: int, workdir: str):
     wt.save_body(Body.from_polytope(pt.hull(itertools.product((0, 2), repeat=3))), cube)
     for fmt in ("human", "json", "csv"):
         yield ["audit", "--body", cube, "--format", fmt]
+    # balls beyond the benchmark's 2D/3D ones: a 4D ball, and a ball whose
+    # sphere passes through lattice points (r^2 = |v - c|^2 for a lattice v)
+    h, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
+    skew4 = Lattice([[3 * h, 0, 0, 0], [h, 1, 0, 0], [-h, h, 2, 0], [1, 0, -h, 3 * h]])
+    skew3 = Lattice([[1, 0, 0], [h, 1, 0], [third, h, 1]])
+    center = (h, third, quarter)
+    v = skew3.to_ambient((2, -1, 1))
+    r2 = sum((a - c) ** 2 for a, c in zip(v, center))
+    balls = {
+        "ball4.json": Body.ball((third, -h, quarter, 0), 7, lattice=skew4),
+        "ball_on_sphere.json": Body.ball(center, r2, lattice=skew3),
+    }
+    for name, body in balls.items():
+        path = os.path.join(workdir, name)
+        wt.save_body(body, path)
+        yield ["count", "--body", path]
 
 
 def main() -> int:

@@ -4,7 +4,8 @@ Everything is counted in lattice coefficient coordinates, so counting over
 an arbitrary lattice is counting integer vectors.  Linear membership is
 compiled to integer thresholds per constraint (a rational or single-radical
 right-hand side rounds to the exact integer cutoff), then enumeration
-sweeps the outer coordinates and solves an exact 1D slab innermost.
+sweeps the outer coordinates and solves an exact 1D slab innermost.  A
+ball is an ellipsoid in coefficients, counted by ``lattice.enum_ellipsoid``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from blichfeldt import linalg
-from blichfeldt.lattice import DEFAULT_BUDGET, EnumerationBudgetError, Lattice
+from blichfeldt.lattice import DEFAULT_BUDGET, EnumerationBudgetError, Lattice, enum_ellipsoid
 from blichfeldt.polytope import LatticePolytope
 
 
@@ -181,19 +182,18 @@ def _polytope_box(poly: LatticePolytope, t_coeff=None):
 
 def count(body: Body, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Exact number of lattice points of the body."""
-    if body.kind == "polytope":
-        cons = _polytope_constraints(body.polytope)
-        box = _polytope_box(body.polytope)
-        return CountResult(_enumerate_linear(cons, box, budget), "enumeration")
-    if body.kind == "translated_polytope":
-        t_coeff = body.lattice.to_coeff(body.translate)
+    if body.kind in ("polytope", "translated_polytope"):
+        t_coeff = body.lattice.to_coeff(body.translate) if body.translate else None
         cons = _polytope_constraints(body.polytope, t_coeff)
         box = _polytope_box(body.polytope, t_coeff)
         return CountResult(_enumerate_linear(cons, box, budget), "enumeration")
     if body.kind == "halfopen_parallelepiped":
         return count_halfopen_parallelepiped(body, budget)
     if body.kind == "ball":
-        return _count_ball(body, budget)
+        # |x B - c|^2 = (x - cB^-1) G (x - cB^-1)^T in coefficients x
+        lat = body.lattice
+        found, _ = enum_ellipsoid(lat.gram, lat.to_coeff(body.center), body.radius_sq, budget)
+        return CountResult(found, "enumeration")
     raise ValueError(f"unknown body kind {body.kind!r}")
 
 
@@ -228,33 +228,6 @@ def count_halfopen_parallelepiped(body: Body, budget: int = DEFAULT_BUDGET) -> C
         raise ArithmeticError(
             f"parallelepiped count {cnt} disagrees with |det| = {abs(det)}"
         )
-    return CountResult(cnt, "enumeration")
-
-
-def _count_ball(body: Body, budget: int) -> CountResult:
-    lat = body.lattice
-    n = lat.dim
-    cc = lat.to_coeff(body.center)
-    dg = lat.dual_gram
-    los, his = [], []
-    for j in range(n):
-        bound = ceil_sqrt_fraction(body.radius_sq * dg[j][j])
-        los.append((cc[j] - bound).__ceil__())
-        his.append((cc[j] + bound).__floor__())
-    total_cells = 1
-    for lo, hi in zip(los, his):
-        total_cells *= max(0, hi - lo + 1)
-    if total_cells > budget:
-        raise EnumerationBudgetError(budget)
-    basis = lat.basis
-    center = body.center
-    cnt = 0
-    for x in itertools.product(*[range(lo, hi + 1) for lo, hi in zip(los, his)]):
-        y = [
-            sum(x[i] * basis[i][k] for i in range(n)) - center[k] for k in range(n)
-        ]
-        if sum(v * v for v in y) <= body.radius_sq:
-            cnt += 1
     return CountResult(cnt, "enumeration")
 
 

@@ -21,7 +21,7 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial
@@ -76,7 +76,6 @@ class InequalityReport:
     tightness: Interval | None = None   # enclosure of rhs - lhs
     precision_bits: int | None = None
     note: str = ""
-    payload: dict = field(default_factory=dict)
 
 
 def format_value(v, bits: int = 128) -> str:
@@ -127,33 +126,25 @@ class _Subject:
     def count(self) -> int:
         return ct.count(self.body, budget=self.budget).count
 
-    def surface(self, payload: dict) -> RadicalSum:
-        payload["surface_area"] = self.poly.surface_area
-        return self.poly.surface_area
 
-
-def _lattice_surface_bound(s: _Subject, payload: dict, factor=1):
+def _lattice_surface_bound(s: _Subject, factor=1):
     """vol/det(L) + factor (n-1)! F / det(L) lambda_1(L*)."""
-    F = s.surface(payload)
+    F = s.poly.surface_area
     det_sub = lt.min_hyperplane_sublattice_det(s.lat, s.budget)
     scaled = factor * Fraction(factorial(s.n - 1)) * (F / det_sub)
     return s.count, s.poly.volume / s.lat.determinant + scaled
 
 
-def _general_thm_4_1(s: _Subject, payload: dict):
+def _general_thm_4_1(s: _Subject):
     mu = lt.inhomogeneous_minimum(s.lat, s.budget)
     polar = lt.polar_lattice(s.lat)
     lam_star = RadicalSum.sqrt(lt.shortest_vector(polar, s.budget).length_sq)
-    # the transference-style product, normalized by dimension; recorded
-    # for survey purposes, never bounded against a universal constant
-    payload["mu_lambda_over_n"] = (mu * lam_star) / s.n
-    return _lattice_surface_bound(s, payload, mu * lam_star + 1)
+    return _lattice_surface_bound(s, mu * lam_star + 1)
 
 
-def _v1_bound(s: _Subject, payload: dict):
+def _v1_bound(s: _Subject):
     """G <= V1 + V2 + V3 + 1 (Wills, Overhagen)."""
     iv = s.poly.intrinsic_volumes
-    payload["v2"] = iv.v2
     base = iv.v2 + (Fraction(1) + iv.v3)   # RadicalSum
     if isinstance(iv.v1, RadicalSum):
         return s.count, iv.v1 + base
@@ -161,14 +152,13 @@ def _v1_bound(s: _Subject, payload: dict):
     return s.count, lambda bits: v1(bits) + base.enclosure(bits)
 
 
-def _mcmullen_shell(s: _Subject, payload: dict):
+def _mcmullen_shell(s: _Subject):
     inner = ct.count_inner_parallel(s.poly, Fraction(1, 3), budget=s.budget).count
-    payload["inner_count"] = inner
-    return s.count - inner, s.surface(payload) + 2
+    return s.count - inner, s.poly.surface_area + 2
 
 
-def _sketch_rho_half(s: _Subject, payload: dict):
-    F, vol = s.surface(payload), s.poly.volume
+def _sketch_rho_half(s: _Subject):
+    F, vol = s.poly.surface_area, s.poly.volume
 
     def rhs(bits):
         factor = (_rho3_enclosure(bits) + Interval.point(Fraction(1, 2))) * 2
@@ -181,7 +171,7 @@ def _sketch_rho_half(s: _Subject, payload: dict):
 class Inequality:
     """One row of ``INEQUALITIES``.
 
-    ``sides(subject, payload)`` returns ``(lhs, rhs)`` of lhs <= rhs, or of
+    ``sides(subject)`` returns ``(lhs, rhs)`` of lhs <= rhs, or of
     lhs < rhs when ``strict`` (then equality is a violation).
     """
 
@@ -199,30 +189,30 @@ _I = InequalityId
 
 INEQUALITIES = {
     _I.BLICHFELDT_1_1: Inequality(
-        lambda s, p: (s.count, factorial(s.n) * s.poly.volume + s.n),
+        lambda s: (s.count, factorial(s.n) * s.poly.volume + s.n),
         integer_lattice=True,
     ),
     _I.MAIN_THM_1_1: Inequality(
-        lambda s, p: (s.count, s.poly.volume + (RadicalSum.sqrt(s.n) + 1)
-                      * Fraction(factorial(s.n - 1), 2) * s.surface(p)),
+        lambda s: (s.count, s.poly.volume + (RadicalSum.sqrt(s.n) + 1)
+                   * Fraction(factorial(s.n - 1), 2) * s.poly.surface_area),
         strict=True, integer_lattice=True,
     ),
     _I.DIM3_THM_1_2: Inequality(
-        lambda s, p: (s.count, s.surface(p) * 2 + s.poly.volume),
+        lambda s: (s.count, s.poly.surface_area * 2 + s.poly.volume),
         strict=True, integer_lattice=True, dim3=True,
     ),
     _I.BHW_LOWER_1_2: Inequality(
-        lambda s, p: (s.poly.volume - s.surface(p) * Fraction(1, 2), s.count),
+        lambda s: (s.poly.volume - s.poly.surface_area * Fraction(1, 2), s.count),
         strict=True, integer_lattice=True,
     ),
     _I.TRANSLATE_LEMMA_1_3: Inequality(
-        lambda s, p: (s.count, factorial(s.n) * s.poly.volume),
+        lambda s: (s.count, factorial(s.n) * s.poly.volume),
         integer_lattice=True, translated=True,
     ),
     _I.GENERAL_1_3_i: Inequality(
-        lambda s, p: (s.count, factorial(s.n) * s.poly.volume / s.lat.determinant + s.n)),
+        lambda s: (s.count, factorial(s.n) * s.poly.volume / s.lat.determinant + s.n)),
     _I.GENERAL_1_3_ii: Inequality(
-        lambda s, p: (s.count, factorial(s.n) * s.poly.volume / s.lat.determinant),
+        lambda s: (s.count, factorial(s.n) * s.poly.volume / s.lat.determinant),
         translated=True,
     ),
     _I.CONJECTURE_1_4: Inequality(
@@ -236,7 +226,7 @@ INEQUALITIES = {
     _I.OVERHAGEN_3_3: Inequality(_v1_bound, integer_lattice=True, dim3=True),
     _I.MCMULLEN_SHELL: Inequality(_mcmullen_shell, integer_lattice=True, dim3=True),
     _I.BOKOWSKI_3_4: Inequality(
-        lambda s, p: (s.count, lambda bits: pt.steiner_volume(s.poly, _rho3_enclosure, bits)),
+        lambda s: (s.count, lambda bits: pt.steiner_volume(s.poly, _rho3_enclosure, bits)),
         integer_lattice=True, dim3=True,
     ),
     _I.SKETCH_RHO_HALF: Inequality(
@@ -280,19 +270,17 @@ def _check(id, s: _Subject, description: str, max_bits: int) -> InequalityReport
             f"covering-radius computation limited to n <= {lt.MU_MAX_DIM}",
         )
 
-    payload: dict = {"count": s.count}
     # an untranslated polytope needs no dimension test: its vertices are
     # lattice points, and hull() rejects a flat vertex set
     if ineq.translated and s.lat.contains(body.translate):
         return refused(Verdict.HYPOTHESIS_UNMET, "translate lies in the lattice")
-    payload["volume"] = s.poly.volume
-    lhs, rhs = ineq.sides(s, payload)
+    lhs, rhs = ineq.sides(s)
 
     cmp = certified_compare(lhs, rhs, max_bits=max_bits)
     if isinstance(cmp, Inconclusive):
         return InequalityReport(
             id, desc, Verdict.INCONCLUSIVE, lhs, rhs,
-            precision_bits=cmp.precision_bits, note=ineq.note, payload=payload,
+            precision_bits=cmp.precision_bits, note=ineq.note,
         )
     verdict = {
         Cmp.LESS: Verdict.HOLDS,
@@ -301,7 +289,7 @@ def _check(id, s: _Subject, description: str, max_bits: int) -> InequalityReport
     }[cmp]
     slack = _enclose(rhs) - _enclose(lhs)
     return InequalityReport(
-        id, desc, verdict, lhs, rhs, tightness=slack, note=ineq.note, payload=payload
+        id, desc, verdict, lhs, rhs, tightness=slack, note=ineq.note
     )
 
 

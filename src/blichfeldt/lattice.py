@@ -2,12 +2,13 @@
 
 A lattice is stored by a rational row basis; all point work happens in
 coefficient space (so counting over any lattice is counting over Z^n),
-and Euclidean geometry enters only through the Gram matrix.  Shortest
-vectors come from exact Fincke-Pohst-style enumeration on the rational
-Gram matrix, Voronoi-relevant vectors from coset-wise minimization in
-L/2L, and the covering radius from exact Dirichlet-Voronoi vertex
-enumeration.  Enumeration nodes and the vertex candidates tried count
-against a budget, and running out raises ``EnumerationBudgetError``.
+and Euclidean geometry enters only through the Gram matrix.  One exact
+Fincke-Pohst enumerator counts the points of balls and lists the short
+vectors behind shortest and Voronoi-relevant vectors (found coset-wise in
+L/2L); the covering radius comes from Dirichlet-Voronoi vertex enumeration,
+and both invariants are memoised per exact basis.  Enumeration nodes and
+vertex candidates count against a budget; running out raises
+``EnumerationBudgetError``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from blichfeldt.linalg import DegenerateBasisError
 from blichfeldt.radical import RadicalSum
 
 SVP_MAX_DIM = 6
-RELEVANT_MAX_DIM = 5
 MU_MAX_DIM = 4
 DEFAULT_BUDGET = 10 ** 8  # enumeration nodes, hull orientation tests or lattice cells
 
@@ -36,6 +36,12 @@ class EnumerationBudgetError(RuntimeError):
     def __init__(self, budget):
         super().__init__(f"enumeration budget exceeded (budget={budget})")
         self.budget = budget
+
+
+def _quadratic_form(g, v) -> Fraction:
+    """v^T g v, exactly."""
+    v = [Fraction(x) for x in v]
+    return sum((a * b * gab for a, row in zip(v, g) for b, gab in zip(v, row)), Fraction(0))
 
 
 class Lattice:
@@ -96,13 +102,7 @@ class Lattice:
         return all(c.denominator == 1 for c in self.to_coeff(point))
 
     def norm_sq_of_coeff(self, coeff) -> Fraction:
-        g = self.gram
-        n = self.dim
-        coeff = [Fraction(x) for x in coeff]
-        return sum(
-            (coeff[i] * coeff[j] * g[i][j] for i in range(n) for j in range(n)),
-            Fraction(0),
-        )
+        return _quadratic_form(self.gram, coeff)
 
     def __repr__(self):
         return f"Lattice(dim={self.dim}, det={self.determinant})"
@@ -159,45 +159,67 @@ def _ceil_minus_sqrt(a: Fraction, t: Fraction) -> int:
     return -_floor_plus_sqrt(-a, t)
 
 
-def enum_ellipsoid(gram, center, radius_sq, budget: int = DEFAULT_BUDGET):
-    """All integer vectors x with (x - center)^T G (x - center) <= radius_sq.
+def enum_ellipsoid(gram, center, radius_sq, budget: int = DEFAULT_BUDGET,
+                   points: bool = False):
+    """Integer vectors x with (x - center)^T G (x - center) <= radius_sq.
 
-    Exact enumeration: the LDL^T decomposition gives certified per-level
-    bounds, so nothing inside the ellipsoid is missed.  Every candidate
-    coordinate tried counts against ``budget``.
+    Returns ``(found, nodes)``: their number, or their list when ``points``,
+    and the candidate coordinates tried, which count against ``budget``.
+    LDL^T gives each level the exact interval of its coordinate, so the
+    innermost level is counted without building a vector.
     """
     n = len(gram)
-    center = [Fraction(c) for c in center]
-    radius_sq = Fraction(radius_sq)
     L, D = _ldl(gram)
+    # level j is centred at shift[j] - sum_{i>j} L[i][j] x_i
+    shift = [center[j] + sum(L[i][j] * center[i] for i in range(j + 1, n)) for j in range(n)]
     out = []
     x = [0] * n
-    nodes = 0
+    found = nodes = 0
 
-    def rec(j, remaining, ys):
-        # ys[i] for i > j already fixed; z_j = y_j + sum_{i>j} L[i][j] y_i
-        nonlocal nodes
-        if j < 0:
-            out.append(tuple(x))
-            return
-        u = sum(L[i][j] * ys[i] for i in range(j + 1, n))
+    def rec(j, remaining):
+        nonlocal found, nodes
+        a = shift[j] - sum(L[i][j] * x[i] for i in range(j + 1, n))
         bound = remaining / D[j]
-        lo = _ceil_minus_sqrt(center[j] - u, bound)
-        hi = _floor_plus_sqrt(center[j] - u, bound)
-        nodes += max(0, hi - lo + 1)
+        lo, hi = _ceil_minus_sqrt(a, bound), _floor_plus_sqrt(a, bound)
+        if lo > hi:
+            return
+        nodes += hi - lo + 1
         if nodes > budget:
             raise EnumerationBudgetError(budget)
+        if j == 0 and not points:
+            found += hi - lo + 1
+            return
         for xj in range(lo, hi + 1):
-            y = xj - center[j]
-            z = y + u
-            used = D[j] * z * z
-            if used <= remaining:
-                x[j] = xj
-                ys[j] = y
-                rec(j - 1, remaining - used, ys)
+            x[j] = xj
+            if j == 0:
+                out.append(tuple(x))
+            else:
+                rec(j - 1, remaining - D[j] * (xj - a) ** 2)
 
-    rec(n - 1, radius_sq, [Fraction(0)] * n)
-    return out
+    rec(n - 1, Fraction(radius_sq))
+    return (out if points else found), nodes
+
+
+_INVARIANTS: dict = {}   # (computation, exact basis) -> (value, needed)
+_INVARIANTS_MAX = 1024
+
+
+def _memoised(compute, lat: Lattice, budget: int):
+    """``compute(lat, budget)`` -> (value, needed), once per exact basis.
+
+    ``needed`` is the least budget under which the computation answers, so a
+    hit under a smaller budget raises exactly as a fresh computation would.
+    When the cache is full, its oldest entry goes.
+    """
+    key = (compute, lat.basis)
+    if key not in _INVARIANTS:
+        if len(_INVARIANTS) >= _INVARIANTS_MAX:
+            del _INVARIANTS[next(iter(_INVARIANTS))]
+        _INVARIANTS[key] = compute(lat, budget)
+    value, needed = _INVARIANTS[key]
+    if needed > budget:
+        raise EnumerationBudgetError(budget)
+    return value
 
 
 def _canonical_sign(v):
@@ -211,41 +233,44 @@ def shortest_vector(lat: Lattice, budget: int = DEFAULT_BUDGET) -> ShortestVecto
     """Exact shortest nonzero vector via certified enumeration."""
     if lat.dim > SVP_MAX_DIM:
         raise DimensionUnsupportedError("dimension unsupported")
+    return _memoised(_shortest_vector, lat, budget)
+
+
+def _shortest_vector(lat: Lattice, budget: int):
     g = lat.gram
     radius = min(g[i][i] for i in range(lat.dim))
-    candidates = [v for v in enum_ellipsoid(g, [0] * lat.dim, radius, budget) if any(v)]
+    found, nodes = enum_ellipsoid(g, [0] * lat.dim, radius, budget, points=True)
+    candidates = [v for v in found if any(v)]
     best = min(lat.norm_sq_of_coeff(v) for v in candidates)
     minimizers = sorted({
         _canonical_sign(v) for v in candidates if lat.norm_sq_of_coeff(v) == best
     })
-    return ShortestVectorResult(length_sq=best, minimizers=tuple(minimizers))
+    return ShortestVectorResult(length_sq=best, minimizers=tuple(minimizers)), nodes
 
 
-def relevant_vectors(lat: Lattice, budget: int = DEFAULT_BUDGET):
+def _relevant_vectors(lat: Lattice, budget: int):
     """Voronoi-relevant vectors, by Voronoi's criterion on L/2L cosets.
 
-    Returns coefficient vectors, both signs included; at most 2*(2^n - 1).
+    Returns the coefficient vectors, both signs included (at most
+    2*(2^n - 1)), and the most nodes one coset's enumeration took.
     """
-    if lat.dim > RELEVANT_MAX_DIM:
-        raise DimensionUnsupportedError("dimension unsupported")
-    n = lat.dim
-    g = lat.gram
-    gram4 = tuple(tuple(4 * x for x in row) for row in g)
     out = []
-    for parity in itertools.product((0, 1), repeat=n):
+    needed = 0
+    for parity in itertools.product((0, 1), repeat=lat.dim):
         if not any(parity):
             continue
         bound = lat.norm_sq_of_coeff(parity)
         center = [Fraction(-p, 2) for p in parity]
         # x = parity + 2y ; |x|^2 = 4*(y + parity/2)^T G (y + parity/2)
-        ys = enum_ellipsoid(gram4, center, bound, budget)
+        ys, nodes = enum_ellipsoid(lat.gram, center, bound / 4, budget, points=True)
+        needed = max(needed, nodes)
         vecs = [tuple(p + 2 * y for p, y in zip(parity, yv)) for yv in ys]
         norms = [lat.norm_sq_of_coeff(v) for v in vecs]
         best = min(norms)
         minimal = [v for v, nm in zip(vecs, norms) if nm == best]
         if len(minimal) == 2:  # unique up to sign
             out.extend(minimal)
-    return sorted(out)
+    return sorted(out), needed
 
 
 def dirichlet_voronoi_cell(lat: Lattice, budget: int = DEFAULT_BUDGET) -> DirichletVoronoiCell:
@@ -255,9 +280,14 @@ def dirichlet_voronoi_cell(lat: Lattice, budget: int = DEFAULT_BUDGET) -> Dirich
     """
     if lat.dim > MU_MAX_DIM:
         raise DimensionUnsupportedError("dimension unsupported")
+    return _memoised(_dirichlet_voronoi_cell, lat, budget)
+
+
+def _dirichlet_voronoi_cell(lat: Lattice, budget: int):
     n = lat.dim
-    rel = relevant_vectors(lat, budget)
-    if comb(len(rel), n) > budget:
+    rel, needed = _relevant_vectors(lat, budget)
+    subsets = comb(len(rel), n)
+    if subsets > budget:
         raise EnumerationBudgetError(budget)
     facets = []
     for v in rel:
@@ -275,7 +305,8 @@ def dirichlet_voronoi_cell(lat: Lattice, budget: int = DEFAULT_BUDGET) -> Dirich
             sum(a * xi for a, xi in zip(amb, x)) <= b for amb, b in facets
         ):
             vertices.add(tuple(x))
-    return DirichletVoronoiCell(relevant_vectors=tuple(rel), vertices=tuple(sorted(vertices)))
+    cell = DirichletVoronoiCell(relevant_vectors=tuple(rel), vertices=tuple(sorted(vertices)))
+    return cell, max(needed, subsets)
 
 
 def covering_radius_sq(lat: Lattice, budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -317,10 +348,4 @@ def dual_coeff_to_ambient(lat: Lattice, coeffs):
 
 
 def dual_norm_sq(lat: Lattice, coeffs) -> Fraction:
-    g = lat.dual_gram
-    n = lat.dim
-    coeffs = [Fraction(c) for c in coeffs]
-    return sum(
-        (coeffs[i] * coeffs[j] * g[i][j] for i in range(n) for j in range(n)),
-        Fraction(0),
-    )
+    return _quadratic_form(lat.dual_gram, coeffs)

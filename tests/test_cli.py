@@ -266,6 +266,18 @@ class TestBudgetPlumbing:
         assert code == 0
         assert out.strip() == "count: 343"
 
+    def test_ball_count_over_budget(self, capsys, tmp_path):
+        # the unit ball of Z^3 takes 15 candidate coordinates
+        path = str(tmp_path / "ball.json")
+        wt.save_body(Body.ball((0, 0, 0), 1), path)
+        code, out, err = _run(capsys, ["count", "--body", path, "--budget", "14"])
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert "budget" in err
+        code, out, _ = _run(capsys, ["count", "--body", path, "--budget", "15"])
+        assert code == 0
+        assert out.strip() == "count: 7"
+
     def test_check_count_over_budget(self, capsys, tmp_path):
         # S_30 in Z^3: counting its box [0,30] x [0,1]^2 takes 124 cells
         path = str(tmp_path / "s30.json")

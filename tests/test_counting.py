@@ -1,11 +1,13 @@
 """Exact lattice-point counting for polytopes, translates, cells, balls."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blichfeldt import counting as ct
+from blichfeldt import lattice as lt
 from blichfeldt import polytope as pt
 from blichfeldt.counting import Body, EnumerationBudgetError
 from blichfeldt.lattice import Lattice
@@ -26,6 +28,27 @@ def _simplex_Sk(n, k):
     for i in range(1, n):
         pts.append(tuple(1 if j == i else 0 for j in range(n)))
     return pt.hull(pts)
+
+
+def _box_scan_ball(body):
+    """Lattice points of a ball: every cell of its coefficient box, in Fraction.
+
+    The box's half-width along coefficient j is sqrt(r^2 * dual_gram[j][j]),
+    the largest |x_j - c_j| over the ellipsoid.
+    """
+    lat = body.lattice
+    n = lat.dim
+    cc = lat.to_coeff(body.center)
+    ranges = []
+    for j in range(n):
+        bound = ct.ceil_sqrt_fraction(body.radius_sq * lat.dual_gram[j][j])
+        ranges.append(range((cc[j] - bound).__ceil__(), (cc[j] + bound).__floor__() + 1))
+    total = 0
+    for x in itertools.product(*ranges):
+        y = [sum(x[i] * lat.basis[i][k] for i in range(n)) - body.center[k] for k in range(n)]
+        if sum(v * v for v in y) <= body.radius_sq:
+            total += 1
+    return total
 
 
 def _brute_force_polytope(poly):
@@ -162,6 +185,34 @@ class TestBallCount:
         body = Body.ball((0, 0), 4, lattice=lat)
         assert ct.count(body).count == 5
 
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_box_scan_with_points_on_the_sphere(self, seed, n):
+        # sheared rational lattice, rational centre, and r^2 = |v - c|^2 for
+        # a lattice point v, so at least v lies exactly on the sphere
+        rng = Rng(seed)
+        basis = [
+            [Fraction(rng.randint(2, 4), 2) if i == j
+             else Fraction(rng.randint(-2, 2), 2) if j < i else 0
+             for j in range(n)]
+            for i in range(n)
+        ]
+        lat = Lattice(basis)
+        center = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(n))
+        while True:
+            v = tuple(rng.randint(-1, 1) for _ in range(n))
+            r2 = sum((a - c) ** 2 for a, c in zip(lat.to_ambient(v), center))
+            if r2 > 0:
+                break
+        body = Body.ball(center, r2, lattice=lat)
+        assert ct.count(body).count == _box_scan_ball(body)
+        # count mode and points mode are one enumeration: same count, same nodes
+        cc = lat.to_coeff(center)
+        found, nodes = lt.enum_ellipsoid(lat.gram, cc, r2)
+        points, point_nodes = lt.enum_ellipsoid(lat.gram, cc, r2, points=True)
+        assert (found, nodes) == (len(points), point_nodes)
+        assert v in points
+
 
 class TestInnerParallel:
     def test_cube_shrink(self):
@@ -206,6 +257,13 @@ class TestBudget:
         with pytest.raises(EnumerationBudgetError) as exc:
             ct.count(body, budget=1000)
         assert "budget=1000" in str(exc.value)
+
+    def test_ball_nodes(self):
+        # the unit ball of Z^3 holds 7 points; the search tries 15 coordinates
+        body = Body.ball((0, 0, 0), 1)
+        assert ct.count(body, budget=15).count == 7
+        with pytest.raises(EnumerationBudgetError):
+            ct.count(body, budget=14)
 
     def test_generous_budget_ok(self):
         body = Body.from_polytope(_cube(2, 10))

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from blichfeldt import counting as ct
 from blichfeldt import harness as hz
+from blichfeldt import lattice as lt
 from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
 from blichfeldt.counting import Body
@@ -28,6 +29,16 @@ def _cube(n, side):
 
 def _check(id, body, **kw):
     return hz.check(id, body, **kw)
+
+
+def _counter(calls):
+    """counted(key, fn): fn, adding one to calls[key] per call."""
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    return counted
 
 
 class TestHypothesisGates:
@@ -117,10 +128,10 @@ class TestVerdicts:
         assert "observational" in r.note
 
     def test_mcmullen_shell(self):
-        body = Body.from_polytope(_cube(3, 4))
-        r = _check(I.MCMULLEN_SHELL, body)
+        poly = _cube(3, 4)
+        r = _check(I.MCMULLEN_SHELL, Body.from_polytope(poly))
         assert r.verdict in (V.HOLDS, V.HOLDS_WITH_EQUALITY)
-        assert r.payload["inner_count"] == 27
+        assert ct.count_inner_parallel(poly, Fraction(1, 3)).count == 27
 
     def test_bokowski_steiner_bound(self):
         body = Body.from_polytope(_cube(3, 2))
@@ -172,12 +183,7 @@ class TestInequalityTable:
         # all 14 ids on one slanted 3D hull: one count, one volume, one
         # surface area (one facet volume per facet), one norm per facet
         calls = {"count": 0, "volume": 0, "facet_volume": 0, "norm": 0}
-
-        def counted(key, fn):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        counted = _counter(calls)
 
         monkeypatch.setattr(ct, "count", counted("count", ct.count))
         monkeypatch.setattr(pt, "normalized_volume", counted("volume", pt.normalized_volume))
@@ -192,6 +198,37 @@ class TestInequalityTable:
         assert hz.soundness_failures(report) == []
         facets = len(poly.facets)
         assert calls == {"count": 1, "volume": 1, "facet_volume": facets, "norm": facets}
+
+
+class TestLatticeInvariantReuse:
+    def test_computed_once_per_lattice(self, monkeypatch):
+        # the two lattice-invariant ids on the small corpus: three
+        # shortest-vector requests per untranslated body (one for
+        # CONJECTURE_1_4, two for GENERAL_THM_4_1) and one Voronoi cell,
+        # but one computation of each per distinct basis
+        calls = {"svp": 0, "svp_computed": 0, "dv": 0, "dv_computed": 0}
+        counted = _counter(calls)
+
+        monkeypatch.setattr(lt, "_INVARIANTS", {})
+        monkeypatch.setattr(lt, "shortest_vector", counted("svp", lt.shortest_vector))
+        monkeypatch.setattr(lt, "_shortest_vector", counted("svp_computed", lt._shortest_vector))
+        monkeypatch.setattr(
+            lt, "dirichlet_voronoi_cell", counted("dv", lt.dirichlet_voronoi_cell)
+        )
+        monkeypatch.setattr(
+            lt, "_dirichlet_voronoi_cell", counted("dv_computed", lt._dirichlet_voronoi_cell)
+        )
+        entries = wt.build_corpus(_small_spec())
+        report = hz.check_corpus(entries, [I.CONJECTURE_1_4, I.GENERAL_THM_4_1])
+        assert hz.soundness_failures(report) == []
+        bodies = [e.body for e in entries if e.body.kind == "polytope"]
+        bases = {b.lattice.basis for b in bodies}
+        polar_bases = {lt.polar_lattice(b.lattice).basis for b in bodies}
+        assert len(bodies) > len(bases) > 2
+        assert calls == {
+            "svp": 3 * len(bodies), "svp_computed": len(polar_bases),
+            "dv": len(bodies), "dv_computed": len(bases),
+        }
 
 
 class TestIntrinsicVolumeReuse:

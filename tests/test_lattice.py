@@ -63,7 +63,7 @@ class TestShortestVector:
 
 class TestVoronoi:
     def test_z2_relevant_vectors(self):
-        rel = lt.relevant_vectors(Lattice.standard(2))
+        rel = lt.dirichlet_voronoi_cell(Lattice.standard(2)).relevant_vectors
         # square lattice: the four axis neighbours only
         assert sorted(rel) == sorted(
             [(1, 0), (-1, 0), (0, 1), (0, -1)]
@@ -168,6 +168,21 @@ class TestBudget:
         assert len(lt.dirichlet_voronoi_cell(lat, budget=20).vertices) == 8
         with pytest.raises(lt.EnumerationBudgetError):
             lt.dirichlet_voronoi_cell(lat, budget=19)
+
+    @pytest.mark.parametrize("invariant, needed", [
+        (lt.shortest_vector, 15), (lt.dirichlet_voronoi_cell, 20),
+    ])
+    def test_memoised_answer_keeps_its_budget(self, monkeypatch, invariant, needed):
+        # a cached invariant raises under a budget below what computing it
+        # took, exactly as a fresh computation does
+        monkeypatch.setattr(lt, "_INVARIANTS", {})
+        with pytest.raises(lt.EnumerationBudgetError):
+            invariant(Lattice.standard(3), budget=needed - 1)
+        first = invariant(Lattice.standard(3))
+        with pytest.raises(lt.EnumerationBudgetError):
+            invariant(Lattice.standard(3), budget=needed - 1)
+        assert invariant(Lattice.standard(3), budget=needed) is first
+        assert len(lt._INVARIANTS) == 1
 
     def test_one_error_type(self):
         assert pt.EnumerationBudgetError is ct.EnumerationBudgetError
