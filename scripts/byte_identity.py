@@ -7,9 +7,11 @@ are built once, by this checkout's ``bench/workloads.py`` for the given
 seed; the commands run under ``--repo``'s ``src/``.  Covered:
 ``blichfeldt corpus --format json|csv`` on the five ``corpus`` specs, the
 ``count``/``measure``/``check`` commands of the ``bodies`` workload on its
-body files, ``audit`` (human/json/csv) on the side-2 cube, and ``count`` on
-a 4D ball and on a 3D ball with lattice points on its sphere.  Each line is
-``sha256  exit-code  command``.
+body files, ``audit`` (human/json/csv) on the side-2 cube, ``count`` on a 4D ball and
+on a 3D ball with lattice points on its sphere, ``check --id
+GENERAL_THM_4_1`` on a 4D hull over a sheared lattice, and ``measure`` on a
+triangle whose edge norm^2 is the product of two 40-bit primes.  Each line
+is ``sha256  exit-code  command``.
 
 Usage:
     python3 scripts/byte_identity.py --seed 101 > change.txt
@@ -65,6 +67,18 @@ def _commands(seed: int, workdir: str):
         path = os.path.join(workdir, name)
         wt.save_body(body, path)
         yield ["count", "--body", path]
+    # GENERAL_THM_4_1 needs the covering radius, so this builds a 4D
+    # Voronoi cell (the corpus specs are 2D/3D)
+    corners4 = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 1, 1)]
+    path = os.path.join(workdir, "skew4_hull.json")
+    wt.save_body(Body.from_polytope(pt.hull(corners4, lattice=skew4)), path)
+    yield ["check", "--id", "GENERAL_THM_4_1", "--body", path]
+    # an edge norm^2 u^2 + v^2 = p*q for the 40-bit primes p = 780175892429
+    # and q = 849767860033: a radicand with no prime factor below 10^6
+    u, v = 79079877299, 810379399766
+    path = os.path.join(workdir, "triangle40.json")
+    wt.save_body(Body.from_polytope(pt.hull([(0, 0), (u, v), (u, v + 1)])), path)
+    yield ["measure", "--body", path]
 
 
 def main() -> int:

@@ -81,7 +81,6 @@ class Body:
 @dataclass(frozen=True)
 class CountResult:
     count: int
-    method: str
 
 
 def ceil_sqrt_fraction(r) -> int:
@@ -186,14 +185,14 @@ def count(body: Body, budget: int = DEFAULT_BUDGET) -> CountResult:
         t_coeff = body.lattice.to_coeff(body.translate) if body.translate else None
         cons = _polytope_constraints(body.polytope, t_coeff)
         box = _polytope_box(body.polytope, t_coeff)
-        return CountResult(_enumerate_linear(cons, box, budget), "enumeration")
+        return CountResult(_enumerate_linear(cons, box, budget))
     if body.kind == "halfopen_parallelepiped":
         return count_halfopen_parallelepiped(body, budget)
     if body.kind == "ball":
         # |x B - c|^2 = (x - cB^-1) G (x - cB^-1)^T in coefficients x
         lat = body.lattice
         found, _ = enum_ellipsoid(lat.gram, lat.to_coeff(body.center), body.radius_sq, budget)
-        return CountResult(found, "enumeration")
+        return CountResult(found)
     raise ValueError(f"unknown body kind {body.kind!r}")
 
 
@@ -228,7 +227,7 @@ def count_halfopen_parallelepiped(body: Body, budget: int = DEFAULT_BUDGET) -> C
         raise ArithmeticError(
             f"parallelepiped count {cnt} disagrees with |det| = {abs(det)}"
         )
-    return CountResult(cnt, "enumeration")
+    return CountResult(cnt)
 
 
 def inner_parallel_thresholds(poly: LatticePolytope, rho_sq):
@@ -251,7 +250,7 @@ def count_inner_parallel(
     """Exact count of lattice points of the inner parallel body P - rho*B."""
     cons = inner_parallel_thresholds(poly, rho_sq)
     box = _polytope_box(poly)
-    return CountResult(_enumerate_linear(cons, box, budget), "enumeration")
+    return CountResult(_enumerate_linear(cons, box, budget))
 
 
 def pick_quantities(poly: LatticePolytope, budget: int = DEFAULT_BUDGET):

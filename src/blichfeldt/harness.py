@@ -33,7 +33,9 @@ from blichfeldt import lattice as lt
 from blichfeldt import polytope as pt
 from blichfeldt.counting import Body
 from blichfeldt.interval import Interval, pi, root_interval
-from blichfeldt.radical import MAX_BITS, Cmp, Inconclusive, RadicalSum, certified_compare
+from blichfeldt.radical import (
+    MAX_BITS, Cmp, Inconclusive, RadicalSum, certified_compare, enclose,
+)
 from blichfeldt.witnesses import CorpusSpec, body_to_dict, build_corpus
 
 
@@ -88,18 +90,8 @@ def format_value(v, bits: int = 128) -> str:
         return f"{v}/1"
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    e = _enclose(v, bits)
+    e = enclose(v, bits)
     return f"[{e.lo}, {e.hi}]@{bits}"
-
-
-def _enclose(v, bits: int = 128) -> Interval:
-    if isinstance(v, (int, Fraction)):
-        return Interval.point(v)
-    if isinstance(v, RadicalSum):
-        return v.enclosure(bits)
-    if isinstance(v, Interval):
-        return v
-    return v(bits)
 
 
 def _is_integer_lattice(lat: lt.Lattice) -> bool:
@@ -287,7 +279,7 @@ def _check(id, s: _Subject, description: str, max_bits: int) -> InequalityReport
         Cmp.EQUAL: Verdict.VIOLATED if ineq.strict else Verdict.HOLDS_WITH_EQUALITY,
         Cmp.GREATER: Verdict.VIOLATED,
     }[cmp]
-    slack = _enclose(rhs) - _enclose(lhs)
+    slack = enclose(rhs) - enclose(lhs)
     return InequalityReport(
         id, desc, verdict, lhs, rhs, tightness=slack, note=ineq.note
     )
@@ -426,7 +418,7 @@ def boundary_layer_audit(
     prisms_ok = True
     layers_ok = True
     for i, counts in enumerate(layer_counts):
-        normalized, _ = pt.facet_lattice_volume(poly, i)
+        normalized = pt.facet_lattice_volume(poly, i)
         prism_count = sum(counts)
         bound = (RadicalSum.sqrt(n) + 1) * Fraction(factorial(n - 1), 2) * (
             RadicalSum.rational(normalized) * RadicalSum.sqrt(poly.facet_norms_sq[i])

@@ -5,10 +5,11 @@ coefficient space (so counting over any lattice is counting over Z^n),
 and Euclidean geometry enters only through the Gram matrix.  One exact
 Fincke-Pohst enumerator counts the points of balls and lists the short
 vectors behind shortest and Voronoi-relevant vectors (found coset-wise in
-L/2L); the covering radius comes from Dirichlet-Voronoi vertex enumeration,
-and both invariants are memoised per exact basis.  Enumeration nodes and
-vertex candidates count against a budget; running out raises
-``EnumerationBudgetError``.
+L/2L); the covering radius is the largest vertex norm of the
+Dirichlet-Voronoi cell, whose vertices are the facets of the hull of the
+points 2v/|v|^2 (``polytope.convex_hull_facets``), and both invariants are
+memoised per exact basis.  Enumeration nodes and the hull's orientation
+tests count against a budget; running out raises ``EnumerationBudgetError``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, isqrt
+from math import isqrt, lcm
 
 from blichfeldt import linalg
 from blichfeldt.linalg import DegenerateBasisError
@@ -274,9 +275,12 @@ def _relevant_vectors(lat: Lattice, budget: int):
 
 
 def dirichlet_voronoi_cell(lat: Lattice, budget: int = DEFAULT_BUDGET) -> DirichletVoronoiCell:
-    """DV cell facets from relevant vectors, vertices from exact n-subsets.
+    """DV cell facets from relevant vectors, vertices from the hull engine.
 
-    The n-subsets to try count against ``budget`` before any is tried.
+    The cell {x : v.x <= |v|^2/2} is the polar of conv{2v/|v|^2}
+    (Sikiric, Schuermann and Vallentin, Math. Comp. 78 (2009)), so each
+    facet of that hull is a vertex of the cell.  The hull's orientation
+    tests count against ``budget``.
     """
     if lat.dim > MU_MAX_DIM:
         raise DimensionUnsupportedError("dimension unsupported")
@@ -284,29 +288,21 @@ def dirichlet_voronoi_cell(lat: Lattice, budget: int = DEFAULT_BUDGET) -> Dirich
 
 
 def _dirichlet_voronoi_cell(lat: Lattice, budget: int):
-    n = lat.dim
+    from blichfeldt.polytope import convex_hull_facets  # polytope imports this module
+
     rel, needed = _relevant_vectors(lat, budget)
-    subsets = comb(len(rel), n)
-    if subsets > budget:
-        raise EnumerationBudgetError(budget)
-    facets = []
+    points = []
     for v in rel:
         amb = lat.to_ambient(v)
-        rhs = sum(a * a for a in amb) / 2
-        facets.append((amb, rhs))
-    vertices = set()
-    for subset in itertools.combinations(range(len(facets)), n):
-        mat = [list(facets[i][0]) for i in subset]
-        if linalg.frac_rank(mat) < n:
-            continue
-        rhs = [facets[i][1] for i in subset]
-        x = linalg.frac_solve(mat, rhs)
-        if all(
-            sum(a * xi for a, xi in zip(amb, x)) <= b for amb, b in facets
-        ):
-            vertices.add(tuple(x))
-    cell = DirichletVoronoiCell(relevant_vectors=tuple(rel), vertices=tuple(sorted(vertices)))
-    return cell, max(needed, subsets)
+        norm_sq = sum(a * a for a in amb)
+        points.append([2 * a / norm_sq for a in amb])
+    m = lcm(*(x.denominator for p in points for x in p))
+    facets, _, work = convex_hull_facets([tuple(int(m * x) for x in p) for p in points], budget)
+    # relevant vectors come in +/- pairs and span, so the origin is interior
+    # and every offset c is positive: a.(m p) <= c reads (m a / c).p <= 1
+    vertices = sorted(tuple(Fraction(m * a, c) for a in normal) for normal, c, *_ in facets)
+    cell = DirichletVoronoiCell(relevant_vectors=tuple(rel), vertices=tuple(vertices))
+    return cell, max(needed, work)
 
 
 def covering_radius_sq(lat: Lattice, budget: int = DEFAULT_BUDGET) -> Fraction:

@@ -114,10 +114,6 @@ def kernel_basis(c):
 # rational matrices
 
 
-def frac_mat_vec(m, v):
-    return [sum((m[i][j] * v[j] for j in range(len(v))), Fraction(0)) for i in range(len(m))]
-
-
 def frac_vec_mat(v, m):
     return [sum((v[i] * m[i][j] for i in range(len(v))), Fraction(0)) for j in range(len(m[0]))]
 
@@ -167,37 +163,3 @@ def frac_inv(m):
                 f = a[i][k]
                 a[i] = [a[i][j] - f * a[k][j] for j in range(2 * n)]
     return [row[n:] for row in a]
-
-
-def frac_solve(m, rhs):
-    """Solve m @ x = rhs exactly (m square nonsingular)."""
-    inv = frac_inv(m)
-    return frac_mat_vec(inv, [Fraction(x) for x in rhs])
-
-
-def frac_rank(m) -> int:
-    if not m:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [a[i][j] - f * a[rank][j] for j in range(cols)]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-

@@ -91,14 +91,15 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     """Beneath-beyond hull of distinct, full-dimensional integer points.
 
     The points are placed in the given order.  Returns ``(facets,
-    simplices)``.  Each facet is ``(normal, offset, on_ids, pieces)``: a
+    simplices, work)``.  Each facet is ``(normal, offset, on_ids, pieces)``: a
     primitive outward normal, with ``normal.x <= offset`` on the hull, the
     ids of every point on the facet, and the boundary (d-1)-simplices that
     tile it.  Facets come ordered by the lexicographically smallest affinely
     independent d-subset of their ``on_ids``.  ``simplices`` is the placing
     triangulation; its simplices may use points that are not vertices of the
     hull.  Every point-facet orientation test counts against ``budget``,
-    and running out raises ``EnumerationBudgetError``.
+    and running out raises ``EnumerationBudgetError``; ``work`` is the count,
+    the least budget under which the call answers.
     """
     n, d = len(points), len(points[0])
     diffs = [[x - y for x, y in zip(p, points[0])] for p in points]
@@ -108,7 +109,7 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     if d == 1:
         lo, hi = min(range(n), key=points.__getitem__), max(range(n), key=points.__getitem__)
         return [((1,), points[hi][0], (hi,), ((hi,),)),
-                ((-1,), -points[lo][0], (lo,), ((lo,),))], [(lo, hi)]
+                ((-1,), -points[lo][0], (lo,), ((lo,),))], [(lo, hi)], 0
 
     # d+1 times a point inside the first simplex, hence inside every later hull
     inner = [sum(col) for col in zip(*(points[i] for i in first))]
@@ -146,7 +147,8 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     for ids, (normal, c) in live.items():
         prim, g = linalg.primitive_vector(normal)
         groups.setdefault((tuple(prim), c // g), []).append(ids)
-    if tests + len(groups) * n > budget:
+    work = tests + len(groups) * n
+    if work > budget:
         raise EnumerationBudgetError(budget)
     facets = []
     for (normal, offset), pieces in groups.items():
@@ -159,7 +161,7 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
         return (on[0],) + tuple(on[1 + k] for k in rest)
 
     facets.sort(key=first_basis)
-    return facets, simplices
+    return facets, simplices, work
 
 
 class LatticePolytope:
@@ -193,9 +195,11 @@ class LatticePolytope:
     @cached_property
     def surface_area(self) -> RadicalSum:
         """Exact surface area: the facets' Euclidean volumes, summed."""
-        return sum(
-            (facet_lattice_volume(self, i)[1] for i in range(len(self.facets))), RadicalSum()
-        )
+        det = self.lattice.determinant
+        return sum((
+            facet_lattice_volume(self, i) * RadicalSum.sqrt(asq * det * det)
+            for i, asq in enumerate(self.facet_norms_sq)
+        ), RadicalSum())
 
     @cached_property
     def facet_norms_sq(self) -> tuple:
@@ -246,7 +250,7 @@ def hull(points, lattice: Lattice | None = None,
     d = lattice.dim
     if any(len(p) != d for p in pts):
         raise ValueError("point dimension mismatch")
-    raw, simplices = convex_hull_facets(pts, budget)
+    raw, simplices, _ = convex_hull_facets(pts, budget)
     # vertices: points whose active facet normals span the whole space
     active = {i: [] for i in range(len(pts))}
     for c, b, on, _ in raw:
@@ -350,26 +354,18 @@ def facet_sublattice_det_sq(poly: LatticePolytope, i: int) -> Fraction:
     return linalg.frac_det(gram) if m else Fraction(1)
 
 
-def facet_lattice_volume(poly: LatticePolytope, i: int):
-    """(normalized, euclidean) facet volume.
+def facet_lattice_volume(poly: LatticePolytope, i: int) -> Fraction:
+    """vol_{n-1}(F_i) / det(aff F_i cap Lambda): facet i's normalized volume.
 
-    normalized = vol_{n-1}(F_i) / det(aff F_i cap Lambda), a rational;
-    euclidean = normalized * ||a_i|| * det(Lambda) as an exact RadicalSum.
     Each boundary simplex on F_i has edge cross product k * a_i, and the
     facet sublattice has determinant ||a_i|| in coefficient space, so the
-    simplex adds |k| / (n-1)! to the normalized volume.
+    simplex adds |k| / (n-1)! to the normalized volume.  The Euclidean
+    volume is this times ||a_i|| * det(Lambda).
     """
     d = poly.dim
     if d == 1:
-        normalized = Fraction(1)
-    else:
-        normalized = Fraction(
-            sum(gcd(*_normal(s)) for s in poly.facet_simplices[i]), factorial(d - 1)
-        )
-    asq = poly.facet_norms_sq[i]
-    det = poly.lattice.determinant
-    euclidean = normalized * RadicalSum.sqrt(asq * det * det)
-    return normalized, euclidean
+        return Fraction(1)
+    return Fraction(sum(gcd(*_normal(s)) for s in poly.facet_simplices[i]), factorial(d - 1))
 
 
 def vertex_facet_counts(poly: LatticePolytope):

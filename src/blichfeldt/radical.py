@@ -1,10 +1,16 @@
 """Canonical sums of square roots and certified comparison.
 
 A ``RadicalSum`` is sum(q_i * sqrt(d_i)) with rational q_i and distinct
-squarefree integer radicands d_i (d = 1 carries the rational part).  Sums
-of square roots over distinct squarefree radicands are linearly independent
-over the rationals, so a canonical nonzero value really is nonzero and its
-sign is decidable by refining an enclosure.
+integer radicands d_i (d = 1 carries the rational part).  Radicands are
+split by trial division up to 10^6 and the cofactor left is kept whole, so
+d_i is squarefree unless that cofactor is at least 10^18 and has a repeated
+prime factor above 10^6.  Sums of square roots over distinct squarefree
+radicands are linearly independent over the rationals, so a canonical
+nonzero value really is nonzero and its sign is decidable by refining an
+enclosure.  A radicand that keeps a square factor changes no value:
+equality still comes only from identical terms and signs only from
+enclosures, so the worst it can cause is Inconclusive, never a wrong
+verdict.
 
 ``certified_compare`` decides <, =, > for rationals, radical sums and
 adaptive enclosures, returning Inconclusive (with the precision reached)
@@ -16,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from blichfeldt.interval import Interval, sqrt_fraction
 
@@ -26,87 +32,39 @@ MAX_BITS = 4096
 _TRIAL_LIMIT = 10 ** 6
 
 
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of an odd composite n."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"failed to factor {n}")
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _factorize(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d <= _TRIAL_LIMIT:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n == 1:
-        return factors
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-        else:
-            f = _pollard_rho(m)
-            stack.append(f)
-            stack.append(m // f)
-    return factors
-
-
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = s^2 * d with d squarefree; returns (s, d) for n >= 0."""
+    """n = s^2 * d for n >= 0; returns (s, d).
+
+    Trial division by 2 and the odd numbers up to ``_TRIAL_LIMIT`` splits
+    off the small primes; the cofactor left over is taken whole, into s
+    when it is a perfect square and into d otherwise.  d is squarefree
+    whenever that cofactor is squarefree or below ``_TRIAL_LIMIT`` cubed
+    (it is then 1, p, p^2 or pq), so only a cofactor of at least 10^18 with
+    a repeated prime factor above 10^6 leaves a square factor in d.
+    """
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0, 1
-    # cheap exit for perfect squares before factoring
+    # cheap exit for perfect squares before trial division
     r = isqrt(n)
     if r * r == n:
         return r, 1
     s, d = 1, 1
-    for p, e in _factorize(n).items():
+    p = 2
+    while p * p <= n and p <= _TRIAL_LIMIT:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
         s *= p ** (e // 2)
         if e % 2:
             d *= p
-    return s, d
+        p += 1 if p == 2 else 2
+    r = isqrt(n)
+    if r * r == n:
+        return s * r, d
+    return s, d * n
 
 
 class RadicalSum:
@@ -273,23 +231,16 @@ class Inconclusive:
     precision_bits: int
 
 
-def _exact_value(x):
-    """RadicalSum view of x, or None if x is only an enclosure."""
-    if isinstance(x, RadicalSum):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RadicalSum.rational(x)
-    return None
-
-
-def _enclosure_at(x, bits: int) -> Interval:
+def enclose(x, bits: int = DEFAULT_BITS) -> Interval:
+    """Enclosure of an int, Fraction, RadicalSum, fixed Interval, or
+    adaptive closure (bits -> Interval) at ``bits``."""
     if isinstance(x, Interval):
         return x
     if isinstance(x, (int, Fraction)):
         return Interval.point(x)
     if isinstance(x, RadicalSum):
         return x.enclosure(bits)
-    return x(bits)  # adaptive closure: bits -> Interval
+    return x(bits)
 
 
 def certified_compare(x, y, max_bits: int = MAX_BITS):
@@ -301,8 +252,8 @@ def certified_compare(x, y, max_bits: int = MAX_BITS):
     precision cap.  Equality is only reported from identical canonical
     exact values, never from overlapping enclosures.
     """
-    ex, ey = _exact_value(x), _exact_value(y)
-    if ex is not None and ey is not None:
+    ex, ey = _as_radical(x), _as_radical(y)
+    if ex is not NotImplemented and ey is not NotImplemented:
         diff = ex - ey
         if diff.is_zero:
             return Cmp.EQUAL
@@ -313,8 +264,8 @@ def certified_compare(x, y, max_bits: int = MAX_BITS):
         return Cmp.GREATER if s > 0 else Cmp.LESS
     bits = DEFAULT_BITS
     while True:
-        ix = _enclosure_at(x, bits)
-        iy = _enclosure_at(y, bits)
+        ix = enclose(x, bits)
+        iy = enclose(y, bits)
         if ix.strictly_less(iy):
             return Cmp.LESS
         if iy.strictly_less(ix):

@@ -4,6 +4,8 @@ import itertools
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -306,6 +308,18 @@ class TestBudgetPlumbing:
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert "budget" in err
+
+    def test_measure_radicand_with_large_prime_factors(self, tmp_path):
+        # u^2 + v^2 is the product of two 56-bit primes: trial division
+        # leaves it whole instead of factoring it without bound
+        u, v = 34476230604265470, 17979772483594771
+        path = str(tmp_path / "triangle.json")
+        wt.save_body(Body.from_polytope(pt.hull([(0, 0), (u, v), (u, v + 1)])), path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = ["measure", "--body", path, "--budget", "1000"]
+        proc = subprocess.run([sys.executable, "-m", "blichfeldt.cli", *argv],
+                              env=env, capture_output=True, timeout=30, check=False)
+        assert proc.returncode == 0
 
     def test_bad_env_value(self, capsys, cube_body, monkeypatch):
         monkeypatch.setenv("BLICH_BUDGET", "lots")

@@ -326,7 +326,7 @@ def _reference_audit(poly):
     ]
     facet_audits = []
     for i, (a, b) in enumerate(facets):
-        normalized, _ = pt.facet_lattice_volume(poly, i)
+        normalized = pt.facet_lattice_volume(poly, i)
         layer_counts = tuple(
             sum(1 for z in members[i] if dot(a, z) == b - j) for j in range(gamma(a) + 1)
         )

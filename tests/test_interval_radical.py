@@ -192,6 +192,13 @@ class TestSquarefree:
         assert squarefree_decompose(12) == (2, 3)
         assert squarefree_decompose(49) == (7, 1)
 
+    def test_prime_factors_above_trial_limit(self):
+        m61 = 2**61 - 1  # prime
+        assert squarefree_decompose(9 * m61) == (3, m61)
+        assert squarefree_decompose(1000003**2 * 7) == (1000003, 7)
+        assert squarefree_decompose(1000003 * 1000033) == (1, 1000003 * 1000033)
+        assert squarefree_decompose(4 * 1000003**2 * 1000033**2) == (2 * 1000003 * 1000033, 1)
+
     @given(st.integers(1, 10**6))
     @settings(max_examples=100)
     def test_reconstruction(self, n):

@@ -1,6 +1,8 @@
 """Lattice invariants: shortest vectors, Voronoi cells, covering radii."""
 
+import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.radical import RadicalSum
 from blichfeldt.rng import Rng
+from blichfeldt.witnesses import random_lattice
 
 
 def _random_integer_lattice(rng, n, max_abs_det=8):
@@ -61,6 +64,31 @@ class TestShortestVector:
             lt.shortest_vector(Lattice.standard(lt.SVP_MAX_DIM + 1))
 
 
+def _reference_dv_vertices(lat):
+    """DV cell vertices of an integer-basis lattice by brute force: solve
+    every n-subset of the facet equations 2v.x = |v|^2 by Cramer's rule and
+    keep the solutions inside the cell."""
+    facets = []
+    for v in lt.dirichlet_voronoi_cell(lat).relevant_vectors:
+        amb = [int(a) for a in lat.to_ambient(v)]
+        facets.append(([2 * a for a in amb], sum(a * a for a in amb)))
+    vertices = set()
+    for subset in itertools.combinations(facets, lat.dim):
+        mat = [a for a, _ in subset]
+        den = det_bareiss(mat)
+        if den == 0:
+            continue
+        num = [
+            det_bareiss([row[:j] + [b] + row[j + 1:] for row, (_, b) in zip(mat, subset)])
+            for j in range(lat.dim)
+        ]
+        if den < 0:
+            den, num = -den, [-x for x in num]
+        if all(sum(map(mul, a, num)) <= b * den for a, b in facets):
+            vertices.add(tuple(Fraction(x, den) for x in num))
+    return tuple(sorted(vertices))
+
+
 class TestVoronoi:
     def test_z2_relevant_vectors(self):
         rel = lt.dirichlet_voronoi_cell(Lattice.standard(2)).relevant_vectors
@@ -86,6 +114,16 @@ class TestVoronoi:
                 == nv
                 for r in cell.relevant_vectors
             )
+
+    @pytest.mark.parametrize("n, examples", [(2, 30), (3, 20), (4, 10)])
+    def test_vertices_match_subset_reference(self, n, examples):
+        @given(st.integers(0, 2**32 - 1))
+        @settings(max_examples=examples, deadline=None)
+        def check(seed):
+            lat = random_lattice(Rng(seed), n, 8)
+            assert lt.dirichlet_voronoi_cell(lat).vertices == _reference_dv_vertices(lat)
+
+        check()
 
 
 class TestCoveringRadius:
@@ -163,14 +201,15 @@ class TestBudget:
             lt.shortest_vector(lat, budget=14)
 
     def test_voronoi_vertex_candidates(self):
-        # Z^3 has 6 relevant vectors, so C(6, 3) = 20 vertex candidates
+        # the hull of the 6 points 2v/|v|^2 of Z^3 (the octahedron) takes
+        # 4 + 6 orientation tests, then each of its 8 facets scans 6 points
         lat = Lattice.standard(3)
-        assert len(lt.dirichlet_voronoi_cell(lat, budget=20).vertices) == 8
+        assert len(lt.dirichlet_voronoi_cell(lat, budget=58).vertices) == 8
         with pytest.raises(lt.EnumerationBudgetError):
-            lt.dirichlet_voronoi_cell(lat, budget=19)
+            lt.dirichlet_voronoi_cell(lat, budget=57)
 
     @pytest.mark.parametrize("invariant, needed", [
-        (lt.shortest_vector, 15), (lt.dirichlet_voronoi_cell, 20),
+        (lt.shortest_vector, 15), (lt.dirichlet_voronoi_cell, 58),
     ])
     def test_memoised_answer_keeps_its_budget(self, monkeypatch, invariant, needed):
         # a cached invariant raises under a budget below what computing it

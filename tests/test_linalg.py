@@ -66,10 +66,3 @@ class TestRationalRoutines:
         assert [[sum(map(mul, row, col)) for col in zip(*inv)] for row in m] == [
             [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
         ]
-
-    def test_solve(self):
-        m = [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]]
-        rhs = [Fraction(5), Fraction(6)]
-        x = linalg.frac_solve(m, rhs)
-        assert linalg.frac_mat_vec(m, x) == rhs
-

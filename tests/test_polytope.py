@@ -34,10 +34,28 @@ def _hyperplane_normal(points):
     return tuple(prim)
 
 
+def _frac_rank(m) -> int:
+    """Rank of a rational matrix, by Gauss-Jordan elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        a[rank] = [x / a[rank][col] for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
+
+
 def _affine_rank(points) -> int:
     """Dimension of the affine hull of a list of rational points."""
     base = points[0]
-    return linalg.frac_rank([[Fraction(x) - y for x, y in zip(p, base)] for p in points[1:]])
+    return _frac_rank([[Fraction(x) - y for x, y in zip(p, base)] for p in points[1:]])
 
 
 def _reference_facets(pts):
@@ -81,7 +99,7 @@ def _reference_hull(points):
             active[i].append(c)
     vertex_ids = [
         i for i in range(len(pts))
-        if len(active[i]) >= d and linalg.frac_rank(active[i]) == d
+        if len(active[i]) >= d and _frac_rank(active[i]) == d
     ]
     remap = {old: new for new, old in enumerate(vertex_ids)}
     facets = tuple(
@@ -216,7 +234,7 @@ class TestHullOracle:
             # facet volumes against the facet's own hull in Z^(d-1)
             for i in range(len(poly.facets)):
                 ys, _ = pt.facet_lattice_coords(poly, i)
-                normalized, _ = pt.facet_lattice_volume(poly, i)
+                normalized = pt.facet_lattice_volume(poly, i)
                 want = pt.normalized_volume(pt.hull(ys)) if d > 2 else max(ys)[0] - min(ys)[0]
                 assert normalized == want
 
@@ -308,18 +326,19 @@ class TestSurfaceArea:
             assert _simplex_Sk(n, 1).surface_area == expected
 
     def test_facet_lattice_volume_consistency(self):
-        poly = _simplex_Sk(3, 2)
-        total = RadicalSum()
-        for i in range(len(poly.facets)):
-            normalized, euclidean = pt.facet_lattice_volume(poly, i)
-            # independent route: euclidean = normalized * sqrt(det of the
-            # facet's affine sublattice), computed from an explicit basis
-            det_sq = pt.facet_sublattice_det_sq(poly, i)
-            assert euclidean == (
-                RadicalSum.rational(normalized) * RadicalSum.sqrt(det_sq)
-            )
-            total = total + euclidean
-        assert total == poly.surface_area
+        skewed = Lattice([[2, 1, 0], [0, 1, 0], [1, 1, 3]])
+        corners = [(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+        for poly in (_simplex_Sk(3, 2), pt.hull(corners, lattice=skewed)):
+            det = poly.lattice.determinant
+            total = RadicalSum()
+            for i in range(len(poly.facets)):
+                # independent route: the determinant of the facet's affine
+                # sublattice, from an explicit basis, is ||a_i|| det(L)
+                det_sq = pt.facet_sublattice_det_sq(poly, i)
+                assert det_sq == poly.facet_norms_sq[i] * det * det
+                normalized = pt.facet_lattice_volume(poly, i)
+                total = total + RadicalSum.rational(normalized) * RadicalSum.sqrt(det_sq)
+            assert total == poly.surface_area
 
     def test_homogeneity(self):
         poly = _simplex_Sk(3, 1)
