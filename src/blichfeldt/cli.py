@@ -101,7 +101,6 @@ def _cmd_measure(args) -> int:
     if body.polytope is None:
         raise _CliError("measure requires a polytope body")
     poly = body.polytope
-    bits = args.precision_max_bits
     lines = [
         f"dimension: {poly.dim}",
         f"volume: {hz.format_value(poly.volume)}",

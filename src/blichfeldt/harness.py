@@ -421,7 +421,7 @@ def boundary_layer_audit(
         normalized = pt.facet_lattice_volume(poly, i)
         prism_count = sum(counts)
         bound = (RadicalSum.sqrt(n) + 1) * Fraction(factorial(n - 1), 2) * (
-            RadicalSum.rational(normalized) * RadicalSum.sqrt(poly.facet_norms_sq[i])
+            normalized * RadicalSum.sqrt(poly.facet_norms_sq[i])
         ) + (n - 1)
         prism_ok = certified_compare(prism_count, bound) is Cmp.LESS
         per_layer = Fraction(factorial(n - 1)) * normalized

@@ -30,7 +30,7 @@ from blichfeldt.lattice import (
     dual_coeff_to_ambient,
     dual_norm_sq,
 )
-from blichfeldt.radical import RadicalSum
+from blichfeldt.radical import RadicalSum, enclose
 
 
 class DegenerateHullError(ValueError):
@@ -341,19 +341,6 @@ def facet_lattice_coords(poly: LatticePolytope, i: int):
     return ys, kernel
 
 
-def facet_sublattice_det_sq(poly: LatticePolytope, i: int) -> Fraction:
-    """Squared determinant of aff(F_i) cap Lambda from an explicit basis."""
-    _, kernel = facet_lattice_coords(poly, i)
-    lat = poly.lattice
-    rows = [lat.to_ambient(k) for k in kernel]
-    m = len(rows)
-    gram = [
-        [sum(rows[a][k] * rows[b][k] for k in range(lat.dim)) for b in range(m)]
-        for a in range(m)
-    ]
-    return linalg.frac_det(gram) if m else Fraction(1)
-
-
 def facet_lattice_volume(poly: LatticePolytope, i: int) -> Fraction:
     """vol_{n-1}(F_i) / det(aff F_i cap Lambda): facet i's normalized volume.
 
@@ -388,11 +375,6 @@ class IntrinsicVolumes3:
     v1: object   # RadicalSum when exact, else callable bits -> Interval
     v2: RadicalSum
     v3: Fraction
-
-    def v1_enclosure(self, bits: int = 128) -> Interval:
-        if isinstance(self.v1, RadicalSum):
-            return self.v1.enclosure(bits)
-        return self.v1(bits)
 
 
 def polytope_edges(poly: LatticePolytope):
@@ -457,20 +439,19 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
 
 
 def steiner_volume(poly: LatticePolytope, rho, bits: int = 128) -> Interval:
-    """Enclosure of vol(P + rho*B_3) via the Steiner polynomial (n = 3)."""
+    """Enclosure of vol(P + rho*B_3) via the Steiner polynomial (n = 3).
+
+    ``rho`` is any exact value (int, Fraction, RadicalSum) or an adaptive
+    closure bits -> Interval, as ``radical.enclose`` takes.
+    """
     if poly.dim != 3:
         raise ValueError("dimension unsupported")
     iv = poly.intrinsic_volumes
     work = bits + 16
-    if callable(rho):
-        r = rho(work)
-    elif isinstance(rho, Interval):
-        r = rho
-    else:
-        r = Interval.point(Fraction(rho))
+    r = enclose(rho, work)
     p = pi(work)
     v2 = iv.v2.enclosure(work)
-    v1 = iv.v1_enclosure(work)
+    v1 = enclose(iv.v1, work)
     out = (
         Interval.point(iv.v3)
         + 2 * v2 * r

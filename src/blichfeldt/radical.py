@@ -1,20 +1,26 @@
 """Canonical sums of square roots and certified comparison.
 
 A ``RadicalSum`` is sum(q_i * sqrt(d_i)) with rational q_i and distinct
-integer radicands d_i (d = 1 carries the rational part).  Radicands are
-split by trial division up to 10^6 and the cofactor left is kept whole, so
-d_i is squarefree unless that cofactor is at least 10^18 and has a repeated
-prime factor above 10^6.  Sums of square roots over distinct squarefree
-radicands are linearly independent over the rationals, so a canonical
-nonzero value really is nonzero and its sign is decidable by refining an
-enclosure.  A radicand that keeps a square factor changes no value:
-equality still comes only from identical terms and signs only from
-enclosures, so the worst it can cause is Inconclusive, never a wrong
-verdict.
+integer radicands d_i (d = 1 carries the rational part), canonical by
+construction.  ``RadicalSum.sqrt`` is the one place a radicand is
+factored: trial division up to 10^6 splits it and the cofactor left is
+kept whole, so d is squarefree unless that cofactor is at least 10^18 and
+has a repeated prime factor above 10^6.  Every other operation keeps the
+form without factoring: sums merge equal radicands, and a product needs
+only g = gcd(d1, d2), since sqrt(d1) * sqrt(d2) = g * sqrt((d1/g)(d2/g))
+for any integers and (d1/g)(d2/g) is squarefree when d1 and d2 are.
 
-``certified_compare`` decides <, =, > for rationals, radical sums and
-adaptive enclosures, returning Inconclusive (with the precision reached)
-instead of ever guessing.
+Sums of square roots over distinct squarefree radicands are linearly
+independent over the rationals (Besicovitch), so a canonical nonzero
+value really is nonzero.  ``certified_compare`` decides <, =, > for
+rationals, radical sums and adaptive enclosures, returning Inconclusive
+(with the precision reached) instead of ever guessing.  Two exact values
+are compared through their canonical difference: with at most one term
+the sign is its coefficient's, with more it comes from the same
+enclosure-refinement loop as closures.  A radicand that keeps a square
+factor changes no value: equality still comes only from identical terms
+and signs only from a coefficient or an enclosure, so the worst it can
+cause is Inconclusive, never a wrong verdict.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from blichfeldt.interval import Interval, sqrt_fraction
 
@@ -68,25 +74,17 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
 
 
 class RadicalSum:
-    """Canonical exact value sum(q_i * sqrt(d_i))."""
+    """Exact value sum(q_i * sqrt(d_i)), canonical by construction."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        merged: dict[int, Fraction] = {}
-        for coeff, rad in terms:
-            coeff = Fraction(coeff)
-            if coeff == 0:
-                continue
-            s, d = squarefree_decompose(rad)
-            merged[d] = merged.get(d, Fraction(0)) + coeff * s
-        self.terms = tuple(sorted(
-            ((c, d) for d, c in merged.items() if c != 0), key=lambda t: t[1]
-        ))
+        """From canonical terms {d: q}; zero coefficients are dropped."""
+        self.terms = tuple((c, d) for d, c in sorted(dict(terms).items()) if c)
 
     @staticmethod
     def rational(x) -> "RadicalSum":
-        return RadicalSum([(Fraction(x), 1)])
+        return RadicalSum({1: Fraction(x)})
 
     @staticmethod
     def sqrt(x) -> "RadicalSum":
@@ -94,7 +92,8 @@ class RadicalSum:
         x = Fraction(x)
         if x < 0:
             raise ValueError("negative radicand")
-        return RadicalSum([(Fraction(1, x.denominator), x.numerator * x.denominator)])
+        s, d = squarefree_decompose(x.numerator * x.denominator)
+        return RadicalSum({d: Fraction(s, x.denominator)})
 
     # -- predicates ----------------------------------------------------
 
@@ -119,12 +118,15 @@ class RadicalSum:
         other = _as_radical(other)
         if other is NotImplemented:
             return NotImplemented
-        return RadicalSum(self.terms + other.terms)
+        merged = {d: c for c, d in self.terms}
+        for c, d in other.terms:
+            merged[d] = merged.get(d, 0) + c
+        return RadicalSum(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RadicalSum([(-c, d) for c, d in self.terms])
+        return RadicalSum({d: -c for c, d in self.terms})
 
     def __sub__(self, other):
         other = _as_radical(other)
@@ -139,10 +141,13 @@ class RadicalSum:
         other = _as_radical(other)
         if other is NotImplemented:
             return NotImplemented
-        out = []
+        out: dict[int, Fraction] = {}
         for c1, d1 in self.terms:
             for c2, d2 in other.terms:
-                out.append((c1 * c2, d1 * d2))
+                # sqrt(d1) * sqrt(d2) = g * sqrt((d1/g) * (d2/g))
+                g = gcd(d1, d2)
+                d = (d1 // g) * (d2 // g)
+                out[d] = out.get(d, 0) + c1 * c2 * g
         return RadicalSum(out)
 
     __rmul__ = __mul__
@@ -157,7 +162,7 @@ class RadicalSum:
             raise ValueError("division only by a single-term radical")
         c, d = other.terms[0]
         # 1/(c*sqrt(d)) = sqrt(d)/(c*d)
-        return self * RadicalSum([(1 / (c * d), d)])
+        return self * RadicalSum({d: 1 / (c * d)})
 
     def __eq__(self, other):
         other = _as_radical(other)
@@ -187,26 +192,6 @@ class RadicalSum:
                 total = total + c * sqrt_fraction(Fraction(d), bits)
         return total.round_out(bits)
 
-    def sign(self, max_bits: int = MAX_BITS) -> int:
-        """Exact sign; guaranteed to terminate on canonical values."""
-        if not self.terms:
-            return 0
-        if self.is_rational:
-            c = self.terms[0][0]
-            return (c > 0) - (c < 0)
-        if len(self.terms) == 1:
-            c = self.terms[0][0]
-            return (c > 0) - (c < 0)
-        bits = 64
-        while bits <= max_bits:
-            enc = self.enclosure(bits)
-            if enc.lo > 0:
-                return 1
-            if enc.hi < 0:
-                return -1
-            bits *= 2
-        raise ArithmeticError("sign of radical sum did not separate")
-
 
 def _as_radical(x):
     if isinstance(x, RadicalSum):
@@ -232,10 +217,8 @@ class Inconclusive:
 
 
 def enclose(x, bits: int = DEFAULT_BITS) -> Interval:
-    """Enclosure of an int, Fraction, RadicalSum, fixed Interval, or
-    adaptive closure (bits -> Interval) at ``bits``."""
-    if isinstance(x, Interval):
-        return x
+    """Enclosure of an int, Fraction, RadicalSum or adaptive closure
+    (bits -> Interval) at ``bits``."""
     if isinstance(x, (int, Fraction)):
         return Interval.point(x)
     if isinstance(x, RadicalSum):
@@ -246,22 +229,22 @@ def enclose(x, bits: int = DEFAULT_BITS) -> Interval:
 def certified_compare(x, y, max_bits: int = MAX_BITS):
     """Certified three-way comparison.
 
-    Accepts ints, Fractions, RadicalSums, fixed Intervals, or callables
-    mapping a bit count to an Interval.  Returns a Cmp verdict, or
-    Inconclusive(bits) when the enclosures never separate within the
-    precision cap.  Equality is only reported from identical canonical
-    exact values, never from overlapping enclosures.
+    Accepts ints, Fractions, RadicalSums, or callables mapping a bit count
+    to an Interval.  Returns a Cmp verdict, or Inconclusive(bits) with the
+    last precision tried when the enclosures never separate within the
+    cap.  Two exact values are compared through their canonical
+    difference: with at most one term its coefficient's sign decides
+    (zero is EQUAL), with more the difference is refined against 0 in the
+    same loop as closures.  Equality is only reported from identical
+    canonical exact values, never from overlapping enclosures.
     """
     ex, ey = _as_radical(x), _as_radical(y)
     if ex is not NotImplemented and ey is not NotImplemented:
         diff = ex - ey
-        if diff.is_zero:
-            return Cmp.EQUAL
-        try:
-            s = diff.sign(max_bits)
-        except ArithmeticError:
-            return Inconclusive(max_bits)
-        return Cmp.GREATER if s > 0 else Cmp.LESS
+        if len(diff.terms) <= 1:
+            c = diff.terms[0][0] if diff.terms else 0
+            return Cmp.GREATER if c > 0 else Cmp.LESS if c < 0 else Cmp.EQUAL
+        x, y = diff, 0
     bits = DEFAULT_BITS
     while True:
         ix = enclose(x, bits)
@@ -270,7 +253,6 @@ def certified_compare(x, y, max_bits: int = MAX_BITS):
             return Cmp.LESS
         if iy.strictly_less(ix):
             return Cmp.GREATER
-        fixed = isinstance(x, Interval) and isinstance(y, Interval)
-        if bits >= max_bits or fixed:
+        if bits >= max_bits:
             return Inconclusive(bits)
         bits *= 2

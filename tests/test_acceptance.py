@@ -21,7 +21,7 @@ from blichfeldt.counting import Body
 from blichfeldt.harness import InequalityId as I, Verdict as V
 from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
-from blichfeldt.radical import Cmp, RadicalSum, certified_compare
+from blichfeldt.radical import Cmp, RadicalSum, certified_compare, enclose
 from blichfeldt.rng import Rng
 
 SEED = 20260824
@@ -313,7 +313,7 @@ def test_criterion_7_intrinsic_volumes(corpus_report):
         if iv.v1 != RadicalSum.rational(expected):
             ok = False
             notes.append("mean-width coefficient mismatch on a box")
-        if iv.v1_enclosure(96).width >= Fraction(1, 2**32):
+        if enclose(iv.v1, 96).width >= Fraction(1, 2**32):
             ok = False
             notes.append("mean-width enclosure too wide on a box")
 

@@ -16,7 +16,6 @@ PACKAGE = ROOT / "src" / "blichfeldt"
 ALLOWED = {
     "volume_by_signed_cones",        # polytope: second triangulation for volume
     "facet_lattice_coords",          # polytope: explicit facet sublattice basis
-    "facet_sublattice_det_sq",       # polytope: facet determinant from that basis
     "hyperplane_sublattice_det_sq",  # lattice: kernel route to det(L) lambda_1(L*)
     "pick_quantities",               # counting: Pick's identity in 2D
     "width",                         # interval: tests' precision gauge

@@ -1,10 +1,12 @@
 """Dyadic interval enclosures and exact radical-sum arithmetic."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blichfeldt import radical
 from blichfeldt.interval import (
     Interval,
     _atan_inv,
@@ -231,12 +233,19 @@ class TestRadicalSum:
             b / b  # only single-term divisors are supported
 
     def test_sign(self):
-        assert RadicalSum.sqrt(2).sign() == 1
-        assert (-RadicalSum.sqrt(2)).sign() == -1
-        assert (RadicalSum.sqrt(2) - RadicalSum.sqrt(2)).sign() == 0
+        assert certified_compare(RadicalSum.sqrt(2), 0) is Cmp.GREATER
+        assert certified_compare(-RadicalSum.sqrt(2), 0) is Cmp.LESS
+        assert certified_compare(RadicalSum.sqrt(2) - RadicalSum.sqrt(2), 0) is Cmp.EQUAL
         # sqrt(2) + sqrt(3) - sqrt(10) < 0 (3.146... < 3.162...)
         x = RadicalSum.sqrt(2) + RadicalSum.sqrt(3) - RadicalSum.sqrt(10)
-        assert x.sign() == -1
+        assert certified_compare(x, 0) is Cmp.LESS
+        # one term: its coefficient's sign, however close to 0; no
+        # enclosure capped at 4096 bits separates these from 0
+        tiny = Fraction(1, 2**5000)
+        assert certified_compare(tiny, 0) is Cmp.GREATER
+        assert certified_compare(RadicalSum.sqrt(2) * tiny, 0) is Cmp.GREATER
+        # near-tie: 70 * sqrt(2) = 98.9949... < 99
+        assert certified_compare(70 * RadicalSum.sqrt(2), 99) is Cmp.LESS
 
     def test_enclosure(self):
         x = RadicalSum.rational(1) + RadicalSum.sqrt(2)
@@ -249,6 +258,95 @@ class TestRadicalSum:
         assert (RadicalSum.sqrt(4) + RadicalSum.rational(1)).as_fraction() == 3
         with pytest.raises(ValueError):
             RadicalSum.sqrt(2).as_fraction()
+
+
+# Radicands of the invariant tests: small primes and two 40-bit primes,
+# whose product is the 80-bit radicand of the large-prime triangle.
+_P, _Q = 780175892429, 849767860033
+_PRIMES = (2, 3, 5, 7, 11, 13, _P, _Q)
+_RADICANDS = (
+    1, 2, 3, 6, 8, 12, 45, Fraction(1, 2), Fraction(3, 8), Fraction(50, 7),
+    Fraction(143, 4), _P, _Q, _P * _Q, 2 * _P, Fraction(_Q, 3),
+    Fraction(12, _P), 5 * _P**2 * _Q**2, Fraction(_P * _Q, 98),
+)
+
+
+@functools.cache
+def _sqrt(x):
+    """RadicalSum.sqrt(x), once per radicand: a 40-bit prime factor costs
+    a full trial division."""
+    return RadicalSum.sqrt(x)
+
+
+def _reference_canonical(pairs):
+    """The factor-every-term canonicalizer: split every radicand again and
+    merge like ones.  The trial division runs over the primes the
+    radicands are built from, which factors them completely."""
+    merged = {}
+    for c, rad in pairs:
+        s, d = 1, 1
+        for p in _PRIMES:
+            e = 0
+            while rad % p == 0:
+                rad //= p
+                e += 1
+            s *= p ** (e // 2)
+            d *= p ** (e % 2)
+        assert rad == 1
+        merged[d] = merged.get(d, Fraction(0)) + Fraction(c) * s
+    return tuple(sorted(((c, d) for d, c in merged.items() if c != 0), key=lambda t: t[1]))
+
+
+def _reference_product(a, b):
+    return _reference_canonical([(c1 * c2, d1 * d2) for c1, d1 in a for c2, d2 in b])
+
+
+_COEFFS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_SUMS = st.lists(st.tuples(_COEFFS, st.sampled_from(_RADICANDS)), min_size=1, max_size=3)
+
+
+def _build(sum_spec):
+    """A sum of RadicalSum.sqrt leaves and its reference terms."""
+    value, pairs = RadicalSum(), []
+    for c, x in sum_spec:
+        x = Fraction(x)
+        value = value + c * _sqrt(x)
+        pairs.append((c / x.denominator, x.numerator * x.denominator))
+    return value, _reference_canonical(pairs)
+
+
+class TestCanonicalInvariant:
+    @given(_SUMS, _SUMS, st.builds(Fraction, st.integers(1, 3), st.integers(1, 3)),
+           st.sampled_from(_RADICANDS), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_factor_every_term(self, a_spec, b_spec, c, x, negate):
+        a, ref_a = _build(a_spec)
+        b, ref_b = _build(b_spec)
+        assert a.terms == ref_a and b.terms == ref_b
+        assert (a + b).terms == _reference_canonical(ref_a + ref_b)
+        assert (a - b).terms == _reference_canonical(ref_a + tuple((-q, d) for q, d in ref_b))
+        assert (a * b).terms == _reference_product(ref_a, ref_b)
+        divisor, (ref_div,) = _build([(-c if negate else c, x)])
+        q, d = ref_div
+        assert (a / divisor).terms == _reference_product(ref_a, ((1 / (q * d), d),))
+
+    def test_only_sqrt_factors(self, monkeypatch):
+        calls = []
+        factor = radical.squarefree_decompose
+
+        def counted(n):
+            calls.append(n)
+            return factor(n)
+
+        monkeypatch.setattr(radical, "squarefree_decompose", counted)
+        n = _P * _Q
+        root = RadicalSum.sqrt(n)
+        assert calls == [n]
+        assert (root + 1).terms == ((1, 1), (1, n))
+        assert (root * 2).terms == ((2, n),)
+        assert root * root == RadicalSum.rational(n)
+        assert root / root == RadicalSum.rational(1)
+        assert calls == [n]
 
 
 class TestCertifiedCompare:
@@ -274,3 +372,10 @@ class TestCertifiedCompare:
         result = certified_compare(stuck, Fraction(1, 2), max_bits=512)
         assert isinstance(result, Inconclusive)
         assert result.precision_bits >= 512
+
+    def test_square_factor_left_in_a_radicand_is_inconclusive(self):
+        # sqrt(4) kept as a radicand, as a cofactor with a repeated prime
+        # above the trial limit would be, equals 2 but is not merged with
+        # it: the difference never separates from 0 and is never EQUAL
+        x = RadicalSum({4: Fraction(1)}) - 2
+        assert certified_compare(x, 0, max_bits=512) == Inconclusive(512)

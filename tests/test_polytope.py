@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from blichfeldt import linalg
 from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
-from blichfeldt.lattice import Lattice
+from blichfeldt.lattice import Lattice, hyperplane_sublattice_det_sq
 from blichfeldt.polytope import DegenerateHullError
-from blichfeldt.radical import RadicalSum
+from blichfeldt.radical import RadicalSum, enclose
 from blichfeldt.rng import Rng
 
 
@@ -334,7 +334,7 @@ class TestSurfaceArea:
             for i in range(len(poly.facets)):
                 # independent route: the determinant of the facet's affine
                 # sublattice, from an explicit basis, is ||a_i|| det(L)
-                det_sq = pt.facet_sublattice_det_sq(poly, i)
+                det_sq = hyperplane_sublattice_det_sq(poly.lattice, poly.facets[i].normal)
                 assert det_sq == poly.facet_norms_sq[i] * det * det
                 normalized = pt.facet_lattice_volume(poly, i)
                 total = total + RadicalSum.rational(normalized) * RadicalSum.sqrt(det_sq)
@@ -363,7 +363,7 @@ class TestIntrinsicVolumes:
 
     def test_simplex_v1_enclosure(self):
         iv = pt.intrinsic_volumes_3d(_simplex_Sk(3, 1))
-        enc = iv.v1_enclosure(160)
+        enc = enclose(iv.v1, 160)
         assert enc.width < Fraction(1, 2**128)
         # V1 = (1/2pi) * sum of edge length * exterior angle ~ 2.2263
         assert Fraction(22, 10) < enc.lo < enc.hi < Fraction(23, 10)
