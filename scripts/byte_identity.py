@@ -7,7 +7,7 @@ are built once, by this checkout's ``bench/workloads.py`` for the given
 seed; the commands run under ``--repo``'s ``src/``.  Covered:
 ``blichfeldt corpus --format json|csv`` on the five ``corpus`` specs, the
 ``count``/``measure``/``check`` commands of the ``bodies`` workload on its
-body files, ``audit`` (human/json/csv) on the side-2 cube, ``count`` on a 4D ball and
+body files, ``audit`` on the side-2 cube, ``count`` on a 4D ball and
 on a 3D ball with lattice points on its sphere, ``check --id
 GENERAL_THM_4_1`` on a 4D hull over a sheared lattice, and ``measure`` on a
 triangle whose edge norm^2 is the product of two 40-bit primes.  Each line
@@ -49,8 +49,7 @@ def _commands(seed: int, workdir: str):
         yield op["argv"]
     cube = os.path.join(workdir, "cube.json")
     wt.save_body(Body.from_polytope(pt.hull(itertools.product((0, 2), repeat=3))), cube)
-    for fmt in ("human", "json", "csv"):
-        yield ["audit", "--body", cube, "--format", fmt]
+    yield ["audit", "--body", cube]
     # balls beyond the benchmark's 2D/3D ones: a 4D ball, and a ball whose
     # sphere passes through lattice points (r^2 = |v - c|^2 for a lattice v)
     h, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)

@@ -255,47 +255,49 @@ def _parser() -> argparse.ArgumentParser:
         description="Exact lattice-point counts, measures and certified "
         "inequality checks for convex bodies over full-rank lattices.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--budget", type=int, default=None,
+    # each subcommand takes only the flags it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None,
+                     help="output path (atomic write for a regular file)")
+    budget = argparse.ArgumentParser(add_help=False, parents=[out])
+    budget.add_argument("--budget", type=int, default=None,
                         help="enumeration budget (fallback: BLICH_BUDGET)")
-    common.add_argument("--precision-max-bits", type=int, default=MAX_BITS)
-    common.add_argument("--format", choices=("csv", "json", "human"),
-                        default="human")
-    common.add_argument("--out", default=None,
-                        help="output path (atomic write for a regular file)")
+    precision = argparse.ArgumentParser(add_help=False, parents=[budget])
+    precision.add_argument("--precision-max-bits", type=int, default=MAX_BITS)
 
     sub = p.add_subparsers(dest="command", required=True)
 
-    sc = sub.add_parser("count", parents=[common], help="lattice points of a body")
+    sc = sub.add_parser("count", parents=[budget], help="lattice points of a body")
     sc.add_argument("--body", required=True)
     sc.set_defaults(fn=_cmd_count)
 
-    sm = sub.add_parser("measure", parents=[common],
+    sm = sub.add_parser("measure", parents=[budget],
                         help="volume, surface area, intrinsic volumes")
     sm.add_argument("--body", required=True)
     sm.set_defaults(fn=_cmd_measure)
 
-    sk = sub.add_parser("check", parents=[common],
+    sk = sub.add_parser("check", parents=[precision],
                         help="one inequality against one body")
     sk.add_argument("--id", required=True,
                     choices=[i.value for i in hz.InequalityId])
     sk.add_argument("--body", required=True)
     sk.set_defaults(fn=_cmd_check)
 
-    sa = sub.add_parser("audit", parents=[common],
+    sa = sub.add_parser("audit", parents=[budget],
                         help="boundary-layer audit of a lattice polytope")
     sa.add_argument("--body", required=True)
     sa.set_defaults(fn=_cmd_audit)
 
-    so = sub.add_parser("corpus", parents=[common],
+    so = sub.add_parser("corpus", parents=[precision],
                         help="run inequality checkers over a corpus")
     so.add_argument("--spec", required=True, help="corpus spec JSON file")
     so.add_argument("--ids", nargs="*", default=None,
                     help="inequality ids (default: all)")
+    so.add_argument("--seed", type=int, default=None)
+    so.add_argument("--format", choices=("csv", "json", "human"), default="human")
     so.set_defaults(fn=_cmd_corpus)
 
-    sw = sub.add_parser("witness", parents=[common],
+    sw = sub.add_parser("witness", parents=[out],
                         help="emit a witness-family body-spec")
     sw.add_argument("--family", required=True,
                     choices=("simplex_Sk", "reeve_Tm"))

@@ -160,10 +160,10 @@ def _polytope_constraints(poly: LatticePolytope, t_coeff=None):
     """Integer-threshold constraints for (t + P) in coefficient space."""
     cons = []
     for f in poly.facets:
-        rhs = Fraction(f.offset)
+        rhs = f.offset
         if t_coeff is not None:
-            rhs += sum(Fraction(c) * x for c, x in zip(f.normal, t_coeff))
-        cons.append((tuple(int(c) for c in f.normal), _int_threshold(rhs, False)))
+            rhs += sum(c * x for c, x in zip(f.normal, t_coeff))
+        cons.append((f.normal, _int_threshold(rhs, False)))
     return cons
 
 
@@ -239,8 +239,7 @@ def inner_parallel_thresholds(poly: LatticePolytope, rho_sq):
     rho_sq = Fraction(rho_sq)
     cons = []
     for f, asq in zip(poly.facets, poly.facet_norms_sq):
-        t = int(f.offset) - ceil_sqrt_fraction(rho_sq * asq)
-        cons.append((tuple(int(c) for c in f.normal), t))
+        cons.append((f.normal, f.offset - ceil_sqrt_fraction(rho_sq * asq)))
     return cons
 
 

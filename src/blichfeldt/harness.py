@@ -370,7 +370,7 @@ def boundary_layer_audit(
         # norms, the unit cube and facet areas below are taken in the
         # coordinates of the vertices, so they must be the ambient ones
         poly = pt.hull([lat.to_ambient(v) for v in poly.vertices], budget=budget)
-    inside = [(tuple(int(c) for c in f.normal), int(f.offset)) for f in poly.facets]
+    inside = [(f.normal, f.offset) for f in poly.facets]
     interior, gammas, prisms = [], [], []
     for a, b in inside:
         l1 = sum(map(abs, a))

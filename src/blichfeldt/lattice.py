@@ -4,10 +4,10 @@ A lattice is stored by a rational row basis; all point work happens in
 coefficient space (so counting over any lattice is counting over Z^n),
 and Euclidean geometry enters only through the Gram matrix.  One exact
 Fincke-Pohst enumerator counts the points of balls and lists the short
-vectors behind shortest and Voronoi-relevant vectors (found coset-wise in
-L/2L); the covering radius is the largest vertex norm of the
-Dirichlet-Voronoi cell, whose vertices are the facets of the hull of the
-points 2v/|v|^2 (``polytope.convex_hull_facets``), and both invariants are
+vectors, each with its norm, behind shortest and Voronoi-relevant vectors
+(found coset-wise in L/2L); the covering radius is the largest vertex norm
+of the Dirichlet-Voronoi cell, whose vertices are the facets of the hull of
+the points 2v/|v|^2 (``polytope.convex_hull_facets``), and both invariants are
 memoised per exact basis.  Enumeration nodes and the hull's orientation
 tests count against a budget; running out raises ``EnumerationBudgetError``.
 """
@@ -39,10 +39,9 @@ class EnumerationBudgetError(RuntimeError):
         self.budget = budget
 
 
-def _quadratic_form(g, v) -> Fraction:
-    """v^T g v, exactly."""
-    v = [Fraction(x) for x in v]
-    return sum((a * b * gab for a, row in zip(v, g) for b, gab in zip(v, row)), Fraction(0))
+def _bilinear_form(g, u, v) -> Fraction:
+    """u^T g v, exactly."""
+    return sum((a * b * gab for a, row in zip(u, g) for b, gab in zip(v, row)), Fraction(0))
 
 
 class Lattice:
@@ -103,7 +102,7 @@ class Lattice:
         return all(c.denominator == 1 for c in self.to_coeff(point))
 
     def norm_sq_of_coeff(self, coeff) -> Fraction:
-        return _quadratic_form(self.gram, coeff)
+        return _bilinear_form(self.gram, coeff, coeff)
 
     def __repr__(self):
         return f"Lattice(dim={self.dim}, det={self.determinant})"
@@ -164,15 +163,18 @@ def enum_ellipsoid(gram, center, radius_sq, budget: int = DEFAULT_BUDGET,
                    points: bool = False):
     """Integer vectors x with (x - center)^T G (x - center) <= radius_sq.
 
-    Returns ``(found, nodes)``: their number, or their list when ``points``,
-    and the candidate coordinates tried, which count against ``budget``.
-    LDL^T gives each level the exact interval of its coordinate, so the
-    innermost level is counted without building a vector.
+    Returns ``(found, nodes)``: their number, or when ``points`` the list of
+    pairs ``(x, (x - center)^T G (x - center))``, and the candidate
+    coordinates tried, which count against ``budget``.  LDL^T gives each
+    level the exact interval of its coordinate, so the innermost level is
+    counted without building a vector, and a point's norm is radius_sq less
+    what remains of it at the innermost level.
     """
     n = len(gram)
     L, D = _ldl(gram)
     # level j is centred at shift[j] - sum_{i>j} L[i][j] x_i
     shift = [center[j] + sum(L[i][j] * center[i] for i in range(j + 1, n)) for j in range(n)]
+    radius_sq = Fraction(radius_sq)
     out = []
     x = [0] * n
     found = nodes = 0
@@ -192,12 +194,13 @@ def enum_ellipsoid(gram, center, radius_sq, budget: int = DEFAULT_BUDGET,
             return
         for xj in range(lo, hi + 1):
             x[j] = xj
+            left = remaining - D[j] * (xj - a) ** 2
             if j == 0:
-                out.append(tuple(x))
+                out.append((tuple(x), radius_sq - left))
             else:
-                rec(j - 1, remaining - D[j] * (xj - a) ** 2)
+                rec(j - 1, left)
 
-    rec(n - 1, Fraction(radius_sq))
+    rec(n - 1, radius_sq)
     return (out if points else found), nodes
 
 
@@ -241,11 +244,8 @@ def _shortest_vector(lat: Lattice, budget: int):
     g = lat.gram
     radius = min(g[i][i] for i in range(lat.dim))
     found, nodes = enum_ellipsoid(g, [0] * lat.dim, radius, budget, points=True)
-    candidates = [v for v in found if any(v)]
-    best = min(lat.norm_sq_of_coeff(v) for v in candidates)
-    minimizers = sorted({
-        _canonical_sign(v) for v in candidates if lat.norm_sq_of_coeff(v) == best
-    })
+    best = min(norm for v, norm in found if any(v))
+    minimizers = sorted({_canonical_sign(v) for v, norm in found if norm == best})
     return ShortestVectorResult(length_sq=best, minimizers=tuple(minimizers)), nodes
 
 
@@ -265,12 +265,10 @@ def _relevant_vectors(lat: Lattice, budget: int):
         # x = parity + 2y ; |x|^2 = 4*(y + parity/2)^T G (y + parity/2)
         ys, nodes = enum_ellipsoid(lat.gram, center, bound / 4, budget, points=True)
         needed = max(needed, nodes)
-        vecs = [tuple(p + 2 * y for p, y in zip(parity, yv)) for yv in ys]
-        norms = [lat.norm_sq_of_coeff(v) for v in vecs]
-        best = min(norms)
-        minimal = [v for v, nm in zip(vecs, norms) if nm == best]
+        best = min(norm for _, norm in ys)
+        minimal = [y for y, norm in ys if norm == best]
         if len(minimal) == 2:  # unique up to sign
-            out.extend(minimal)
+            out.extend(tuple(p + 2 * y for p, y in zip(parity, yv)) for yv in minimal)
     return sorted(out), needed
 
 
@@ -339,9 +337,10 @@ def hyperplane_sublattice_det_sq(lat: Lattice, dual_coeff) -> Fraction:
     return linalg.frac_det(gram)
 
 
-def dual_coeff_to_ambient(lat: Lattice, coeffs):
-    return tuple(linalg.frac_vec_mat([Fraction(c) for c in coeffs], lat.dual_basis))
+def dual_inner(lat: Lattice, u, v) -> Fraction:
+    """Inner product of the dual vectors with dual-basis coefficients u, v."""
+    return _bilinear_form(lat.dual_gram, u, v)
 
 
 def dual_norm_sq(lat: Lattice, coeffs) -> Fraction:
-    return _quadratic_form(lat.dual_gram, coeffs)
+    return dual_inner(lat, coeffs, coeffs)

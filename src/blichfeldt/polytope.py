@@ -4,12 +4,14 @@ Hulls are built by one beneath-beyond sweep on Python ints (Seidel 1981;
 Edelsbrunner 1987).  Points are placed in lexicographic order; a point sees
 a boundary simplex only when it lies strictly beyond that simplex's
 hyperplane, so coplanar points need no special case.  Coning each new point
-over the boundary simplices it sees gives the placing triangulation as a
-by-product (De Loera, Rambau and Santos, *Triangulations*, 4.3), and the
-boundary simplices sharing a hyperplane tile one facet.  Volumes and facet
-volumes are sums of integer determinants over these simplices.  Facet
-normals are primitive dual-lattice vectors, so facet volumes split into a
-rational lattice-normalized part and a single square root.
+over the boundary simplices it sees is the placing triangulation (De Loera,
+Rambau and Santos, *Triangulations*, 4.3), and the boundary simplices
+sharing a hyperplane tile one facet.  The sweep keeps only their measures:
+how far a point lies beyond a simplex's hyperplane is |det| of the simplex
+it cones, so these sum to n! vol(P), and the gcd of a boundary simplex's
+normal is (n-1)! times its volume in the facet's lattice.  Facet normals
+are primitive dual-lattice vectors, so facet volumes split into a rational
+lattice-normalized part and a single square root.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from blichfeldt.lattice import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
     Lattice,
-    dual_coeff_to_ambient,
+    dual_inner,
     dual_norm_sq,
 )
 from blichfeldt.radical import RadicalSum, enclose
@@ -40,7 +42,7 @@ class DegenerateHullError(ValueError):
 @dataclass(frozen=True)
 class Facet:
     normal: tuple        # primitive outward normal, dual-basis coefficients
-    offset: Fraction     # a.x <= offset; integral for lattice polytopes
+    offset: int          # a.x <= offset
     vertex_ids: tuple
 
 
@@ -81,25 +83,19 @@ def _normal(simplex):
     ]
 
 
-def _det(simplex) -> int:
-    """|det| of the edges of d+1 points in Z^d: d! times their volume."""
-    base = simplex[0]
-    return abs(linalg.det_bareiss([[x - y for x, y in zip(p, base)] for p in simplex[1:]]))
-
-
 def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     """Beneath-beyond hull of distinct, full-dimensional integer points.
 
-    The points are placed in the given order.  Returns ``(facets,
-    simplices, work)``.  Each facet is ``(normal, offset, on_ids, pieces)``: a
+    The points are placed in the given order.  Returns ``(facets, dets,
+    work)``.  Each facet is ``(normal, offset, on_ids, facet_dets)``: a
     primitive outward normal, with ``normal.x <= offset`` on the hull, the
-    ids of every point on the facet, and the boundary (d-1)-simplices that
-    tile it.  Facets come ordered by the lexicographically smallest affinely
-    independent d-subset of their ``on_ids``.  ``simplices`` is the placing
-    triangulation; its simplices may use points that are not vertices of the
-    hull.  Every point-facet orientation test counts against ``budget``,
-    and running out raises ``EnumerationBudgetError``; ``work`` is the count,
-    the least budget under which the call answers.
+    ids of every point on the facet, and (d-1)! times its volume in the
+    lattice of its hyperplane.  ``dets`` is d! times the hull's volume.
+    Facets come ordered by the lexicographically smallest affinely
+    independent d-subset of their ``on_ids``.  Every point-facet orientation
+    test counts against ``budget``, and running out raises
+    ``EnumerationBudgetError``; ``work`` is the count, the least budget
+    under which the call answers.
     """
     n, d = len(points), len(points[0])
     diffs = [[x - y for x, y in zip(p, points[0])] for p in points]
@@ -108,8 +104,8 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
         raise DegenerateHullError("degenerate: dim(K cap Lambda) < n")
     if d == 1:
         lo, hi = min(range(n), key=points.__getitem__), max(range(n), key=points.__getitem__)
-        return [((1,), points[hi][0], (hi,), ((hi,),)),
-                ((-1,), -points[lo][0], (lo,), ((lo,),))], [(lo, hi)], 0
+        return [((1,), points[hi][0], (hi,), 1),
+                ((-1,), -points[lo][0], (lo,), 1)], points[hi][0] - points[lo][0], 0
 
     # d+1 times a point inside the first simplex, hence inside every later hull
     inner = [sum(col) for col in zip(*(points[i] for i in first))]
@@ -124,7 +120,9 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
 
     for k in range(d + 1):
         place(first[:k] + first[k + 1:])
-    simplices = [first]
+    # first[0] lies beneath the opposite side by |det| of the first simplex
+    normal, c = live[first[1:]]
+    dets = c - sum(map(mul, normal, points[0]))
     tests = 0
     for p in range(n):
         if p in first:
@@ -133,27 +131,29 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
         if tests > budget:
             raise EnumerationBudgetError(budget)
         x = points[p]
-        seen = [ids for ids, (nv, c) in live.items() if sum(map(mul, nv, x)) > c]
+        # how far x lies beyond a seen simplex is |det| of the cone ids + (p,)
+        seen = {ids: h for ids, (nv, c) in live.items() if (h := sum(map(mul, nv, x)) - c) > 0}
+        dets += sum(seen.values())
         # a ridge of one seen simplex only borders an unseen one: the horizon
         ridges = Counter(ids[:k] + ids[k + 1:] for ids in seen for k in range(d))
         for ids in seen:
             del live[ids]
-            simplices.append(ids + (p,))
         for ridge, m in ridges.items():
             if m == 1:
                 place(tuple(sorted(ridge + (p,))))
 
-    groups = {}
-    for ids, (normal, c) in live.items():
+    groups = {}   # (primitive normal, offset) -> sum of the pieces' gcds
+    for normal, c in live.values():
         prim, g = linalg.primitive_vector(normal)
-        groups.setdefault((tuple(prim), c // g), []).append(ids)
+        key = (tuple(prim), c // g)
+        groups[key] = groups.get(key, 0) + g
     work = tests + len(groups) * n
     if work > budget:
         raise EnumerationBudgetError(budget)
     facets = []
-    for (normal, offset), pieces in groups.items():
+    for (normal, offset), facet_dets in groups.items():
         on = tuple(i for i, x in enumerate(points) if sum(map(mul, normal, x)) == offset)
-        facets.append((normal, offset, on, tuple(pieces)))
+        facets.append((normal, offset, on, facet_dets))
 
     def first_basis(facet):
         on = facet[2]
@@ -161,31 +161,25 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
         return (on[0],) + tuple(on[1 + k] for k in rest)
 
     facets.sort(key=first_basis)
-    return facets, simplices, work
+    return facets, dets, work
 
 
 class LatticePolytope:
     """Full-dimensional lattice polytope in coefficient coordinates.
 
-    Its measures (volume, surface area, facet norms, intrinsic volumes) are
-    cached properties: each is computed once, on first use.
+    The hull's integer measures are kept: ``dets`` is n! times the
+    normalized volume and ``facet_dets[i]`` is (n-1)! times facet i's.  The
+    measures built on them (volume, surface area, facet norms, intrinsic
+    volumes) are cached properties: each is computed once, on first use.
     """
 
-    def __init__(self, lattice: Lattice, vertices, facets, simplices, facet_simplices):
+    def __init__(self, lattice: Lattice, vertices, facets, dets, facet_dets):
         self.lattice = lattice
         self.dim = lattice.dim
         self.vertices = vertices      # tuple of integer coefficient tuples
         self.facets = facets          # tuple of Facet
-        # placing triangulation: d-simplices as tuples of points, which need
-        # not be vertices; facet_simplices[i] tiles facet i likewise
-        self.simplices = simplices
-        self.facet_simplices = facet_simplices
-
-    def contains(self, point_coeff) -> bool:
-        p = [Fraction(x) for x in point_coeff]
-        return all(
-            sum(c * x for c, x in zip(f.normal, p)) <= f.offset for f in self.facets
-        )
+        self.dets = dets
+        self.facet_dets = facet_dets
 
     @cached_property
     def volume(self) -> Fraction:
@@ -214,21 +208,17 @@ class LatticePolytope:
     def scaled(self, c: int) -> "LatticePolytope":
         """c*P for an integer c >= 1, without a new hull.
 
-        Normals, facet vertex ids and the triangulation's simplices carry
-        over; points and offsets are multiplied by c.
+        Normals and facet vertex ids carry over; vertices and offsets are
+        multiplied by c, ``dets`` by c^n and ``facet_dets`` by c^(n-1).
         """
         if c < 1:
             raise ValueError("scale factor must be at least 1")
-
-        def points(simplex):
-            return tuple(tuple(c * x for x in p) for p in simplex)
-
         return LatticePolytope(
             self.lattice,
-            points(self.vertices),
+            tuple(tuple(c * x for x in v) for v in self.vertices),
             tuple(Facet(f.normal, c * f.offset, f.vertex_ids) for f in self.facets),
-            tuple(map(points, self.simplices)),
-            tuple(tuple(map(points, pieces)) for pieces in self.facet_simplices),
+            c ** self.dim * self.dets,
+            tuple(c ** (self.dim - 1) * g for g in self.facet_dets),
         )
 
     def __repr__(self):
@@ -250,7 +240,7 @@ def hull(points, lattice: Lattice | None = None,
     d = lattice.dim
     if any(len(p) != d for p in pts):
         raise ValueError("point dimension mismatch")
-    raw, simplices, _ = convex_hull_facets(pts, budget)
+    raw, dets, _ = convex_hull_facets(pts, budget)
     # vertices: points whose active facet normals span the whole space
     active = {i: [] for i in range(len(pts))}
     for c, b, on, _ in raw:
@@ -258,24 +248,20 @@ def hull(points, lattice: Lattice | None = None,
             active[i].append(c)
     vertex_ids = [i for i in range(len(pts)) if len(_independent(active[i], d)) == d]
     remap = {old: new for new, old in enumerate(vertex_ids)}
-
-    def points_of(ids):
-        return tuple(pts[i] for i in ids)
-
     facets = tuple(
         Facet(
             normal=c,
-            offset=Fraction(b),
+            offset=b,
             vertex_ids=tuple(sorted(remap[i] for i in on if i in remap)),
         )
         for c, b, on, _ in raw
     )
     return LatticePolytope(
         lattice,
-        points_of(vertex_ids),
+        tuple(pts[i] for i in vertex_ids),
         facets,
-        tuple(map(points_of, simplices)),
-        tuple(tuple(map(points_of, pieces)) for *_, pieces in raw),
+        dets,
+        tuple(g for *_, g in raw),
     )
 
 
@@ -286,35 +272,31 @@ def hull(points, lattice: Lattice | None = None,
 def normalized_volume(poly: LatticePolytope, reverse=False) -> Fraction:
     """Volume in lattice coefficient units (Euclidean volume / det Lambda).
 
-    Sums the placing triangulation ``hull`` built; ``reverse`` places the
-    vertices in reverse order instead, a second, different triangulation.
+    ``poly.dets`` over n!: the placing triangulation ``hull`` summed;
+    ``reverse`` places the vertices in reverse order instead, a second,
+    different triangulation.
     """
-    simplices = poly.simplices
-    if reverse:
-        vs = poly.vertices[::-1]
-        simplices = [[vs[i] for i in s] for s in convex_hull_facets(vs)[1]]
-    return Fraction(sum(map(_det, simplices)), factorial(poly.dim))
+    dets = convex_hull_facets(poly.vertices[::-1])[1] if reverse else poly.dets
+    return Fraction(dets, factorial(poly.dim))
 
 
 def volume_by_signed_cones(poly: LatticePolytope) -> Fraction:
     """Independent volume computation: signed cones from the coeff origin.
 
-    Each facet is triangulated afresh from its own vertices, projected along
-    a coordinate where its normal is nonzero (injective on the facet's
-    hyperplane), so no simplex of ``poly.simplices`` is used.
+    Each facet's vertices are hulled afresh, projected along a coordinate j
+    where its normal a is nonzero (injective on the facet's hyperplane), so
+    no measure of ``poly``'s own hull is used.  The projection has (n-1)!
+    times its volume in ``dets_f``, and the cone over the facet has n! times
+    its signed volume in offset * dets_f / |a_j|.
     """
     d = poly.dim
-    origin = (0,) * d
-    total = 0
+    total = Fraction(0)
     for f in poly.facets:
-        if f.offset == 0:  # offset - normal . origin: the cone is flat
-            continue
         vs = [poly.vertices[i] for i in f.vertex_ids]
         j = max(range(d), key=lambda j: abs(f.normal[j]))
-        pieces = convex_hull_facets([v[:j] + v[j + 1:] for v in vs])[1] if d > 1 else [(0,)]
-        sign = 1 if f.offset > 0 else -1
-        total += sign * sum(_det([origin] + [vs[t] for t in s]) for s in pieces)
-    return Fraction(total, factorial(d)) * poly.lattice.determinant
+        dets_f = convex_hull_facets([v[:j] + v[j + 1:] for v in vs])[1] if d > 1 else 1
+        total += Fraction(f.offset * dets_f, abs(f.normal[j]))
+    return total / factorial(d) * poly.lattice.determinant
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +311,7 @@ def facet_lattice_coords(poly: LatticePolytope, i: int):
     in Z^(n-1) and its lattice-normalized volume is purely rational.
     """
     f = poly.facets[i]
-    c = [int(x) for x in f.normal]
-    u = linalg.unimodular_for_primitive(c)
+    u = linalg.unimodular_for_primitive(list(f.normal))
     uinv = linalg.frac_inv(u)
     ys = []
     for vid in f.vertex_ids:
@@ -344,15 +325,13 @@ def facet_lattice_coords(poly: LatticePolytope, i: int):
 def facet_lattice_volume(poly: LatticePolytope, i: int) -> Fraction:
     """vol_{n-1}(F_i) / det(aff F_i cap Lambda): facet i's normalized volume.
 
-    Each boundary simplex on F_i has edge cross product k * a_i, and the
-    facet sublattice has determinant ||a_i|| in coefficient space, so the
-    simplex adds |k| / (n-1)! to the normalized volume.  The Euclidean
-    volume is this times ||a_i|| * det(Lambda).
+    Each boundary simplex the hull left on F_i has edge cross product
+    k * a_i, and the facet sublattice has determinant ||a_i|| in coefficient
+    space, so the simplex adds |k| / (n-1)! to the normalized volume;
+    ``poly.facet_dets[i]`` is the sum of these |k|.  The Euclidean volume is
+    this times ||a_i|| * det(Lambda).
     """
-    d = poly.dim
-    if d == 1:
-        return Fraction(1)
-    return Fraction(sum(gcd(*_normal(s)) for s in poly.facet_simplices[i]), factorial(d - 1))
+    return Fraction(poly.facet_dets[i], factorial(poly.dim - 1))
 
 
 def vertex_facet_counts(poly: LatticePolytope):
@@ -400,12 +379,9 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
     all_right_angles = True
     lat = poly.lattice
     for (va, vb), (fi, fj) in polytope_edges(poly):
-        pa = lat.to_ambient(poly.vertices[va])
-        pb = lat.to_ambient(poly.vertices[vb])
-        len_sq = sum((x - y) ** 2 for x, y in zip(pa, pb))
-        ai = dual_coeff_to_ambient(lat, poly.facets[fi].normal)
-        aj = dual_coeff_to_ambient(lat, poly.facets[fj].normal)
-        dot = sum(x * y for x, y in zip(ai, aj))
+        edge = [x - y for x, y in zip(poly.vertices[va], poly.vertices[vb])]
+        len_sq = lat.norm_sq_of_coeff(edge)
+        dot = dual_inner(lat, poly.facets[fi].normal, poly.facets[fj].normal)
         nn = poly.facet_norms_sq[fi] * poly.facet_norms_sq[fj]
         edge_data.append((len_sq, dot, nn))
         if dot != 0:

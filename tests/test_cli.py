@@ -231,6 +231,25 @@ class TestCorpus:
         assert "extra_knob" in err
 
 
+class TestFlags:
+    """A subcommand takes only the flags it reads; any other is a usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--format", "json"],
+        ["audit", "--format", "csv"],
+        ["measure", "--seed", "3"],
+        ["count", "--precision-max-bits", "256"],
+        ["check", "--id", "MAIN_THM_1_1", "--format", "json"],
+    ])
+    def test_unread_flag_rejected(self, capsys, cube_body, argv):
+        code, out, _ = _run(capsys, argv + ["--body", cube_body])
+        assert code == cli.EXIT_USAGE and out == ""
+
+    def test_witness_takes_no_budget(self, capsys):
+        argv = ["witness", "--family", "simplex_Sk", "--n", "3", "--k", "2", "--budget", "5"]
+        assert _run(capsys, argv)[0] == cli.EXIT_USAGE
+
+
 class TestBudgetPlumbing:
     def test_flag(self, capsys, cube_body):
         code, _, err = _run(

@@ -58,7 +58,7 @@ def _brute_force_polytope(poly):
     def rec(prefix, j):
         nonlocal total
         if j == len(lo):
-            if poly.contains(prefix):
+            if all(sum(c * x for c, x in zip(f.normal, prefix)) <= f.offset for f in poly.facets):
                 total += 1
             return
         for x in range(lo[j], hi[j] + 1):
@@ -211,7 +211,10 @@ class TestBallCount:
         found, nodes = lt.enum_ellipsoid(lat.gram, cc, r2)
         points, point_nodes = lt.enum_ellipsoid(lat.gram, cc, r2, points=True)
         assert (found, nodes) == (len(points), point_nodes)
-        assert v in points
+        assert v in [x for x, _ in points]
+        # each point comes with its exact squared distance from the centre
+        for x, dist_sq in points:
+            assert dist_sq == sum((a - c) ** 2 for a, c in zip(lat.to_ambient(x), center))
 
 
 class TestInnerParallel:
