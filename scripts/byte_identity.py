@@ -9,8 +9,10 @@ seed; the commands run under ``--repo``'s ``src/``.  Covered:
 ``count``/``measure``/``check`` commands of the ``bodies`` workload on its
 body files, ``audit`` on the side-2 cube, ``count`` on a 4D ball and
 on a 3D ball with lattice points on its sphere, ``check --id
-GENERAL_THM_4_1`` on a 4D hull over a sheared lattice, and ``measure`` on a
-triangle whose edge norm^2 is the product of two 40-bit primes.  Each line
+GENERAL_THM_4_1`` on a 4D hull over a sheared lattice, ``measure`` on a 3D
+hull over a sheared lattice with acute, right and obtuse dihedral angles
+(V1 through the dual Gram and every arctangent branch), and ``measure`` on
+a triangle whose edge norm^2 is the product of two 40-bit primes.  Each line
 is ``sha256  exit-code  command``.
 
 Usage:
@@ -72,6 +74,13 @@ def _commands(seed: int, workdir: str):
     path = os.path.join(workdir, "skew4_hull.json")
     wt.save_body(Body.from_polytope(pt.hull(corners4, lattice=skew4)), path)
     yield ["check", "--id", "GENERAL_THM_4_1", "--body", path]
+    # V1 through dual_inner: a 3D hull over the sheared lattice with acute,
+    # right and obtuse dihedral angles, whose arctangents take every branch
+    # of interval._atan_fraction
+    corners3 = [(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 1), (1, -1, 2)]
+    path = os.path.join(workdir, "skew3_hull.json")
+    wt.save_body(Body.from_polytope(pt.hull(corners3, lattice=skew3)), path)
+    yield ["measure", "--body", path]
     # an edge norm^2 u^2 + v^2 = p*q for the 40-bit primes p = 780175892429
     # and q = 849767860033: a radicand with no prime factor below 10^6
     u, v = 79079877299, 810379399766

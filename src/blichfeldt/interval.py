@@ -5,6 +5,12 @@ built from.  Rational operations are exact; square roots, pi, arctangent
 and k-th roots round outward to a requested number of bits.  Alternating
 series with bracketing partial sums provide the transcendental enclosures,
 so no step ever relies on floating point.
+
+The kernels sum on integers and floor once (``dyadic``).  An arctangent
+series is rounded out to 2^-(bits+8) and shifted by a multiple m of
+pi(bits)/4, on the 2^-(bits+2) grid, before the 2^-bits rounding; as
+floor_b(m + floor_w(y)) = floor_b(m + y) for m on the 2^-w grid, w >= b,
+and likewise for ceilings, atan and acos keep the exact sums' endpoints.
 """
 
 from __future__ import annotations
@@ -107,77 +113,59 @@ def _coerce(x) -> Interval:
     return Interval.point(x)
 
 
-def sqrt_fraction(x, bits: int) -> Interval:
-    """Enclosure of sqrt(x) for a non-negative rational x."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    if x == 0:
-        return Interval.point(0)
-    p, q = x.numerator, x.denominator
-    # sqrt(p/q) = sqrt(p*q)/q
-    num = p * q
-    s = isqrt(num << (2 * bits))
-    den = q << bits
-    lo = Fraction(s, den)
-    hi = lo if s * s == num << (2 * bits) else Fraction(s + 1, den)
-    return Interval(lo, hi)
-
-
-def sqrt_interval(iv: Interval, bits: int) -> Interval:
-    if iv.lo < 0:
-        raise ValueError("negative radicand")
-    return Interval(sqrt_fraction(iv.lo, bits).lo, sqrt_fraction(iv.hi, bits).hi)
-
-
 def root_fraction(x, k: int, bits: int) -> Interval:
     """Enclosure of x**(1/k) for a non-negative rational x."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("negative radicand")
-    if x == 0:
-        return Interval.point(0)
-    p, q = x.numerator, x.denominator
     # (p/q)^(1/k) = (p*q^(k-1))^(1/k) / q
-    num = p * q ** (k - 1)
-    s = iroot(num << (k * bits), k)
-    den = q << bits
-    lo = Fraction(s, den)
-    hi = lo if s ** k == num << (k * bits) else Fraction(s + 1, den)
-    return Interval(lo, hi)
+    p, q = x.numerator, x.denominator
+    num = p * q ** (k - 1) << k * bits
+    s = isqrt(num) if k == 2 else iroot(num, k)
+    return Interval(Fraction(s, q << bits), Fraction(s if s ** k == num else s + 1, q << bits))
 
 
 def root_interval(iv: Interval, k: int, bits: int) -> Interval:
     return Interval(root_fraction(iv.lo, k, bits).lo, root_fraction(iv.hi, k, bits).hi)
 
 
+def sqrt_fraction(x, bits: int) -> Interval:
+    return root_fraction(x, 2, bits)
+
+
+def sqrt_interval(iv: Interval, bits: int) -> Interval:
+    return root_interval(iv, 2, bits)
+
+
+def dyadic(lo: int, hi: int, den: int, bits: int) -> Interval:
+    """[lo/den, hi/den], den > 0, rounded out to 2^-bits: two divisions."""
+    scale = 1 << bits
+    return Interval(Fraction((lo << bits) // den, scale),
+                    Fraction(-((-hi << bits) // den), scale))
+
+
 _PI_CACHE: dict[int, Interval] = {}
 
 
-def _atan_inv(x: int, bits: int) -> Interval:
-    """Enclosure of atan(1/x) for an integer x >= 2."""
-    return _atan_series(Fraction(1, x), bits)
-
-
 def pi(bits: int) -> Interval:
-    """Machin's formula: pi = 16*atan(1/5) - 4*atan(1/239)."""
+    """Machin's formula: pi = 16*atan(1/5) - 4*atan(1/239), floored once."""
     if bits not in _PI_CACHE:
-        val = 16 * _atan_inv(5, bits + 8) - 4 * _atan_inv(239, bits + 8)
-        _PI_CACHE[bits] = val.round_out(bits)
+        lo5, hi5, d5 = _atan_sums(Fraction(1, 5), bits + 8)
+        lo239, hi239, d239 = _atan_sums(Fraction(1, 239), bits + 8)
+        _PI_CACHE[bits] = dyadic(16 * lo5 * d239 - 4 * hi239 * d5,
+                                 16 * hi5 * d239 - 4 * lo239 * d5, d5 * d239, bits)
     return _PI_CACHE[bits]
 
 
-def _atan_series(t: Fraction, bits: int) -> Interval:
+def _atan_sums(t: Fraction, bits: int) -> tuple[int, int, int]:
     """atan for |t| <= 1/2 via the alternating Taylor series.
 
     The terms are (-1)^k t^(2k+1)/(2k+1); the series stops at the first
     term N below 2^-(bits+8), and the partial sums S_N and S_(N-1) bracket
-    the limit (S_(-1) = 0).  With t = a/b both sums are kept as integer
-    numerators over the common denominator lcm(1, 3, .., 2k+1) * b^(2k+1),
-    so the loop does no gcd work; only the two endpoints are reduced.
+    the limit (S_(-1) = 0).  With t = a/b they are returned as (lower,
+    upper, denominator): integer numerators, ordered by the last term's
+    sign, over lcm(1, 3, .., 2N+1) * b^(2N+1), so the loop needs no gcd.
     """
-    if t == 0:
-        return Interval.point(0)
     a, b = t.numerator, t.denominator
     asq, bsq = a * a, b * b
     apow, bpow = a, b           # a^(2k+1), b^(2k+1)
@@ -194,12 +182,16 @@ def _atan_series(t: Fraction, bits: int) -> Interval:
         num = num * step * bsq + term
         # |t^d / d| < 2^-(bits+8), cross-multiplied
         if abs(apow) << (bits + 8) < d * bpow:
-            den = den_lcm * bpow
-            s, prev = Fraction(num, den), Fraction(num - term, den)
-            return Interval(min(s, prev), max(s, prev))
+            prev = num - term
+            return (prev, num, den_lcm * bpow) if term > 0 else (num, prev, den_lcm * bpow)
         apow *= asq
         bpow *= bsq
         k += 1
+
+
+def _atan_series(t: Fraction, bits: int) -> Interval:
+    """The bracket of ``_atan_sums`` rounded out to 2^-(bits+8)."""
+    return dyadic(*_atan_sums(t, bits), bits + 8)
 
 
 def _atan_fraction(t: Fraction, bits: int) -> Interval:
@@ -207,8 +199,6 @@ def _atan_fraction(t: Fraction, bits: int) -> Interval:
         return -_atan_fraction(-t, bits)
     if t > 1:
         return pi(bits) / 2 - _atan_fraction(1 / t, bits)
-    if t == 1:
-        return pi(bits) / 4
     if t > Fraction(1, 2):
         # atan(t) = pi/4 + atan((t-1)/(1+t)); argument lands in (-1/3, 0]
         return pi(bits) / 4 + _atan_series((t - 1) / (1 + t), bits)

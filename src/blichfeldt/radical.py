@@ -3,70 +3,77 @@
 A ``RadicalSum`` is sum(q_i * sqrt(d_i)) with rational q_i and distinct
 integer radicands d_i (d = 1 carries the rational part), canonical by
 construction.  ``RadicalSum.sqrt`` is the one place a radicand is
-factored: trial division up to 10^6 splits it and the cofactor left is
-kept whole, so d is squarefree unless that cofactor is at least 10^18 and
-has a repeated prime factor above 10^6.  Every other operation keeps the
-form without factoring: sums merge equal radicands, and a product needs
-only g = gcd(d1, d2), since sqrt(d1) * sqrt(d2) = g * sqrt((d1/g)(d2/g))
-for any integers and (d1/g)(d2/g) is squarefree when d1 and d2 are.
+factored: the primes below 10^6 that divide it are split off and the
+cofactor left is kept whole, so d is squarefree unless that cofactor is
+at least 10^18 and has a repeated prime factor above 10^6.  Every other
+operation keeps the form without factoring: sums merge equal radicands,
+and a product needs only g = gcd(d1, d2), since sqrt(d1) * sqrt(d2) =
+g * sqrt((d1/g)(d2/g)) for any integers and (d1/g)(d2/g) is squarefree
+when d1 and d2 are.
 
 Sums of square roots over distinct squarefree radicands are linearly
 independent over the rationals (Besicovitch), so a canonical nonzero
-value really is nonzero.  ``certified_compare`` decides <, =, > for
-rationals, radical sums and adaptive enclosures, returning Inconclusive
-(with the precision reached) instead of ever guessing.  Two exact values
-are compared through their canonical difference: with at most one term
-the sign is its coefficient's, with more it comes from the same
-enclosure-refinement loop as closures.  A radicand that keeps a square
-factor changes no value: equality still comes only from identical terms
-and signs only from a coefficient or an enclosure, so the worst it can
-cause is Inconclusive, never a wrong verdict.
+value really is nonzero, and ``certified_compare`` never guesses.  A
+radicand that keeps a square factor changes no value: equality still
+comes only from identical terms, so the worst it can cause is
+Inconclusive, never a wrong verdict.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import compress
+from math import gcd, isqrt, lcm, prod
 
-from blichfeldt.interval import Interval, sqrt_fraction
+from blichfeldt.interval import Interval, dyadic
 
 DEFAULT_BITS = 128
 MAX_BITS = 4096
 
 _TRIAL_LIMIT = 10 ** 6
+_RUN = 1 << 11      # trial primes are taken a range of this width at a time
+
+
+@functools.cache
+def _sieve(limit: int) -> bytearray:
+    flags = bytearray(b"\0\0" + b"\1" * (limit - 2))     # 1 at the primes
+    for p in range(2, isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return flags
+
+
+@functools.cache
+def _prime_product(lo: int) -> int:
+    """Product of the primes in [lo, lo + _RUN) below ``_TRIAL_LIMIT``."""
+    flags = _sieve(_RUN if lo == 0 else _TRIAL_LIMIT)
+    return prod(compress(range(lo, lo + _RUN), flags[lo:lo + _RUN]))
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """n = s^2 * d for n >= 0; returns (s, d).
-
-    Trial division by 2 and the odd numbers up to ``_TRIAL_LIMIT`` splits
-    off the small primes; the cofactor left over is taken whole, into s
-    when it is a perfect square and into d otherwise.  d is squarefree
-    whenever that cofactor is squarefree or below ``_TRIAL_LIMIT`` cubed
-    (it is then 1, p, p^2 or pq), so only a cofactor of at least 10^18 with
-    a repeated prime factor above 10^6 leaves a square factor in d.
-    """
+    """n = s^2 * d for n >= 0, as (s, d): the trial primes that a gcd with
+    their range's product shows are divided out, the cofactor taken whole."""
     if n < 0:
         raise ValueError("negative radicand")
     if n == 0:
         return 0, 1
-    # cheap exit for perfect squares before trial division
-    r = isqrt(n)
-    if r * r == n:
-        return r, 1
     s, d = 1, 1
-    p = 2
-    while p * p <= n and p <= _TRIAL_LIMIT:
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        s *= p ** (e // 2)
-        if e % 2:
-            d *= p
-        p += 1 if p == 2 else 2
+    for lo in range(0, _TRIAL_LIMIT, _RUN):
+        if lo * lo > n:     # no prime factor below lo: n is 1 or prime
+            break
+        g = gcd(n, _prime_product(lo))
+        for p in range(max(lo, 2), lo + _RUN):
+            if g == 1 or p * p > n:
+                break
+            if g % p == 0:  # p is prime: its factors left g before it
+                g //= p
+                while n % (p * p) == 0:
+                    n, s = n // (p * p), s * p
+                if n % p == 0:
+                    n, d = n // p, d * p
     r = isqrt(n)
     if r * r == n:
         return s * r, d
@@ -90,8 +97,6 @@ class RadicalSum:
     def sqrt(x) -> "RadicalSum":
         """Exact sqrt of a non-negative rational: sqrt(p/q) = sqrt(p*q)/q."""
         x = Fraction(x)
-        if x < 0:
-            raise ValueError("negative radicand")
         s, d = squarefree_decompose(x.numerator * x.denominator)
         return RadicalSum({d: Fraction(s, x.denominator)})
 
@@ -184,13 +189,18 @@ class RadicalSum:
     # -- evaluation ----------------------------------------------------
 
     def enclosure(self, bits: int = DEFAULT_BITS) -> Interval:
-        total = Interval.point(0)
+        """The exact interval sum rounded out to 2^-bits, as one integer sum
+        over den * 2^bits (den = lcm of the denominators): numerator times
+        isqrt(d << 2*bits), + 1 for an inexact root where the sign needs it."""
+        den = lcm(*(c.denominator for c, _ in self.terms))
+        lo = hi = 0
         for c, d in self.terms:
-            if d == 1:
-                total = total + Interval.point(c)
-            else:
-                total = total + c * sqrt_fraction(Fraction(d), bits)
-        return total.round_out(bits)
+            p = c.numerator * (den // c.denominator)
+            s = isqrt(d << 2 * bits)
+            up = s if s * s == d << 2 * bits else s + 1
+            lo += p * (s if p > 0 else up)
+            hi += p * (up if p > 0 else s)
+        return dyadic(lo, hi, den << bits, bits)
 
 
 def _as_radical(x):

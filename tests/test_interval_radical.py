@@ -2,15 +2,16 @@
 
 import functools
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blichfeldt import radical
+from blichfeldt import interval, radical
 from blichfeldt.interval import (
     Interval,
-    _atan_inv,
     _atan_series,
+    _atan_sums,
     acos_interval,
     atan_interval,
     iroot,
@@ -163,8 +164,73 @@ def _atan_series_fraction(t: Fraction, bits: int) -> Interval:
 SERIES_BITS = (64, 128, 144, 160, 256)
 
 
+@functools.cache
+def _pi_fraction(bits: int) -> Interval:
+    """Reference pi: Machin's formula on the exact Fraction sums, rounded
+    out once."""
+    return (16 * _atan_series_fraction(Fraction(1, 5), bits + 8)
+            - 4 * _atan_series_fraction(Fraction(1, 239), bits + 8)).round_out(bits)
+
+
+def _exact_series(t: Fraction, bits: int) -> Interval:
+    """The kernel's exact partial sums as Fractions, unrounded.  Their
+    values are pinned to ``_atan_series_fraction`` by the random-rational
+    test; summing long Fraction series is too slow at 528 bits."""
+    lo, hi, den = _atan_sums(t, bits)
+    return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _atan_fraction_reference(t: Fraction, bits: int) -> Interval:
+    """The branches of ``interval._atan_fraction`` on the exact sums."""
+    if t < 0:
+        return -_atan_fraction_reference(-t, bits)
+    if t > 1:
+        return _pi_fraction(bits) / 2 - _atan_fraction_reference(1 / t, bits)
+    if t == 1:
+        return _pi_fraction(bits) / 4
+    if t > Fraction(1, 2):
+        return _pi_fraction(bits) / 4 + _exact_series((t - 1) / (1 + t), bits)
+    return _exact_series(t, bits)
+
+
+def _atan_reference(iv: Interval, bits: int) -> Interval:
+    iv = iv.round_out(bits + 16)
+    return Interval(_atan_fraction_reference(iv.lo, bits).lo,
+                    _atan_fraction_reference(iv.hi, bits).hi).round_out(bits)
+
+
+def _acos_reference(c: Interval, bits: int) -> Interval:
+    s = sqrt_interval((1 - c * c).round_out(bits + 16), bits + 16)
+    return (_pi_fraction(bits) / 2 - _atan_reference(c / s, bits)).round_out(bits)
+
+
+def _in(lo, hi):
+    """Fractions strictly between lo and hi."""
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=2**64).filter(
+        lambda t: lo < t < hi)
+
+
+KERNEL_BITS = (128, 144, 160, 272, 528)
+# arguments of atan_interval in each branch of _atan_fraction
+ATAN_BRANCHES = {
+    "negative": _in(-40, 0),
+    "series": st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=2**64),
+    "shifted": _in(Fraction(1, 2), 1),
+    "one": st.just(Fraction(1)),
+    "reciprocal": _in(1, 40),
+}
+# cosines whose cotangent c/sqrt(1 - c^2) falls in each branch
+ACOS_BRANCHES = {
+    "negative": _in(-1, 0),
+    "series": st.fractions(min_value=0, max_value=Fraction(2, 5), max_denominator=2**64),
+    "shifted": _in(Fraction(1, 2), Fraction(7, 10)),
+    "reciprocal": _in(Fraction(3, 4), 1),
+}
+PI_BITS = tuple(b for k in range(6) for b in (128 << k, (128 << k) + 16, (128 << k) + 32))
+
+
 class TestAtanSeriesOracle:
-    """The integer-numerator series returns the Fraction series' interval."""
+    """The integer kernels give the endpoints of the exact Fraction path."""
 
     @given(
         st.fractions(
@@ -176,18 +242,102 @@ class TestAtanSeriesOracle:
     @settings(max_examples=120, deadline=None)
     def test_random_rationals(self, t, bits):
         got = _atan_series(t, bits)
-        want = _atan_series_fraction(t, bits)
+        want = _atan_series_fraction(t, bits).round_out(bits + 8)
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
     @pytest.mark.parametrize("x", (5, 239))
     @pytest.mark.parametrize("bits", SERIES_BITS)
     def test_machin_arguments(self, x, bits):
-        want = _atan_series_fraction(Fraction(1, x), bits)
-        for got in (_atan_series(Fraction(1, x), bits), _atan_inv(x, bits)):
-            assert (got.lo, got.hi) == (want.lo, want.hi)
+        got = _atan_series(Fraction(1, x), bits)
+        want = _atan_series_fraction(Fraction(1, x), bits).round_out(bits + 8)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("bits", PI_BITS)
+    def test_pi(self, bits, monkeypatch):
+        monkeypatch.setattr(interval, "_PI_CACHE", {})
+        got, want = pi(bits), _pi_fraction(bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("branch", ATAN_BRANCHES)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_atan_interval(self, branch, data):
+        t = data.draw(ATAN_BRANCHES[branch])
+        width = data.draw(st.sampled_from((0, Fraction(1, 2**40))))
+        bits = data.draw(st.sampled_from(KERNEL_BITS))
+        iv = Interval(t, t + width)
+        got, want = atan_interval(iv, bits), _atan_reference(iv, bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("branch", ACOS_BRANCHES)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_acos_interval(self, branch, data):
+        c = data.draw(ACOS_BRANCHES[branch])
+        width = data.draw(st.sampled_from((0, Fraction(1, 2**40))))
+        bits = data.draw(st.sampled_from(KERNEL_BITS))
+        iv = Interval(c, min(c + width, Fraction(2**40 - 1, 2**40)))
+        got, want = acos_interval(iv, bits), _acos_reference(iv, bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @given(
+        st.dictionaries(
+            st.one_of(st.just(1), st.integers(2, 10**6),
+                      st.sampled_from((4, 9, 10**12, 2**61 - 1, 780175892429))),
+            st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6),
+            max_size=5,
+        ),
+        st.integers(1, 600),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_radical_sum_enclosure(self, terms, bits):
+        x = RadicalSum(terms)
+        want = Interval.point(0)
+        for c, d in x.terms:
+            want = want + c * (Interval.point(1) if d == 1 else sqrt_fraction(d, bits))
+        want = want.round_out(bits)
+        got = x.enclosure(bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+
+def _squarefree_reference(n: int) -> tuple[int, int]:
+    """The trial division by 2 and the odd numbers up to 10^6 that
+    ``squarefree_decompose`` replaced."""
+    if n == 0:
+        return 0, 1
+    r = isqrt(n)
+    if r * r == n:
+        return r, 1
+    s, d = 1, 1
+    p = 2
+    while p * p <= n and p <= 10**6:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        s *= p ** (e // 2)
+        if e % 2:
+            d *= p
+        p += 1 if p == 2 else 2
+    r = isqrt(n)
+    if r * r == n:
+        return s * r, d
+    return s, d * n
+
+
+# primes around the ends of the trial ranges (2048 wide) and of the trial
+# limit, and above it
+_TRIAL_PRIMES = (2, 3, 5, 7, 2039, 2053, 4093, 4099, 999983, 1000003, 2**61 - 1)
 
 
 class TestSquarefree:
+    @given(st.lists(st.tuples(st.sampled_from(_TRIAL_PRIMES), st.integers(1, 3)), max_size=4),
+           st.integers(0, 10**7))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_trial_division(self, factors, m):
+        n = m * prod(p**e for p, e in factors)
+        assert squarefree_decompose(n) == _squarefree_reference(n)
+
     def test_examples(self):
         assert squarefree_decompose(1) == (1, 1)
         assert squarefree_decompose(8) == (2, 2)
