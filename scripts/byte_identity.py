@@ -7,7 +7,8 @@ are built once, by this checkout's ``bench/workloads.py`` for the given
 seed; the commands run under ``--repo``'s ``src/``.  Covered:
 ``blichfeldt corpus --format json|csv`` on the five ``corpus`` specs, the
 ``count``/``measure``/``check`` commands of the ``bodies`` workload on its
-body files, ``audit`` on the side-2 cube, ``count`` on a 4D ball and
+body files, ``audit`` on every body file of the ``audit`` workload (T_m,
+S_k, the seeded hulls and the [0,14]^3 hull), ``count`` on a 4D ball and
 on a 3D ball with lattice points on its sphere, ``check --id
 GENERAL_THM_4_1`` on a 4D hull over a sheared lattice, ``measure`` on a 3D
 hull over a sheared lattice with acute, right and obtuse dihedral angles
@@ -23,7 +24,6 @@ Usage:
 
 import argparse
 import hashlib
-import itertools
 import os
 import subprocess
 import sys
@@ -49,9 +49,9 @@ def _commands(seed: int, workdir: str):
     bodies_ops, _, _ = workloads.setup("bodies", seed, workdir)
     for op in bodies_ops:
         yield op["argv"]
-    cube = os.path.join(workdir, "cube.json")
-    wt.save_body(Body.from_polytope(pt.hull(itertools.product((0, 2), repeat=3))), cube)
-    yield ["audit", "--body", cube]
+    _, audit_bodies, _ = workloads.setup("audit", seed, workdir)
+    for entry in audit_bodies.values():
+        yield ["audit", "--body", entry["path"]]
     # balls beyond the benchmark's 2D/3D ones: a 4D ball, and a ball whose
     # sphere passes through lattice points (r^2 = |v - c|^2 for a lattice v)
     h, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)

@@ -24,6 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from math import factorial
 from operator import mul
 from typing import Callable
@@ -329,6 +330,18 @@ def _covers(intervals, lo, hi) -> bool:
     return lo > hi
 
 
+def _prism_bound_ok(count: int, n: int, d: int, s: int) -> bool:
+    """count < (sqrt(n)+1)/2 d sqrt(s) + (n-1), decided in integers.
+
+    With p = 2(count - (n-1)) it reads p < d sqrt(ns) + d sqrt(s).  For
+    p >= 0 square it: L = p^2 - d^2 s (n+1) < 2 d^2 s sqrt(n); for L >= 0
+    square again: L^2 < 4 n d^4 s^2, which is false on equality.
+    """
+    p = 2 * (count - (n - 1))
+    L = p * p - d * d * s * (n + 1)
+    return p < 0 or L < 0 or L * L < 4 * n * (d * d * s) ** 2
+
+
 def boundary_layer_audit(
     poly: pt.LatticePolytope, budget: int = ct.DEFAULT_BUDGET
 ) -> AuditRecord:
@@ -344,7 +357,7 @@ def boundary_layer_audit(
 
     All of it is counted in one sweep of the rows of P's integer box: each
     row's points of P, of L1 and of every Q_i form an interval of x_0, and
-    no point list is kept.
+    no point list is kept.  Prism i is solved only on the rows of F_i's box.
     """
     # Why every point of L2 is covered: take the facet i minimising
     # r_i = (b_i - a_i.z)/(|a_i|_1/2).  A point of L2 has r_i < 1, so z lies
@@ -355,24 +368,25 @@ def boundary_layer_audit(
     # (a.z = b - j) maps into aff(F_i) by the shift (j/|a|_1) sign(a).  That
     # shift is not an integer vector, so the image is a non-lattice translate
     # of the facet lattice, and the translate lemma in dimension n-1 bounds
-    # the layer by (n-1)! vol(F_i).  Layer 0 is F_i itself (Blichfeldt).
+    # the layer by D_i = (n-1)! vol(F_i); layer 0 is F_i (Blichfeldt: D_i + n - 1).
     #
-    # Why sweeping P's own box finds every point of Q_i: such a point is
+    # Why F_i's box holds every point of Q_i: such a point is
     # z = p - (j/|a|_1) sign(a) with p in F_i and 0 <= j <= gamma_i, so each
-    # coordinate of z is within j/|a|_1 < 1/2 of P's bounding box.  P's
+    # coordinate of z is within j/|a|_1 < 1/2 of F_i's bounding box.  F_i's
     # vertices are integral, so are the box's corners, and an integer
-    # coordinate that close to the box lies in it.
+    # coordinate that close to the box lies in it; P's box holds that box.
     lat = poly.lattice
     if not _is_integer_lattice(lat):
         raise ValueError("audit requires the integer lattice")
     n = poly.dim
-    if lat.basis != lt.Lattice.standard(n).basis:
+    if any(x != int(i == j) for i, row in enumerate(lat.basis) for j, x in enumerate(row)):
         # norms, the unit cube and facet areas below are taken in the
         # coordinates of the vertices, so they must be the ambient ones
         poly = pt.hull([lat.to_ambient(v) for v in poly.vertices], budget=budget)
+    los, his = ([f(col) for col in zip(*poly.vertices)] for f in (min, max))
     inside = [(f.normal, f.offset) for f in poly.facets]
-    interior, gammas, prisms = [], [], []
-    for a, b in inside:
+    interior, prisms = [], []
+    for i, ((a, b), f) in enumerate(zip(inside, poly.facets)):
         l1 = sum(map(abs, a))
         # L1: a.z <= b - |a|_1/2, integer left side
         interior.append((a, b - (l1 + 1) // 2))
@@ -382,72 +396,58 @@ def boundary_layer_audit(
         # image x = z + ((b - a.z)/|a|_1) sign(a) of z; scaled by |a|_1 > 0
         # that is (|a|_1 h - (h.sign) a).z <= |a|_1 b_h - b (h.sign)
         cons = [(a, b), (tuple(-c for c in a), gamma - b)]
-        for h, bh in inside:
+        for h, bh in inside[:i] + inside[i + 1:]:   # h = a gives 0.z <= 0
             hs = sum(map(mul, h, sign))
             cons.append((tuple(l1 * x - hs * y for x, y in zip(h, a)), l1 * bh - b * hs))
-        gammas.append(gamma)
-        prisms.append(cons)
+        box = [(min(c), max(c)) for c in zip(*(poly.vertices[k] for k in f.vertex_ids))]
+        prisms.append((a, b, cons, box[0], box[1:], [0] * (gamma + 1)))
 
-    los, his = ct._polytope_box(poly)
     g = l1_count = 0
     l2_covered = True
-    layer_counts = [[0] * (gamma + 1) for gamma in gammas]
-    for base in ct._box_rows((los, his), budget):
-        prism_rows = []
-        for (a, b), cons, counts in zip(inside, prisms, layer_counts):
-            lb, ub = ct._row_interval(cons, base, los[0], his[0])
-            if lb <= ub:
-                prism_rows.append((lb, ub))
-                slack = b - sum(map(mul, a, base))
-                for x0 in range(lb, ub + 1):
-                    counts[slack - a[0] * x0] += 1
-        plb, pub = ct._row_interval(inside, base, los[0], his[0])
-        if plb > pub:
-            continue
-        g += pub - plb + 1
-        qlb, qub = ct._row_interval(interior, base, plb, pub)
-        if qlb <= qub:
-            l1_count += qub - qlb + 1
-            l2_rows = ((plb, qlb - 1), (qub + 1, pub))
-        else:
-            l2_rows = ((plb, pub),)
-        l2_covered = l2_covered and all(_covers(prism_rows, lo, hi) for lo, hi in l2_rows)
+    # rows by x_1, the slowest outer coordinate, and the prisms whose box holds it
+    for slow, group in groupby(ct._box_rows((los, his), budget), lambda base: base[1:2]):
+        active = [q for q in prisms if all(lo <= x <= hi for x, (lo, hi) in zip(slow, q[4]))]
+        for base in group:
+            cover = []
+            for a, b, cons, (lo0, hi0), _, counts in active:
+                lb, ub = ct._row_interval(cons, base, lo0, hi0)
+                if lb <= ub:
+                    cover.append((lb, ub))
+                    slack = b - sum(map(mul, a, base))
+                    if a[0]:
+                        for x0 in range(lb, ub + 1):
+                            counts[slack - a[0] * x0] += 1
+                    else:       # the whole row lies in one layer
+                        counts[slack] += ub - lb + 1
+            plb, pub = ct._row_interval(inside, base, los[0], his[0])
+            if plb > pub:
+                continue
+            g += pub - plb + 1
+            qlb, qub = ct._row_interval(interior, base, plb, pub)
+            l1_count += max(0, qub - qlb + 1)
+            # L2 is the row less L1: covered when the prisms and L1 cover the row
+            l2_covered = l2_covered and _covers(cover + [(qlb, qub)], plb, pub)
     l2_count = g - l1_count
 
     facet_audits = []
-    prisms_ok = True
-    layers_ok = True
-    for i, counts in enumerate(layer_counts):
-        normalized = pt.facet_lattice_volume(poly, i)
-        prism_count = sum(counts)
-        bound = (RadicalSum.sqrt(n) + 1) * Fraction(factorial(n - 1), 2) * (
-            normalized * RadicalSum.sqrt(poly.facet_norms_sq[i])
-        ) + (n - 1)
-        prism_ok = certified_compare(prism_count, bound) is Cmp.LESS
-        per_layer = Fraction(factorial(n - 1)) * normalized
-        layer_ok = all(
-            cnt <= per_layer + (n - 1 if j == 0 else 0) for j, cnt in enumerate(counts)
-        )
+    for i, ((a, *_, counts), d) in enumerate(zip(prisms, poly.facet_dets)):
         facet_audits.append(FacetAudit(
-            facet_index=i, gamma=gammas[i], prism_count=prism_count,
-            layer_counts=tuple(counts), prism_bound_ok=prism_ok,
-            layer_bounds_ok=layer_ok,
+            facet_index=i, gamma=len(counts) - 1, prism_count=sum(counts),
+            layer_counts=tuple(counts),
+            prism_bound_ok=_prism_bound_ok(sum(counts), n, d, sum(c * c for c in a)),
+            layer_bounds_ok=max([counts[0] - (n - 1)] + counts[1:]) <= d,
         ))
-        prisms_ok = prisms_ok and prism_ok
-        layers_ok = layers_ok and layer_ok
 
     f0, gcounts = pt.vertex_facet_counts(poly)
-    vertex_ok = sum(f0) >= len(gcounts) + len(inside) * (n - 1)
-
     return AuditRecord(
         total=g,
         l1_count=l1_count,
         l2_count=l2_count,
-        l1_volume_ok=l1_count <= poly.volume,
+        l1_volume_ok=factorial(n) * l1_count <= poly.dets,
         l2_covered_ok=l2_covered,
-        prisms_ok=prisms_ok,
-        vertex_count_ok=vertex_ok,
-        layers_ok=layers_ok,
+        prisms_ok=all(f.prism_bound_ok for f in facet_audits),
+        vertex_count_ok=sum(f0) >= len(gcounts) + len(inside) * (n - 1),
+        layers_ok=all(f.layer_bounds_ok for f in facet_audits),
         partition_ok=l1_count + l2_count == g,
         facets=tuple(facet_audits),
     )

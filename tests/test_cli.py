@@ -109,8 +109,9 @@ class TestCheck:
         assert "lhs: 5/1" in out and "rhs: 5/1" in out
 
     def test_unknown_id_rejected(self, capsys, cube_body):
-        code, *_ = _run(capsys, ["check", "--id", "NOPE", "--body", cube_body])
+        code, _, err = _run(capsys, ["check", "--id", "NOPE", "--body", cube_body])
         assert code == cli.EXIT_USAGE
+        assert "MAIN_THM_1_1" in err and "GENERAL_THM_4_1" in err
 
 
 class TestAudit:
@@ -348,6 +349,23 @@ class TestBudgetPlumbing:
 
 
 class TestUsage:
+    def test_count_and_witness_skip_harness(self, cube_body, tmp_path):
+        # the checkers are imported only by the commands that use them
+        out = str(tmp_path / "s2.json")
+        code = (
+            "import sys; from blichfeldt import cli; "
+            f"assert cli.main(['count', '--body', {cube_body!r}]) == 0; "
+            "assert cli.main(['witness', '--family', 'simplex_Sk', '--n', '3', "
+            f"'--k', '2', '--out', {out!r}]) == 0; "
+            "assert 'blichfeldt.harness' not in sys.modules; "
+            f"assert cli.main(['audit', '--body', {cube_body!r}]) == 0; "
+            "assert 'blichfeldt.harness' in sys.modules"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30, check=False)
+        assert proc.returncode == 0, proc.stderr
+
     def test_no_command(self, capsys):
         assert cli.main([]) == cli.EXIT_USAGE
         capsys.readouterr()

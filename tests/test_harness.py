@@ -272,6 +272,12 @@ class TestFormatValue:
         assert s.startswith("[") and "@" in s
 
 
+def _radical_prism_bound_ok(count, n, d, s):
+    """#Q < (sqrt(n)+1)/2 d sqrt(s) + (n-1) as a RadicalSum under certified_compare."""
+    bound = (RadicalSum.sqrt(n) + 1) * Fraction(d, 2) * RadicalSum.sqrt(s) + (n - 1)
+    return certified_compare(count, bound) is Cmp.LESS
+
+
 def _reference_audit(poly):
     """The per-point audit that the row sweep replaced, as its oracle.
 
@@ -330,14 +336,13 @@ def _reference_audit(poly):
         layer_counts = tuple(
             sum(1 for z in members[i] if dot(a, z) == b - j) for j in range(gamma(a) + 1)
         )
-        bound = (RadicalSum.sqrt(n) + 1) * Fraction(math.factorial(n - 1), 2) * (
-            RadicalSum.rational(normalized) * RadicalSum.sqrt(sum(c * c for c in a))
-        ) + (n - 1)
         per_layer = math.factorial(n - 1) * normalized
         facet_audits.append(hz.FacetAudit(
             facet_index=i, gamma=gamma(a), prism_count=len(members[i]),
             layer_counts=layer_counts,
-            prism_bound_ok=certified_compare(len(members[i]), bound) is Cmp.LESS,
+            prism_bound_ok=_radical_prism_bound_ok(
+                len(members[i]), n, per_layer, sum(c * c for c in a)
+            ),
             layer_bounds_ok=all(
                 cnt <= per_layer + (n - 1 if j == 0 else 0)
                 for j, cnt in enumerate(layer_counts)
@@ -418,6 +423,11 @@ class TestBoundaryLayerAudit:
         "S_16": lambda: wt.simplex_Sk(3, 16),
         **{f"cube {a}": lambda a=a: _cube(3, a) for a in (1, 2, 3)},
         "polygon": lambda: pt.hull([(0, 0), (7, 2), (5, 6), (1, 5)]),
+        # the facets (0, -1, 0), (0, 0, -1) and (0, 2, 1) have a_0 = 0: each
+        # of their rows along x_0 lies in one layer
+        "long rows": lambda: _long_prism(40),
+        "4D": lambda: pt.hull([(0, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0),
+                               (0, 0, 0, 3), (2, 2, 2, 2)]),
     }
 
     @pytest.mark.parametrize("name", ORACLE_BODIES)
@@ -433,6 +443,76 @@ class TestBoundaryLayerAudit:
         except pt.DegenerateHullError:
             assume(False)
         assert hz.boundary_layer_audit(poly) == _reference_audit(poly)
+
+    @pytest.mark.parametrize("dim, side, most", [(2, 9, 9), (4, 2, 7)])
+    @given(data=st.data())
+    @settings(max_examples=6, deadline=None)
+    def test_matches_per_point_reference_in_dimension(self, dim, side, most, data):
+        vertices = data.draw(st.lists(
+            st.tuples(*[st.integers(0, side)] * dim), min_size=dim + 1, max_size=most
+        ))
+        try:
+            poly = pt.hull(vertices)
+        except pt.DegenerateHullError:
+            assume(False)
+        assert hz.boundary_layer_audit(poly) == _reference_audit(poly)
+
+    def test_long_rows_one_layer_each(self):
+        # rows of m + 1 points along x_0: a facet with a_0 = 0 takes each of
+        # its rows whole, so its layer counts grow by the factor (m + 1)/41
+        m = 10**6
+        polys = [_long_prism(40), _long_prism(m)]
+        short, long = (hz.boundary_layer_audit(poly) for poly in polys)
+        assert long.all_ok
+        lateral = [i for i, f in enumerate(polys[1].facets) if f.normal[0] == 0]
+        assert len(lateral) == 3
+        for i in lateral:
+            assert [41 * c for c in long.facets[i].layer_counts] == [
+                (m + 1) * c for c in short.facets[i].layer_counts
+            ]
+
+    def test_integers_only(self, monkeypatch):
+        # no surd, no certified comparison and, once the lattice's
+        # determinant is known, no Fraction
+        poly = wt.reeve_Tm(3, 8)
+        assert poly.lattice.determinant == 1
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the audit built a Fraction or a RadicalSum")
+
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        monkeypatch.setattr(RadicalSum, "__init__", refuse)
+        record = hz.boundary_layer_audit(poly)
+        monkeypatch.undo()
+        assert record == _reference_audit(poly)
+
+    # (count, n, d, s, holds): near ties of two surds, counts below n - 1,
+    # and exact ties, which fail the strict bound
+    PRISM_BOUNDS = [
+        (98, 1, 70, 2, True), (99, 1, 70, 2, False),        # 70 sqrt 2 vs 99
+        (239, 2, 140, 2, True), (240, 2, 140, 2, False),    # 141 + 70 sqrt 2
+        (11, 4, 2, 9, True), (12, 4, 2, 9, False),          # bound 12
+        (9, 9, 1, 1, True), (10, 9, 1, 1, False),           # bound 10
+        (63, 9, 4, 49, True), (64, 9, 4, 49, False),        # bound 64
+        (0, 3, 1, 1, True), (1, 3, 1, 1, True), (3, 9, 1, 1, True),
+    ]
+
+    @pytest.mark.parametrize("count, n, d, s, holds", PRISM_BOUNDS)
+    def test_integer_prism_bound(self, count, n, d, s, holds):
+        assert hz._prism_bound_ok(count, n, d, s) is holds
+        assert _radical_prism_bound_ok(count, n, d, s) is holds
+
+    @given(
+        n=st.one_of(st.integers(1, 12), st.sampled_from([4, 9])),
+        d=st.integers(1, 80),
+        s=st.one_of(st.integers(1, 500), st.integers(1, 22).map(lambda k: k * k)),
+        offset=st.integers(-3, 3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_integer_prism_bound_matches_certified_compare(self, n, d, s, offset):
+        near = (math.sqrt(n) + 1) / 2 * d * math.sqrt(s) + n - 1
+        count = max(0, math.floor(near) + offset)
+        assert hz._prism_bound_ok(count, n, d, s) == _radical_prism_bound_ok(count, n, d, s)
 
     def test_slab_of_many_points(self):
         # a facet (152, 91, -63) of this body has a slab of 102,279 lattice
@@ -483,6 +563,11 @@ class TestBoundaryLayerAudit:
         t = Fraction(14, sum(c * c for c in a))
         orthogonal = tuple(x + t * c for x, c in zip(z, a))
         assert not inside(orthogonal)
+
+
+def _long_prism(m):
+    """[0, m] x conv{(0, 0), (4, 0), (0, 8)}: rows of m + 1 points along x_0."""
+    return pt.hull([(x, y, z) for x in (0, m) for y, z in ((0, 0), (4, 0), (0, 8))])
 
 
 def _small_spec(seed=9):
