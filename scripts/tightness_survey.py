@@ -14,7 +14,6 @@ Usage:
 import argparse
 import os
 import sys
-from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 

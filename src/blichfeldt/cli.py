@@ -20,6 +20,7 @@ from fractions import Fraction
 from blichfeldt import counting as ct
 from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
+from blichfeldt.lattice import SVP_MAX_DIM
 from blichfeldt.radical import MAX_BITS
 
 EXIT_OK = 0
@@ -116,16 +117,12 @@ def _cmd_measure(args) -> int:
     return EXIT_OK
 
 
-def _verdict_exit(verdicts) -> int:
+def _verdict_exit(reports) -> int:
     from blichfeldt import harness as hz
 
-    violated = any(
-        v is hz.Verdict.VIOLATED and not hz.INEQUALITIES[id].observational
-        for id, v in verdicts
-    )
-    if violated:
+    if hz.soundness_failures(reports):
         return EXIT_VIOLATED
-    if any(v is hz.Verdict.INCONCLUSIVE for _, v in verdicts):
+    if any(r.verdict is hz.Verdict.INCONCLUSIVE for r in reports):
         return EXIT_INCONCLUSIVE
     return EXIT_OK
 
@@ -152,7 +149,7 @@ def _cmd_check(args) -> int:
     if report.tightness is not None:
         lines.append(f"slack: [{report.tightness.lo}, {report.tightness.hi}]@128")
     _emit("\n".join(lines), args.out)
-    return _verdict_exit([(id, report.verdict)])
+    return _verdict_exit([report])
 
 
 def _cmd_audit(args) -> int:
@@ -196,13 +193,22 @@ def _corpus_spec_from_file(path: str, seed_override) -> wt.CorpusSpec:
     unknown = set(doc) - known
     if unknown:
         raise _CliError(f"corpus spec {path}: unknown fields {sorted(unknown)}")
-    for key in ("dimensions", "k_values", "m_values"):
-        if key in doc:
-            doc[key] = tuple(doc[key])
     if seed_override is not None:
         doc["seed"] = seed_override
     if "seed" not in doc:
         raise _CliError(f"corpus spec {path}: missing seed (or pass --seed)")
+    for key, value in doc.items():
+        if key in ("dimensions", "k_values", "m_values"):
+            if not isinstance(value, list) or any(type(x) is not int for x in value):
+                raise _CliError(f"corpus spec {path}: {key}: expected a list of integers")
+            doc[key] = tuple(value)
+        elif key == "include_translates" and type(value) is not bool:
+            raise _CliError(f"corpus spec {path}: {key}: expected true or false")
+        elif key != "include_translates" and type(value) is not int:
+            raise _CliError(f"corpus spec {path}: {key}: expected an integer")
+    dims = doc.get("dimensions", (2,))
+    if not dims or not all(1 <= n <= SVP_MAX_DIM for n in dims):
+        raise _CliError(f"corpus spec {path}: dimensions: expected 1 to {SVP_MAX_DIM}")
     return wt.CorpusSpec(**doc)
 
 
@@ -233,7 +239,7 @@ def _cmd_corpus(args) -> int:
         lines.append(f"violations: {len(report.violations)}")
         text = "\n".join(lines)
     _emit(text, args.out)
-    return _verdict_exit([(r.report.id, r.report.verdict) for r in report.rows])
+    return _verdict_exit([r.report for r in report.rows])
 
 
 def _cmd_witness(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 from blichfeldt import linalg
@@ -250,20 +250,3 @@ def count_inner_parallel(
     cons = inner_parallel_thresholds(poly, rho_sq)
     box = _polytope_box(poly)
     return CountResult(_enumerate_linear(cons, box, budget))
-
-
-def pick_quantities(poly: LatticePolytope, budget: int = DEFAULT_BUDGET):
-    """(area, boundary count, interior count) of a lattice polygon.
-
-    Pick's identity G = A + B/2 + 1 ties these together; used as a joint
-    2D oracle for counting and volume.
-    """
-    if poly.dim != 2:
-        raise ValueError("dimension unsupported")
-    area = poly.volume
-    boundary = 0
-    for f in poly.facets:
-        a, b = (poly.vertices[i] for i in (f.vertex_ids[0], f.vertex_ids[-1]))
-        boundary += gcd(abs(a[0] - b[0]), abs(a[1] - b[1]))
-    g = count(Body.from_polytope(poly), budget).count
-    return area, boundary, g - boundary

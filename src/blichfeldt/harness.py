@@ -509,13 +509,11 @@ def check_corpus(entries, ids, budget: int = ct.DEFAULT_BUDGET,
     return CorpusReport(rows=tuple(rows), summary=summary, violations=tuple(violations))
 
 
-def soundness_failures(report: CorpusReport):
-    """VIOLATED rows on proved (non-observational) ids: always bugs."""
+def soundness_failures(reports):
+    """The reports VIOLATED on a proved (non-observational) id: always bugs."""
     return [
-        row
-        for row in report.rows
-        if row.report.verdict is Verdict.VIOLATED
-        and not INEQUALITIES[row.report.id].observational
+        r for r in reports
+        if r.verdict is Verdict.VIOLATED and not INEQUALITIES[r.id].observational
     ]
 
 

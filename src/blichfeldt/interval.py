@@ -49,10 +49,6 @@ class Interval:
         return Interval(f, f)
 
     @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
 

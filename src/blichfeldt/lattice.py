@@ -320,23 +320,6 @@ def min_hyperplane_sublattice_det(lat: Lattice, budget: int = DEFAULT_BUDGET) ->
     return lat.determinant * RadicalSum.sqrt(lam_sq)
 
 
-def hyperplane_sublattice_det_sq(lat: Lattice, dual_coeff) -> Fraction:
-    """Squared determinant of {u in L : a.u = 0} for a primitive dual vector.
-
-    The dual vector is given by its (primitive, gcd 1) coefficients in the
-    dual basis; the sublattice determinant is computed directly from an
-    explicit kernel basis, independent of the polar-lattice identity.
-    """
-    kernel = linalg.kernel_basis(list(dual_coeff))
-    rows = [lat.to_ambient(k) for k in kernel]
-    m = len(rows)
-    gram = [
-        [sum(rows[i][k] * rows[j][k] for k in range(lat.dim)) for j in range(m)]
-        for i in range(m)
-    ]
-    return linalg.frac_det(gram)
-
-
 def dual_inner(lat: Lattice, u, v) -> Fraction:
     """Inner product of the dual vectors with dual-basis coefficients u, v."""
     return _bilinear_form(lat.dual_gram, u, v)

@@ -1,9 +1,9 @@
 """Exact integer and rational linear algebra.
 
 Integer matrices are plain lists of lists of Python ints; rational matrices
-use ``fractions.Fraction``.  Determinants use fraction-free (Bareiss)
-elimination; kernels of primitive vectors come from an explicit
-unimodular transform.
+use ``fractions.Fraction``.  Integer determinants use fraction-free
+(Bareiss) elimination, rational ones and inverses Gaussian elimination;
+``primitive_vector`` divides out an integer vector's content.
 """
 
 from __future__ import annotations
@@ -53,21 +53,6 @@ def det_bareiss(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _xgcd(a, b):
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def primitive_vector(v):
     """Divide an integer vector by the gcd of its entries (zero vector barred)."""
     g = 0
@@ -76,38 +61,6 @@ def primitive_vector(v):
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return [x // g for x in v], g
-
-
-def unimodular_for_primitive(c):
-    """Unimodular U with U @ c == e_1, for a primitive integer vector c.
-
-    Rows 2..n of U form a basis of the integer kernel lattice {u : u.c = 0}.
-    """
-    n = len(c)
-    u = identity(n)
-    vals = list(c)
-    for i in range(1, n):
-        if vals[i] == 0:
-            continue
-        g, x, y = _xgcd(vals[0], vals[i])
-        p = vals[0] // g
-        q = vals[i] // g
-        r0, ri = u[0], u[i]
-        u[0] = [x * r0[j] + y * ri[j] for j in range(n)]
-        u[i] = [-q * r0[j] + p * ri[j] for j in range(n)]
-        vals[0], vals[i] = g, 0
-    if vals[0] == -1:
-        u[0] = [-x for x in u[0]]
-        vals[0] = 1
-    if vals[0] != 1:
-        raise ValueError("vector is not primitive")
-    return u
-
-
-def kernel_basis(c):
-    """Integer basis of the saturated kernel lattice of a primitive vector c."""
-    u = unimodular_for_primitive(c)
-    return u[1:]
 
 
 # ---------------------------------------------------------------------------

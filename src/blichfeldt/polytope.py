@@ -269,57 +269,16 @@ def hull(points, lattice: Lattice | None = None,
 # volume
 
 
-def normalized_volume(poly: LatticePolytope, reverse=False) -> Fraction:
+def normalized_volume(poly: LatticePolytope) -> Fraction:
     """Volume in lattice coefficient units (Euclidean volume / det Lambda).
 
-    ``poly.dets`` over n!: the placing triangulation ``hull`` summed;
-    ``reverse`` places the vertices in reverse order instead, a second,
-    different triangulation.
+    ``poly.dets`` over n!: the placing triangulation ``hull`` summed.
     """
-    dets = convex_hull_facets(poly.vertices[::-1])[1] if reverse else poly.dets
-    return Fraction(dets, factorial(poly.dim))
-
-
-def volume_by_signed_cones(poly: LatticePolytope) -> Fraction:
-    """Independent volume computation: signed cones from the coeff origin.
-
-    Each facet's vertices are hulled afresh, projected along a coordinate j
-    where its normal a is nonzero (injective on the facet's hyperplane), so
-    no measure of ``poly``'s own hull is used.  The projection has (n-1)!
-    times its volume in ``dets_f``, and the cone over the facet has n! times
-    its signed volume in offset * dets_f / |a_j|.
-    """
-    d = poly.dim
-    total = Fraction(0)
-    for f in poly.facets:
-        vs = [poly.vertices[i] for i in f.vertex_ids]
-        j = max(range(d), key=lambda j: abs(f.normal[j]))
-        dets_f = convex_hull_facets([v[:j] + v[j + 1:] for v in vs])[1] if d > 1 else 1
-        total += Fraction(f.offset * dets_f, abs(f.normal[j]))
-    return total / factorial(d) * poly.lattice.determinant
+    return Fraction(poly.dets, factorial(poly.dim))
 
 
 # ---------------------------------------------------------------------------
 # facet lattice data
-
-
-def facet_lattice_coords(poly: LatticePolytope, i: int):
-    """Integer coordinates of facet i's vertices in the facet sublattice.
-
-    The primitive normal is extended to a unimodular transform; the kernel
-    rows give an explicit basis of {u : normal.u = 0}, so the facet lives
-    in Z^(n-1) and its lattice-normalized volume is purely rational.
-    """
-    f = poly.facets[i]
-    u = linalg.unimodular_for_primitive(list(f.normal))
-    uinv = linalg.frac_inv(u)
-    ys = []
-    for vid in f.vertex_ids:
-        z = linalg.frac_vec_mat([Fraction(x) for x in poly.vertices[vid]], uinv)
-        assert z[0] == f.offset
-        ys.append(tuple(int(x) for x in z[1:]))
-    kernel = u[1:]
-    return ys, kernel
 
 
 def facet_lattice_volume(poly: LatticePolytope, i: int) -> Fraction:

@@ -204,6 +204,23 @@ def body_to_dict(body: Body) -> dict:
     return {"schema": SCHEMA_VERSION, "lattice": lat, "body": data}
 
 
+def _vector(raw, where: str, dim: int) -> list:
+    """The ``dim`` rationals of the field ``where``."""
+    if not isinstance(raw, list) or len(raw) != dim:
+        raise BodySpecError(where, f"expected a list of {dim} rationals")
+    return [str_to_frac(x, f"{where}[{i}]") for i, x in enumerate(raw)]
+
+
+def _integer_vectors(raw, where: str, dim: int) -> list:
+    """The non-empty list of integer ``dim``-vectors of the field ``where``."""
+    if not isinstance(raw, list) or not raw:
+        raise BodySpecError(where, "missing or empty")
+    vecs = [_vector(v, f"{where}[{i}]", dim) for i, v in enumerate(raw)]
+    if any(x.denominator != 1 for v in vecs for x in v):
+        raise BodySpecError(where, "expected integer coordinates")
+    return [tuple(int(x) for x in v) for v in vecs]
+
+
 def body_from_dict(doc: dict, budget: int = pt.DEFAULT_BUDGET) -> Body:
     if not isinstance(doc, dict):
         raise BodySpecError("$", "document must be a JSON object")
@@ -213,50 +230,30 @@ def body_from_dict(doc: dict, budget: int = pt.DEFAULT_BUDGET) -> Body:
         basis_raw = doc["lattice"]["basis"]
     except (KeyError, TypeError) as exc:
         raise BodySpecError("lattice.basis", "missing") from exc
-    basis = [
-        [str_to_frac(x, f"lattice.basis[{i}][{j}]") for j, x in enumerate(row)]
-        for i, row in enumerate(basis_raw)
-    ]
-    lattice = Lattice(basis)
+    n = len(basis_raw) if isinstance(basis_raw, list) else 0
+    if not n:
+        raise BodySpecError("lattice.basis", "expected a non-empty list of rows")
+    lattice = Lattice([_vector(r, f"lattice.basis[{i}]", n) for i, r in enumerate(basis_raw)])
     data = doc.get("body")
     if not isinstance(data, dict) or "kind" not in data:
         raise BodySpecError("body.kind", "missing")
     kind = data["kind"]
     if kind in ("polytope", "translated_polytope"):
-        verts = data.get("vertices")
-        if not verts:
-            raise BodySpecError("body.vertices", "missing or empty")
-        poly = pt.hull(
-            [tuple(int(x) for x in v) for v in verts], lattice=lattice, budget=budget
-        )
+        verts = _integer_vectors(data.get("vertices"), "body.vertices", n)
+        poly = pt.hull(verts, lattice=lattice, budget=budget)
         if kind == "polytope":
             return Body.from_polytope(poly)
-        t = data.get("translate")
-        if t is None:
-            raise BodySpecError("body.translate", "missing")
-        return Body.translated(
-            [str_to_frac(x, f"body.translate[{i}]") for i, x in enumerate(t)], poly
-        )
+        return Body.translated(_vector(data.get("translate"), "body.translate", n), poly)
     if kind == "halfopen_parallelepiped":
-        gens = data.get("generators")
-        if not gens:
-            raise BodySpecError("body.generators", "missing or empty")
-        anchor = [
-            str_to_frac(x, f"body.anchor[{i}]")
-            for i, x in enumerate(data.get("anchor", [0] * lattice.dim))
-        ]
+        gens = _integer_vectors(data.get("generators"), "body.generators", n)
+        anchor = _vector(data.get("anchor", [0] * n), "body.anchor", n)
         return Body.parallelepiped(gens, anchor=anchor, lattice=lattice)
     if kind == "ball":
-        center = data.get("center")
-        if center is None:
-            raise BodySpecError("body.center", "missing")
+        center = _vector(data.get("center"), "body.center", n)
         if "radius_sq" not in data:
             raise BodySpecError("body.radius_sq", "missing")
-        return Body.ball(
-            [str_to_frac(x, f"body.center[{i}]") for i, x in enumerate(center)],
-            str_to_frac(data["radius_sq"], "body.radius_sq"),
-            lattice=lattice,
-        )
+        radius_sq = str_to_frac(data["radius_sq"], "body.radius_sq")
+        return Body.ball(center, radius_sq, lattice=lattice)
     raise BodySpecError("body.kind", f"unknown kind {kind!r}")
 
 

@@ -1,0 +1,166 @@
+"""Independent oracles that the tests hold the program's results against.
+
+Each computes a quantity the package also computes, by a second route that
+shares none of the code under test: the volume from a reversed placing
+triangulation and from signed cones, facet sublattices from an explicit
+unimodular kernel basis, the sublattice determinant behind det(L) lambda_1(L*),
+and Pick's identity in 2D.  ``width`` is the tests' gauge of an enclosure's
+precision.  Nothing in ``src/`` calls these.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import factorial, gcd
+
+from blichfeldt import linalg
+from blichfeldt.counting import Body, count
+from blichfeldt.interval import Interval
+from blichfeldt.lattice import DEFAULT_BUDGET, Lattice
+from blichfeldt.polytope import LatticePolytope, convex_hull_facets
+
+
+def width(iv: Interval) -> Fraction:
+    return iv.hi - iv.lo
+
+
+# ---------------------------------------------------------------------------
+# integer kernels
+
+
+def _xgcd(a, b):
+    """Extended gcd: returns (g, x, y) with a*x + b*y = g >= 0."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def unimodular_for_primitive(c):
+    """Unimodular U with U @ c == e_1, for a primitive integer vector c.
+
+    Rows 2..n of U form a basis of the integer kernel lattice {u : u.c = 0}.
+    """
+    n = len(c)
+    u = linalg.identity(n)
+    vals = list(c)
+    for i in range(1, n):
+        if vals[i] == 0:
+            continue
+        g, x, y = _xgcd(vals[0], vals[i])
+        p = vals[0] // g
+        q = vals[i] // g
+        r0, ri = u[0], u[i]
+        u[0] = [x * r0[j] + y * ri[j] for j in range(n)]
+        u[i] = [-q * r0[j] + p * ri[j] for j in range(n)]
+        vals[0], vals[i] = g, 0
+    if vals[0] == -1:
+        u[0] = [-x for x in u[0]]
+        vals[0] = 1
+    if vals[0] != 1:
+        raise ValueError("vector is not primitive")
+    return u
+
+
+def kernel_basis(c):
+    """Integer basis of the saturated kernel lattice of a primitive vector c."""
+    u = unimodular_for_primitive(c)
+    return u[1:]
+
+
+# ---------------------------------------------------------------------------
+# volume
+
+
+def normalized_volume_reversed(poly: LatticePolytope) -> Fraction:
+    """``polytope.normalized_volume`` from the vertices placed in reverse
+    order: a second, different placing triangulation."""
+    dets = convex_hull_facets(poly.vertices[::-1])[1]
+    return Fraction(dets, factorial(poly.dim))
+
+
+def volume_by_signed_cones(poly: LatticePolytope) -> Fraction:
+    """Independent volume computation: signed cones from the coeff origin.
+
+    Each facet's vertices are hulled afresh, projected along a coordinate j
+    where its normal a is nonzero (injective on the facet's hyperplane), so
+    no measure of ``poly``'s own hull is used.  The projection has (n-1)!
+    times its volume in ``dets_f``, and the cone over the facet has n! times
+    its signed volume in offset * dets_f / |a_j|.
+    """
+    d = poly.dim
+    total = Fraction(0)
+    for f in poly.facets:
+        vs = [poly.vertices[i] for i in f.vertex_ids]
+        j = max(range(d), key=lambda j: abs(f.normal[j]))
+        dets_f = convex_hull_facets([v[:j] + v[j + 1:] for v in vs])[1] if d > 1 else 1
+        total += Fraction(f.offset * dets_f, abs(f.normal[j]))
+    return total / factorial(d) * poly.lattice.determinant
+
+
+# ---------------------------------------------------------------------------
+# facet lattice data
+
+
+def facet_lattice_coords(poly: LatticePolytope, i: int):
+    """Integer coordinates of facet i's vertices in the facet sublattice.
+
+    The primitive normal is extended to a unimodular transform; the kernel
+    rows give an explicit basis of {u : normal.u = 0}, so the facet lives
+    in Z^(n-1) and its lattice-normalized volume is purely rational.
+    """
+    f = poly.facets[i]
+    u = unimodular_for_primitive(list(f.normal))
+    uinv = linalg.frac_inv(u)
+    ys = []
+    for vid in f.vertex_ids:
+        z = linalg.frac_vec_mat([Fraction(x) for x in poly.vertices[vid]], uinv)
+        assert z[0] == f.offset
+        ys.append(tuple(int(x) for x in z[1:]))
+    kernel = u[1:]
+    return ys, kernel
+
+
+def hyperplane_sublattice_det_sq(lat: Lattice, dual_coeff) -> Fraction:
+    """Squared determinant of {u in L : a.u = 0} for a primitive dual vector.
+
+    The dual vector is given by its (primitive, gcd 1) coefficients in the
+    dual basis; the sublattice determinant is computed directly from an
+    explicit kernel basis, independent of the polar-lattice identity.
+    """
+    kernel = kernel_basis(list(dual_coeff))
+    rows = [lat.to_ambient(k) for k in kernel]
+    m = len(rows)
+    gram = [
+        [sum(rows[i][k] * rows[j][k] for k in range(lat.dim)) for j in range(m)]
+        for i in range(m)
+    ]
+    return linalg.frac_det(gram)
+
+
+# ---------------------------------------------------------------------------
+# counting
+
+
+def pick_quantities(poly: LatticePolytope, budget: int = DEFAULT_BUDGET):
+    """(area, boundary count, interior count) of a lattice polygon.
+
+    Pick's identity G = A + B/2 + 1 ties these together; used as a joint
+    2D oracle for counting and volume.
+    """
+    if poly.dim != 2:
+        raise ValueError("dimension unsupported")
+    area = poly.volume
+    boundary = 0
+    for f in poly.facets:
+        a, b = (poly.vertices[i] for i in (f.vertex_ids[0], f.vertex_ids[-1]))
+        boundary += gcd(abs(a[0] - b[0]), abs(a[1] - b[1]))
+    g = count(Body.from_polytope(poly), budget).count
+    return area, boundary, g - boundary

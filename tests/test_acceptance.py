@@ -23,6 +23,12 @@ from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.radical import Cmp, RadicalSum, certified_compare, enclose
 from blichfeldt.rng import Rng
+from oracles import (
+    hyperplane_sublattice_det_sq,
+    pick_quantities,
+    volume_by_signed_cones,
+    width,
+)
 
 SEED = 20260824
 
@@ -143,12 +149,12 @@ def test_criterion_3_surface_area_closed_form():
 
 
 def test_criterion_4_soundness_suite(corpus_report):
-    bad = hz.soundness_failures(corpus_report)
+    bad = hz.soundness_failures(r.report for r in corpus_report.rows)
     checked = [r for r in corpus_report.rows if r.report.verdict in (
         V.HOLDS, V.HOLDS_WITH_EQUALITY
     )]
     inconclusive = [
-        r for r in corpus_report.rows if r.report.verdict is V.INCONCLUSIVE
+        r.report for r in corpus_report.rows if r.report.verdict is V.INCONCLUSIVE
     ]
     ok = not bad and not inconclusive and len(checked) > 0
     detail = (
@@ -157,7 +163,7 @@ def test_criterion_4_soundness_suite(corpus_report):
         if ok
         else f"{len(bad)} violations, {len(inconclusive)} inconclusive: "
         + "; ".join(
-            f"{r.name}/{r.report.id.value}" for r in (bad + inconclusive)[:5]
+            f"{r.body_description}/{r.id.value}" for r in (bad + inconclusive)[:5]
         )
     )
     record_criterion(4, ok, detail)
@@ -233,7 +239,7 @@ def test_criterion_6_lattice_invariants():
         if mu != RadicalSum.sqrt(n) / 2:
             ok = False
             notes.append(f"covering radius of the standard lattice, n={n}")
-        if mu.enclosure(160).width >= Fraction(1, 2**64):
+        if width(mu.enclosure(160)) >= Fraction(1, 2**64):
             ok = False
             notes.append(f"covering-radius enclosure too wide, n={n}")
         if lt.min_hyperplane_sublattice_det(zn) != RadicalSum.rational(1):
@@ -261,7 +267,7 @@ def test_criterion_6_lattice_invariants():
                     v = (a, b, c)
                     if v == (0, 0, 0) or math.gcd(math.gcd(abs(a), abs(b)), abs(c)) != 1:
                         continue
-                    d_sq = lt.hyperplane_sublattice_det_sq(lat, v)
+                    d_sq = hyperplane_sublattice_det_sq(lat, v)
                     best = d_sq if best is None else min(best, d_sq)
         if via_polar_sq != RadicalSum.rational(best):
             ok = False
@@ -313,7 +319,7 @@ def test_criterion_7_intrinsic_volumes(corpus_report):
         if iv.v1 != RadicalSum.rational(expected):
             ok = False
             notes.append("mean-width coefficient mismatch on a box")
-        if enclose(iv.v1, 96).width >= Fraction(1, 2**32):
+        if width(enclose(iv.v1, 96)) >= Fraction(1, 2**32):
             ok = False
             notes.append("mean-width enclosure too wide on a box")
 
@@ -322,7 +328,7 @@ def test_criterion_7_intrinsic_volumes(corpus_report):
             steiner = pt.steiner_volume(poly, rho, bits=96)
             mid = float((steiner.lo + steiner.hi) / 2)
             est, sigma = _mc_outer_volume(sides, float(rho), 10**7, seed)
-            if abs(est - mid) > 3 * sigma + float(steiner.width):
+            if abs(est - mid) > 3 * sigma + float(width(steiner)):
                 ok = False
                 notes.append(
                     f"Monte-Carlo outer volume off at rho={rho}: {est} vs {mid}"
@@ -359,7 +365,7 @@ def test_criterion_8_oracle_equivalence(corpus_entries):
                 break
             except pt.DegenerateHullError:
                 continue
-        area, boundary, interior = ct.pick_quantities(poly)
+        area, boundary, interior = pick_quantities(poly)
         if area != interior + Fraction(boundary, 2) - 1:
             ok = False
             notes.append("Pick identity failed on a random polygon")
@@ -367,7 +373,7 @@ def test_criterion_8_oracle_equivalence(corpus_entries):
 
     for entry in corpus_entries:
         poly = entry.body.polytope
-        if poly.volume != pt.volume_by_signed_cones(poly):
+        if poly.volume != volume_by_signed_cones(poly):
             ok = False
             notes.append(f"triangulation mismatch on {entry.name}")
             break

