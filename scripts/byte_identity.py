@@ -8,13 +8,15 @@ seed; the commands run under ``--repo``'s ``src/``.  Covered:
 ``blichfeldt corpus --format json|csv`` on the five ``corpus`` specs, the
 ``count``/``measure``/``check`` commands of the ``bodies`` workload on its
 body files, ``audit`` on every body file of the ``audit`` workload (T_m,
-S_k, the seeded hulls and the [0,14]^3 hull), ``count`` on a 4D ball and
+S_k, the seeded hulls and the [0,14]^3 hull) together with the repr of its
+whole ``AuditRecord``, every facet's layer counts included (the CLI prints
+only totals and flags), ``count`` on a 4D ball and
 on a 3D ball with lattice points on its sphere, ``check --id
 GENERAL_THM_4_1`` on a 4D hull over a sheared lattice, ``measure`` on a 3D
 hull over a sheared lattice with acute, right and obtuse dihedral angles
 (V1 through the dual Gram and every arctangent branch), and ``measure`` on
 a triangle whose edge norm^2 is the product of two 40-bit primes.  Each line
-is ``sha256  exit-code  command``.
+is ``sha256  exit-code  command``; a record line shows ``audit-record``.
 
 Usage:
     python3 scripts/byte_identity.py --seed 101 > change.txt
@@ -40,8 +42,15 @@ from blichfeldt import witnesses as wt  # noqa: E402
 from blichfeldt.counting import Body  # noqa: E402
 from blichfeldt.lattice import Lattice  # noqa: E402
 
+# run as ``python -c AUDIT_RECORD body-file``: the audit's whole record
+AUDIT_RECORD = (
+    "import sys; from blichfeldt import harness, witnesses; "
+    "print(repr(harness.boundary_layer_audit(witnesses.load_body(sys.argv[1]).polytope)))"
+)
+
 
 def _commands(seed: int, workdir: str):
+    """CLI argv lists, and ``["-c", AUDIT_RECORD, path]`` for a record."""
     corpus_ops, _, _ = workloads.setup("corpus", seed, workdir)
     for op in corpus_ops:
         for fmt in ("json", "csv"):
@@ -52,6 +61,7 @@ def _commands(seed: int, workdir: str):
     _, audit_bodies, _ = workloads.setup("audit", seed, workdir)
     for entry in audit_bodies.values():
         yield ["audit", "--body", entry["path"]]
+        yield ["-c", AUDIT_RECORD, entry["path"]]
     # balls beyond the benchmark's 2D/3D ones: a 4D ball, and a ball whose
     # sphere passes through lattice points (r^2 = |v - c|^2 for a lattice v)
     h, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
@@ -98,7 +108,11 @@ def main() -> int:
     env.pop("BLICH_BUDGET", None)
     with tempfile.TemporaryDirectory() as workdir:
         for argv in _commands(args.seed, workdir):
-            proc = subprocess.run([sys.executable, "-m", "blichfeldt.cli", *argv],
+            if argv[0] == "-c":
+                command, argv = argv, ["audit-record", argv[2]]
+            else:
+                command = ["-m", "blichfeldt.cli", *argv]
+            proc = subprocess.run([sys.executable, *command],
                                   env=env, capture_output=True, check=False)
             digest = hashlib.sha256(proc.stdout).hexdigest()
             shown = " ".join(os.path.basename(a) if a.startswith(workdir) else a

@@ -206,10 +206,23 @@ def _corpus_spec_from_file(path: str, seed_override) -> wt.CorpusSpec:
             raise _CliError(f"corpus spec {path}: {key}: expected true or false")
         elif key != "include_translates" and type(value) is not int:
             raise _CliError(f"corpus spec {path}: {key}: expected an integer")
-    dims = doc.get("dimensions", (2,))
-    if not dims or not all(1 <= n <= SVP_MAX_DIM for n in dims):
-        raise _CliError(f"corpus spec {path}: dimensions: expected 1 to {SVP_MAX_DIM}")
-    return wt.CorpusSpec(**doc)
+    spec = wt.CorpusSpec(**doc)
+    n, hulls = max(spec.dimensions, default=0), spec.num_random_hulls > 0
+    lattices = spec.num_random_lattices > 0
+    # each value a generator is given must be one it can meet
+    for key, ok, expected in (
+        ("dimensions", 1 <= min(spec.dimensions, default=0) <= n <= SVP_MAX_DIM,
+         f"1 to {SVP_MAX_DIM}"),
+        ("k_values", min(spec.k_values, default=1) >= 1, "integers of at least 1"),
+        ("m_values", n <= 2 or min(spec.m_values, default=1) >= 1, "integers of at least 1"),
+        ("points_per_hull", not (hulls or lattices) or spec.points_per_hull > n,
+         f"at least {n + 1}"),
+        ("coord_bound", not hulls or spec.coord_bound >= 1, "at least 1"),
+        ("lattice_max_abs_det", not lattices or spec.lattice_max_abs_det >= 1, "at least 1"),
+    ):
+        if not ok:
+            raise _CliError(f"corpus spec {path}: {key}: expected {expected}")
+    return spec
 
 
 def _cmd_corpus(args) -> int:

@@ -2,14 +2,14 @@
 
 ``INEQUALITIES`` is one table with a row per ``InequalityId``: the
 hypotheses the statement needs (integer lattice only, dimension 3 only, a
-translated or an untranslated body, the covering radius), whether it is
-strict, whether it is observational, the note its reports carry, and a
-function giving its two sides.  ``check`` tests the hypotheses in a fixed
-order, then compares the sides with ``certified_compare``: exact values
-(int/Fraction/RadicalSum) or adaptive enclosures, so a VIOLATED verdict is
-a certificate, not floating-point noise.  A corpus run counts each body
-once for all ids; volume, surface area and facet norms are computed once
-per polytope.
+translated or an untranslated body, n within reach of its lattice data),
+whether it is strict, whether it is observational, the note its reports
+carry, and a function giving its two sides.  ``check`` tests the hypotheses
+in a fixed order, then compares the sides with ``certified_compare``: exact
+values (int/Fraction/RadicalSum) or adaptive enclosures, so a VIOLATED
+verdict is a certificate, not floating-point noise.  A corpus run counts
+each body once for all ids; volume, surface area and facet norms are
+computed once per polytope.
 Two ids are not theorems (CONJECTURE_1_4 is a conjecture, WILLS_3_2 is
 known to fail in general): their violations are reported as findings,
 never as artifact failures.
@@ -173,7 +173,7 @@ class Inequality:
     integer_lattice: bool = False   # stated over the integer lattice only
     dim3: bool = False              # stated for dimension 3 only
     translated: bool = False        # stated for t + P with t not in the lattice
-    covering_radius: bool = False   # needs mu(L), computed for n <= MU_MAX_DIM
+    max_dim: tuple = ()             # (n, computation): its lattice data needs n <= n
     observational: bool = False     # not a proved theorem: VIOLATED is a finding
     note: str = ""
 
@@ -209,7 +209,7 @@ INEQUALITIES = {
         translated=True,
     ),
     _I.CONJECTURE_1_4: Inequality(
-        _lattice_surface_bound, strict=True,
+        _lattice_surface_bound, strict=True, max_dim=(lt.SVP_MAX_DIM, "shortest-vector"),
         observational=True, note="conjecture/observational",
     ),
     _I.WILLS_3_2: Inequality(
@@ -226,7 +226,7 @@ INEQUALITIES = {
         _sketch_rho_half, strict=True, integer_lattice=True, dim3=True,
         note="proof sketch only",
     ),
-    _I.GENERAL_THM_4_1: Inequality(_general_thm_4_1, covering_radius=True),
+    _I.GENERAL_THM_4_1: Inequality(_general_thm_4_1, max_dim=(lt.MU_MAX_DIM, "covering-radius")),
 }
 
 
@@ -257,10 +257,10 @@ def _check(id, s: _Subject, description: str, max_bits: int) -> InequalityReport
         return refused(Verdict.HYPOTHESIS_UNMET, "stated over the integer lattice only")
     if ineq.dim3 and s.n != 3:
         return refused(Verdict.HYPOTHESIS_UNMET, "stated for dimension 3 only")
-    if ineq.covering_radius and s.n > lt.MU_MAX_DIM:
+    if ineq.max_dim and s.n > ineq.max_dim[0]:
         return refused(
             Verdict.OUT_OF_SCOPE,
-            f"covering-radius computation limited to n <= {lt.MU_MAX_DIM}",
+            f"{ineq.max_dim[1]} computation limited to n <= {ineq.max_dim[0]}",
         )
 
     # an untranslated polytope needs no dimension test: its vertices are
@@ -357,7 +357,7 @@ def boundary_layer_audit(
 
     All of it is counted in one sweep of the rows of P's integer box: each
     row's points of P, of L1 and of every Q_i form an interval of x_0, and
-    no point list is kept.  Prism i is solved only on the rows of F_i's box.
+    no point list is kept.  Prism i is solved only on rows its shadow meets.
     """
     # Why every point of L2 is covered: take the facet i minimising
     # r_i = (b_i - a_i.z)/(|a_i|_1/2).  A point of L2 has r_i < 1, so z lies
@@ -370,11 +370,19 @@ def boundary_layer_audit(
     # of the facet lattice, and the translate lemma in dimension n-1 bounds
     # the layer by D_i = (n-1)! vol(F_i); layer 0 is F_i (Blichfeldt: D_i + n - 1).
     #
-    # Why F_i's box holds every point of Q_i: such a point is
+    # Why P's box holds every point of Q_i: such a point is
     # z = p - (j/|a|_1) sign(a) with p in F_i and 0 <= j <= gamma_i, so each
-    # coordinate of z is within j/|a|_1 < 1/2 of F_i's bounding box.  F_i's
-    # vertices are integral, so are the box's corners, and an integer
-    # coordinate that close to the box lies in it; P's box holds that box.
+    # coordinate of z is within j/|a|_1 < 1/2 of the integral box of F_i.
+    #
+    # Why the facets sharing a ridge with F_i are enough: the swept image x
+    # has a.x = b, and within aff(F_i) F_i is cut out by its own facets, the
+    # ridges F_i cap F_h, each on h.x <= b_h.
+    #
+    # Why a skipped row holds no point of Q_i: eliminating x_0, each lower
+    # bound on it against each upper one, gives exactly the projection of the
+    # real prism on (x_1, .., x_{n-1}) (Fourier-Motzkin; Schrijver, Theory of
+    # Linear and Integer Programming, 12.2).  For fixed x_1 .. x_{n-2} its
+    # integer x_{n-1} form one interval; a row outside it meets no real point.
     lat = poly.lattice
     if not _is_integer_lattice(lat):
         raise ValueError("audit requires the integer lattice")
@@ -385,32 +393,43 @@ def boundary_layer_audit(
         poly = pt.hull([lat.to_ambient(v) for v in poly.vertices], budget=budget)
     los, his = ([f(col) for col in zip(*poly.vertices)] for f in (min, max))
     inside = [(f.normal, f.offset) for f in poly.facets]
+    ridges = {p for _, (i, j) in pt.facet_ridges(poly) for p in ((i, j), (j, i))}
     interior, prisms = [], []
-    for i, ((a, b), f) in enumerate(zip(inside, poly.facets)):
+    for i, (a, b) in enumerate(inside):
         l1 = sum(map(abs, a))
         # L1: a.z <= b - |a|_1/2, integer left side
         interior.append((a, b - (l1 + 1) // 2))
         gamma = -(-l1 // 2) - 1
         sign = [(c > 0) - (c < 0) for c in a]
         # Q_i: the slab b - gamma <= a.z <= b, and h.x <= b_h for the swept
-        # image x = z + ((b - a.z)/|a|_1) sign(a) of z; scaled by |a|_1 > 0
-        # that is (|a|_1 h - (h.sign) a).z <= |a|_1 b_h - b (h.sign)
+        # image x = z + ((b - a.z)/|a|_1) sign(a) of z and each facet h
+        # sharing a ridge with F_i; scaled by |a|_1 > 0 that is
+        # (|a|_1 h - (h.sign) a).z <= |a|_1 b_h - b (h.sign)
         cons = [(a, b), (tuple(-c for c in a), gamma - b)]
-        for h, bh in inside[:i] + inside[i + 1:]:   # h = a gives 0.z <= 0
+        for h, bh in (f for j, f in enumerate(inside) if (i, j) in ridges):
             hs = sum(map(mul, h, sign))
             cons.append((tuple(l1 * x - hs * y for x, y in zip(h, a)), l1 * bh - b * hs))
-        box = [(min(c), max(c)) for c in zip(*(poly.vertices[k] for k in f.vertex_ids))]
-        prisms.append((a, b, cons, box[0], box[1:], [0] * (gamma + 1)))
+        # its shadow, x_{n-1} first: x_0 eliminated, each 0.z <= t dropped (Q_i is not empty)
+        shadow = [(c, t) for c, t in cons if not c[0]] + [
+            (tuple(-d[0] * x + c[0] * y for x, y in zip(c, d)), -d[0] * t + c[0] * s)
+            for c, t in cons if c[0] > 0 for d, s in cons if d[0] < 0]
+        shadow = [(c[-1:] + c[1:-1], t) for c, t in shadow if any(c)]
+        prisms.append((a, b, cons, shadow, [0] * (gamma + 1)))
 
     g = l1_count = 0
     l2_covered = True
-    # rows by x_1, the slowest outer coordinate, and the prisms whose box holds it
-    for slow, group in groupby(ct._box_rows((los, his), budget), lambda base: base[1:2]):
-        active = [q for q in prisms if all(lo <= x <= hi for x, (lo, hi) in zip(slow, q[4]))]
+    # rows by (x_1, .., x_{n-2}), and per prism the x_{n-1} interval of its
+    # shadow there; in 1D the row's x_0 = 0 stands in for x_{n-1}
+    last = (los[-1], his[-1]) if n > 1 else (0, 0)
+    for head, group in groupby(ct._box_rows((los, his), budget), lambda base: base[1:-1]):
+        spans = ((ct._row_interval(q[3], (0,) + head, *last), q) for q in prisms)
+        active = [(lo, hi, q) for (lo, hi), q in spans if lo <= hi]
         for base in group:
             cover = []
-            for a, b, cons, (lo0, hi0), _, counts in active:
-                lb, ub = ct._row_interval(cons, base, lo0, hi0)
+            for lo, hi, (a, b, cons, _, counts) in active:
+                if not lo <= base[-1] <= hi:
+                    continue
+                lb, ub = ct._row_interval(cons, base, los[0], his[0])
                 if lb <= ub:
                     cover.append((lb, ub))
                     slack = b - sum(map(mul, a, base))

@@ -315,18 +315,23 @@ class IntrinsicVolumes3:
     v3: Fraction
 
 
-def polytope_edges(poly: LatticePolytope):
-    """Edges as (vertex pair, adjacent facet pair); 3D polytopes only."""
-    edges = []
-    m = len(poly.facets)
-    for i in range(m):
-        for j in range(i + 1, m):
-            common = sorted(
-                set(poly.facets[i].vertex_ids) & set(poly.facets[j].vertex_ids)
-            )
-            if len(common) == 2:
-                edges.append(((common[0], common[1]), (i, j)))
-    return edges
+def facet_ridges(poly: LatticePolytope):
+    """(common vertex ids, facet pair) for each two facets meeting in a ridge.
+
+    The common vertices of a ridge span an (n-2)-flat; up to n = 4 their
+    count decides, as a smaller face is at most an edge.  In 3D: the edges.
+    """
+    n, vs = poly.dim, poly.vertices
+    sets = [set(f.vertex_ids) for f in poly.facets]
+    ridges = []
+    for i, si in enumerate(sets):
+        for j in range(i + 1, len(sets)):
+            common = sorted(si & sets[j])
+            if len(common) >= n - 1 and (n < 5 or len(_independent(
+                    [[x - y for x, y in zip(vs[k], vs[common[0]])] for k in common],
+                    n - 2)) == n - 2):
+                ridges.append((tuple(common), (i, j)))
+    return ridges
 
 
 def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
@@ -337,7 +342,7 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
     edge_data = []
     all_right_angles = True
     lat = poly.lattice
-    for (va, vb), (fi, fj) in polytope_edges(poly):
+    for (va, vb), (fi, fj) in facet_ridges(poly):
         edge = [x - y for x, y in zip(poly.vertices[va], poly.vertices[vb])]
         len_sq = lat.norm_sq_of_coeff(edge)
         dot = dual_inner(lat, poly.facets[fi].normal, poly.facets[fj].normal)

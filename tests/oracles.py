@@ -4,7 +4,8 @@ Each computes a quantity the package also computes, by a second route that
 shares none of the code under test: the volume from a reversed placing
 triangulation and from signed cones, facet sublattices from an explicit
 unimodular kernel basis, the sublattice determinant behind det(L) lambda_1(L*),
-and Pick's identity in 2D.  ``width`` is the tests' gauge of an enclosure's
+Pick's identity in 2D, and a 3D polytope's edges as the facet pairs sharing
+two vertices.  ``width`` is the tests' gauge of an enclosure's
 precision.  Nothing in ``src/`` calls these.
 """
 
@@ -164,3 +165,17 @@ def pick_quantities(poly: LatticePolytope, budget: int = DEFAULT_BUDGET):
         boundary += gcd(abs(a[0] - b[0]), abs(a[1] - b[1]))
     g = count(Body.from_polytope(poly), budget).count
     return area, boundary, g - boundary
+
+
+def polytope_edges(poly: LatticePolytope):
+    """Edges as (vertex pair, adjacent facet pair); 3D polytopes only."""
+    edges = []
+    m = len(poly.facets)
+    for i in range(m):
+        for j in range(i + 1, m):
+            common = sorted(
+                set(poly.facets[i].vertex_ids) & set(poly.facets[j].vertex_ids)
+            )
+            if len(common) == 2:
+                edges.append(((common[0], common[1]), (i, j)))
+    return edges

@@ -128,6 +128,21 @@ class TestCheck:
         assert code == cli.EXIT_USAGE
         assert "MAIN_THM_1_1" in err and "GENERAL_THM_4_1" in err
 
+    def test_shortest_vector_dimension_cap(self, tmp_path):
+        # lambda_1 of the polar lattice is computed for n <= SVP_MAX_DIM only;
+        # above it the answer is OutOfScope and exit 0, not a traceback
+        path = str(tmp_path / "s7.json")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        for argv in (["witness", "--family", "simplex_Sk", "--n", "7", "--k", "1",
+                      "--out", path],
+                     ["check", "--id", "CONJECTURE_1_4", "--body", path]):
+            proc = subprocess.run([sys.executable, "-m", "blichfeldt.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=60, check=False)
+            assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[1] == "verdict: OutOfScope"
+        assert lines[-1] == "note: shortest-vector computation limited to n <= 6"
+
 
 class TestAudit:
     def test_cube(self, capsys, cube_body):
@@ -259,6 +274,38 @@ class TestCorpus:
         code, out, err = _run(capsys, ["corpus", "--spec", spec])
         assert code == cli.EXIT_USAGE and out == ""
         assert f"{field}:" in err
+
+    # values no generator can meet: each ended in a traceback with exit 1
+    @pytest.mark.parametrize("override, field", [
+        ({"k_values": [0]}, "k_values"),
+        ({"dimensions": [2, 3], "m_values": [0]}, "m_values"),
+        ({"points_per_hull": 0}, "points_per_hull"),
+        ({"points_per_hull": 2}, "points_per_hull"),
+        ({"dimensions": [2, 3], "points_per_hull": 3}, "points_per_hull"),
+        ({"num_random_hulls": 0, "num_random_lattices": 1, "points_per_hull": 2},
+         "points_per_hull"),
+        ({"coord_bound": -1}, "coord_bound"),
+        ({"coord_bound": 0}, "coord_bound"),
+        ({"num_random_lattices": 1, "lattice_max_abs_det": 0}, "lattice_max_abs_det"),
+    ], ids=["k-0", "m-0", "points-0", "points-2", "points-3-in-3d", "points-lattice-hulls",
+            "coord-negative", "coord-0", "det-0"])
+    def test_unmeetable_value_named(self, capsys, tmp_path, override, field):
+        spec = self._spec_file(tmp_path, **override)
+        code, out, err = _run(capsys, ["corpus", "--spec", spec, "--ids", "BLICHFELDT_1_1"])
+        assert code == cli.EXIT_USAGE and out == ""
+        assert f"{field}:" in err and "Traceback" not in err
+
+    # a value is refused only where a generator would be given it
+    @pytest.mark.parametrize("override", [
+        {"m_values": [0]},                                  # no T_m in 2D
+        {"points_per_hull": 3},                             # a triangle in 2D
+        {"num_random_hulls": 0, "coord_bound": -1},
+        {"lattice_max_abs_det": 0},                         # no random lattices
+    ], ids=["m-0-in-2d", "points-3-in-2d", "coord-unused", "det-unused"])
+    def test_unused_or_meetable_value_accepted(self, capsys, tmp_path, override):
+        spec = self._spec_file(tmp_path, **override)
+        code, out, _ = _run(capsys, ["corpus", "--spec", spec, "--ids", "BLICHFELDT_1_1"])
+        assert code == 0 and "violations: 0" in out
 
 
 class TestFlags:

@@ -72,6 +72,12 @@ class TestHypothesisGates:
         r = _check(I.GENERAL_THM_4_1, body)
         assert r.verdict is V.OUT_OF_SCOPE
 
+    def test_svp_dimension_cap(self):
+        body = Body.from_polytope(wt.simplex_Sk(lt.SVP_MAX_DIM + 1, 1))
+        r = _check(I.CONJECTURE_1_4, body)
+        assert r.verdict is V.OUT_OF_SCOPE
+        assert r.note == f"shortest-vector computation limited to n <= {lt.SVP_MAX_DIM}"
+
 
 class TestVerdicts:
     def test_blichfeldt_equality_on_simplex(self):
@@ -237,7 +243,7 @@ class TestIntrinsicVolumeReuse:
     def test_one_acos_per_edge_and_precision(self, monkeypatch):
         poly = pt.hull(TestBoundaryLayerAudit.RIDGE_BODIES[1])
         slanted = sum(
-            1 for _, (i, j) in pt.polytope_edges(poly)
+            1 for _, (i, j) in pt.facet_ridges(poly)
             if sum(a * b for a, b in zip(poly.facets[i].normal, poly.facets[j].normal))
         )
         assert slanted > 0
@@ -428,6 +434,15 @@ class TestBoundaryLayerAudit:
         "long rows": lambda: _long_prism(40),
         "4D": lambda: pt.hull([(0, 0, 0, 0), (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0),
                                (0, 0, 0, 3), (2, 2, 2, 2)]),
+        # long facet normals: facets whose box spans P's box
+        "T_24": lambda: wt.reeve_Tm(3, 24),
+        # 22 facets, two with a_0 = 0
+        "hull in [0,9]^3": lambda: _nth_random_hull(Rng(9, stream=3), 3, 3, 20, 9),
+        # [0,3] x a tetrahedron, cut by a point beyond it: the lateral
+        # facets have a_0 = 0
+        "4D with a_0 = 0": lambda: pt.hull(
+            [(x,) + v for x in (0, 3) for v in [(0, 0, 0), (3, 0, 0), (0, 3, 0), (0, 0, 3)]]
+            + [(1, 2, 2, 2)]),
     }
 
     @pytest.mark.parametrize("name", ORACLE_BODIES)
@@ -485,6 +500,35 @@ class TestBoundaryLayerAudit:
         record = hz.boundary_layer_audit(poly)
         monkeypatch.undo()
         assert record == _reference_audit(poly)
+
+    def test_prism_solved_only_on_rows_its_shadow_reaches(self, monkeypatch):
+        # T_24's facets have long normals and boxes spanning P's box; a row
+        # is solved for Q_i only when the real prism Q_i meets it
+        poly = wt.reeve_Tm(3, 24)
+        solves = []
+        row_interval = ct._row_interval
+
+        def counted(cons, base, lb, ub):
+            # a prism's list opens with its slab a.z <= b, -a.z <= gamma - b
+            if len(base) == poly.dim and cons[1][0] == tuple(-c for c in cons[0][0]):
+                solves.append(base)
+            return row_interval(cons, base, lb, ub)
+
+        monkeypatch.setattr(ct, "_row_interval", counted)
+        record = hz.boundary_layer_audit(poly)
+        monkeypatch.undo()
+        assert record == _reference_audit(poly)
+        los, his = ([f(c) for c in zip(*poly.vertices)] for f in (min, max))
+        rows = [(0, y, z) for y in range(los[1], his[1] + 1) for z in range(los[2], his[2] + 1)]
+        in_shadow = sum(_real_prism_row_meets(poly, i, base)
+                        for i in range(len(poly.facets)) for base in rows)
+        in_boxes = 0
+        for f in poly.facets:
+            (y0, y1), (z0, z1) = [(min(c), max(c)) for c in
+                                  zip(*(poly.vertices[k][1:] for k in f.vertex_ids))]
+            in_boxes += (y1 - y0 + 1) * (z1 - z0 + 1)
+        assert len(solves) <= in_shadow
+        assert 4 * in_shadow < in_boxes
 
     # (count, n, d, s, holds): near ties of two surds, counts below n - 1,
     # and exact ties, which fail the strict bound
@@ -563,6 +607,41 @@ class TestBoundaryLayerAudit:
         t = Fraction(14, sum(c * c for c in a))
         orthogonal = tuple(x + t * c for x, c in zip(z, a))
         assert not inside(orthogonal)
+
+
+def _nth_random_hull(rng, k, n, points, bound):
+    for _ in range(k):
+        poly = wt.random_hull(rng, n, points, bound)
+    return poly
+
+
+def _real_prism_row_meets(poly, i, base):
+    """True when the real prism Q_i meets the line base + x_0 e_0.
+
+    Each inequality of Q_i, with every facet h of P, is solved for x_0 in
+    rationals: c0 x_0 <= rem.
+    """
+    a, b = poly.facets[i].normal, poly.facets[i].offset
+    l1 = sum(map(abs, a))
+    gamma = -(-l1 // 2) - 1
+    sign = [(c > 0) - (c < 0) for c in a]
+    slack = b - sum(c * x for c, x in zip(a, base))     # b - a.z at x_0 = 0
+    rows = [(a[0], Fraction(slack)), (-a[0], Fraction(gamma - slack))]
+    for f in poly.facets:
+        hs = sum(c * s for c, s in zip(f.normal, sign))
+        # h.(z + ((b - a.z)/|a|_1) sign) <= b_h
+        rows.append((f.normal[0] - Fraction(hs * a[0], l1),
+                     f.offset - sum(c * x for c, x in zip(f.normal, base))
+                     - Fraction(hs * slack, l1)))
+    lo, hi = None, None
+    for c0, rem in rows:
+        if c0 > 0:
+            hi = rem / c0 if hi is None else min(hi, rem / c0)
+        elif c0 < 0:
+            lo = rem / c0 if lo is None else max(lo, rem / c0)
+        elif rem < 0:
+            return False
+    return lo is None or hi is None or lo <= hi
 
 
 def _long_prism(m):

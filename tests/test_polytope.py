@@ -18,6 +18,7 @@ from oracles import (
     facet_lattice_coords,
     hyperplane_sublattice_det_sq,
     normalized_volume_reversed,
+    polytope_edges,
     volume_by_signed_cones,
     width,
 )
@@ -396,7 +397,40 @@ class TestSteinerVolume:
 
 class TestEdgesAndIncidence:
     def test_cube_edges(self):
-        assert len(pt.polytope_edges(_cube(3))) == 12
+        assert len(pt.facet_ridges(_cube(3))) == 12
+
+    def test_ridges_in_3d_are_the_edges(self):
+        rng = Rng(11, stream=3)
+        for _ in range(20):
+            poly = wt.random_hull(rng, 3, 12, 9)
+            assert pt.facet_ridges(poly) == polytope_edges(poly)
+
+    @pytest.mark.parametrize("n, count, bound", [(2, 8, 9), (4, 9, 3), (5, 9, 2)])
+    def test_ridges_span_an_n_minus_2_flat(self, n, count, bound):
+        # a pair of facets meets in a ridge exactly when their common
+        # vertices span an (n-2)-flat; in 5D the count alone does not decide
+        rng = Rng(12, stream=n)
+        for _ in range(4):
+            poly = wt.random_hull(rng, n, count, bound)
+            expected = []
+            for i, j in itertools.combinations(range(len(poly.facets)), 2):
+                common = sorted(set(poly.facets[i].vertex_ids) & set(poly.facets[j].vertex_ids))
+                if common and _affine_rank([poly.vertices[k] for k in common]) == n - 2:
+                    expected.append((tuple(common), (i, j)))
+            assert pt.facet_ridges(poly) == expected
+
+    def test_ridges_of_octahedron_times_square(self):
+        # facets F x S of two octahedron faces F sharing only a vertex v meet
+        # in the square v x S: 4 common vertices, a 2-face and not a ridge
+        octahedron = [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+        poly = pt.hull([v + w for v in octahedron for w in itertools.product((0, 1), repeat=2)])
+        sets = [set(f.vertex_ids) for f in poly.facets]
+        fours = [(i, j) for i, j in itertools.combinations(range(len(sets)), 2)
+                 if len(sets[i] & sets[j]) == 4]
+        ridges = [pair for _, pair in pt.facet_ridges(poly)]
+        # 12 octahedron edges x S, 8 faces x 4 square edges, Q x 4 square vertices
+        assert len(poly.facets) == 12 and len(ridges) == 12 + 32 + 4
+        assert len(set(fours) - set(ridges)) == 12
 
     def test_vertex_facet_counts(self):
         f0, g = pt.vertex_facet_counts(_cube(3))
