@@ -189,7 +189,7 @@ def _corpus_spec_from_file(path: str, seed_override) -> wt.CorpusSpec:
         raise _CliError(f"corpus spec {path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise _CliError(f"corpus spec {path}: expected a JSON object")
-    known = set(wt.CorpusSpec.__dataclass_fields__)
+    known = set(wt.CorpusSpec._fields)
     unknown = set(doc) - known
     if unknown:
         raise _CliError(f"corpus spec {path}: unknown fields {sorted(unknown)}")

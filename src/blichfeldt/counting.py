@@ -4,25 +4,29 @@ Everything is counted in lattice coefficient coordinates, so counting over
 an arbitrary lattice is counting integer vectors.  Linear membership is
 compiled to integer thresholds per constraint (a rational or single-radical
 right-hand side rounds to the exact integer cutoff), then enumeration
-sweeps the outer coordinates and solves an exact 1D slab innermost.  A
+sweeps the outer coordinates and solves an exact 1D slab innermost.  The
+sweep visits only the rows the body's shadow reaches: Fourier-Motzkin
+elimination of x_0 (Schrijver, Theory of Linear and Integer Programming,
+12.2) from chosen pairs of constraints gives, per (x_1, .., x_{n-2}), one
+interval of x_{n-1}.  Each eliminated pair is a valid inequality, so any
+set of pairs is sound; a polytope's ridge pairs are its exact shadow.  A
 ball is an ellipsoid in coefficients, counted by ``lattice.enum_ellipsoid``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from blichfeldt import linalg
 from blichfeldt.lattice import DEFAULT_BUDGET, EnumerationBudgetError, Lattice, enum_ellipsoid
-from blichfeldt.polytope import LatticePolytope
+from blichfeldt.polytope import LatticePolytope, facet_ridges
 
 
-@dataclass(frozen=True)
-class Body:
+class Body(NamedTuple):
     """Tagged union of countable bodies over an ambient lattice."""
 
     kind: str                 # polytope | translated_polytope | halfopen_parallelepiped | ball
@@ -78,8 +82,7 @@ class Body:
         return self.lattice.dim
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     count: int
 
 
@@ -103,11 +106,13 @@ def _int_threshold(rhs: Fraction, strict: bool) -> int:
     return f
 
 
-def _box_rows(box, budget):
+def _box_rows(box, budget, shadow=None):
     """Base points (0, x_1, .., x_{n-1}) of the box's rows along x_0.
 
-    Raises ``EnumerationBudgetError`` when the box holds more cells than
-    the budget allows.
+    With a ``shadow`` (from ``_shadow``) only the rows it reaches: for each
+    (x_1, .., x_{n-2}) the x_{n-1} interval it leaves.  Raises
+    ``EnumerationBudgetError`` when the box holds more cells than the
+    budget allows.
     """
     los, his = box
     total_cells = 1
@@ -118,7 +123,32 @@ def _box_rows(box, budget):
     if total_cells == 0:
         return ()
     outer = [range(lo, hi + 1) for lo, hi in zip(los[1:], his[1:])]
-    return ((0,) + rest for rest in itertools.product(*outer))
+    if shadow is None or not outer:
+        return ((0,) + rest for rest in itertools.product(*outer))
+    *heads, last = outer
+    return (base + (x,) for base in ((0,) + head for head in itertools.product(*heads))
+            for lo, hi in [_row_interval(shadow, base, last[0], last[-1])]
+            for x in range(lo, hi + 1))
+
+
+def _shadow(constraints, pairs):
+    """Fourier-Motzkin elimination of x_0, coefficients x_{n-1} first.
+
+    Keeps the constraints free of x_0 and, for each index pair (i, j) whose
+    x_0 coefficients differ in sign, their positive combination free of x_0;
+    a row 0.x <= t stays only when t < 0, where it empties the body.  Each
+    row is implied by the constraints, so any set of pairs bounds the real
+    projection from outside, and all pairs give it exactly.  Coefficients
+    are ordered (x_{n-1}, x_1, .., x_{n-2}): ``_row_interval`` on the base
+    (0, x_1, .., x_{n-2}) gives the one x_{n-1} interval of that group.
+    """
+    rows = [(c, t) for c, t in constraints if not c[0]]
+    for i, j in pairs:
+        (c, t), (d, s) = constraints[i], constraints[j]
+        if c[0] * d[0] < 0:
+            p, q = abs(d[0]), abs(c[0])
+            rows.append((tuple(p * x + q * y for x, y in zip(c, d)), p * t + q * s))
+    return [(c[-1:] + c[1:-1], t) for c, t in rows if t < 0 or any(c)]
 
 
 def _row_interval(constraints, base, lb, ub):
@@ -141,15 +171,17 @@ def _row_interval(constraints, base, lb, ub):
     return lb, ub
 
 
-def _enumerate_linear(constraints, box, budget) -> int:
+def _enumerate_linear(constraints, box, budget, pairs) -> int:
     """Number of integer points of the box with c.x <= t for all (c, t).
 
-    Sweeps outer coordinates; the innermost coordinate is solved as an
-    exact 1D slab, so memory is O(1) in the count.
+    Sweeps the rows that the shadow of ``pairs`` (index pairs into the
+    constraints, see ``_shadow``) reaches; the innermost coordinate is
+    solved as an exact 1D slab, so memory is O(1) in the count.  A skipped
+    row meets no real point of the body, so it holds no integer one.
     """
     lo0, hi0 = box[0][0], box[1][0]
     count = 0
-    for base in _box_rows(box, budget):
+    for base in _box_rows(box, budget, _shadow(constraints, pairs)):
         lb, ub = _row_interval(constraints, base, lo0, hi0)
         if lb <= ub:
             count += ub - lb + 1
@@ -185,7 +217,8 @@ def count(body: Body, budget: int = DEFAULT_BUDGET) -> CountResult:
         t_coeff = body.lattice.to_coeff(body.translate) if body.translate else None
         cons = _polytope_constraints(body.polytope, t_coeff)
         box = _polytope_box(body.polytope, t_coeff)
-        return CountResult(_enumerate_linear(cons, box, budget))
+        ridges = [pair for _, pair in facet_ridges(body.polytope)]
+        return CountResult(_enumerate_linear(cons, box, budget, ridges))
     if body.kind == "halfopen_parallelepiped":
         return count_halfopen_parallelepiped(body, budget)
     if body.kind == "ball":
@@ -222,7 +255,7 @@ def count_halfopen_parallelepiped(body: Body, budget: int = DEFAULT_BUDGET) -> C
         ])
     los = [min(c[j] for c in corners).__ceil__() for j in range(n)]
     his = [max(c[j] for c in corners).__floor__() for j in range(n)]
-    cnt = _enumerate_linear(cons, (los, his), budget)
+    cnt = _enumerate_linear(cons, (los, his), budget, itertools.combinations(range(len(cons)), 2))
     if cnt != abs(det):
         raise ArithmeticError(
             f"parallelepiped count {cnt} disagrees with |det| = {abs(det)}"
@@ -249,4 +282,5 @@ def count_inner_parallel(
     """Exact count of lattice points of the inner parallel body P - rho*B."""
     cons = inner_parallel_thresholds(poly, rho_sq)
     box = _polytope_box(poly)
-    return CountResult(_enumerate_linear(cons, box, budget))
+    pairs = itertools.combinations(range(len(cons)), 2)
+    return CountResult(_enumerate_linear(cons, box, budget, pairs))

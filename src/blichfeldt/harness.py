@@ -21,13 +21,12 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import combinations, groupby
 from math import factorial
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from blichfeldt import counting as ct
 from blichfeldt import lattice as lt
@@ -69,8 +68,7 @@ class Verdict(enum.Enum):
     OUT_OF_SCOPE = "OutOfScope"
 
 
-@dataclass(frozen=True)
-class InequalityReport:
+class InequalityReport(NamedTuple):
     id: InequalityId
     body_description: str
     verdict: Verdict
@@ -160,8 +158,7 @@ def _sketch_rho_half(s: _Subject):
     return s.count, rhs
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     """One row of ``INEQUALITIES``.
 
     ``sides(subject)`` returns ``(lhs, rhs)`` of lhs <= rhs, or of
@@ -290,8 +287,7 @@ def _check(id, s: _Subject, description: str, max_bits: int) -> InequalityReport
 # boundary-layer audit (integer lattice only)
 
 
-@dataclass(frozen=True)
-class FacetAudit:
+class FacetAudit(NamedTuple):
     facet_index: int
     gamma: int
     prism_count: int
@@ -300,8 +296,7 @@ class FacetAudit:
     layer_bounds_ok: bool
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     total: int
     l1_count: int
     l2_count: int
@@ -387,6 +382,10 @@ def boundary_layer_audit(
     if not _is_integer_lattice(lat):
         raise ValueError("audit requires the integer lattice")
     n = poly.dim
+    if n < 2:
+        # a 1D prism is an endpoint, D_i = 1, and #Q_i < 1 cannot hold: the
+        # per-layer bounds need the translate lemma in dimension n - 1 >= 1
+        raise ValueError("audit requires dimension >= 2")
     if any(x != int(i == j) for i, row in enumerate(lat.basis) for j, x in enumerate(row)):
         # norms, the unit cube and facet areas below are taken in the
         # coordinates of the vertices, so they must be the ambient ones
@@ -409,20 +408,15 @@ def boundary_layer_audit(
         for h, bh in (f for j, f in enumerate(inside) if (i, j) in ridges):
             hs = sum(map(mul, h, sign))
             cons.append((tuple(l1 * x - hs * y for x, y in zip(h, a)), l1 * bh - b * hs))
-        # its shadow, x_{n-1} first: x_0 eliminated, each 0.z <= t dropped (Q_i is not empty)
-        shadow = [(c, t) for c, t in cons if not c[0]] + [
-            (tuple(-d[0] * x + c[0] * y for x, y in zip(c, d)), -d[0] * t + c[0] * s)
-            for c, t in cons if c[0] > 0 for d, s in cons if d[0] < 0]
-        shadow = [(c[-1:] + c[1:-1], t) for c, t in shadow if any(c)]
+        shadow = ct._shadow(cons, combinations(range(len(cons)), 2))
         prisms.append((a, b, cons, shadow, [0] * (gamma + 1)))
 
     g = l1_count = 0
     l2_covered = True
     # rows by (x_1, .., x_{n-2}), and per prism the x_{n-1} interval of its
-    # shadow there; in 1D the row's x_0 = 0 stands in for x_{n-1}
-    last = (los[-1], his[-1]) if n > 1 else (0, 0)
+    # shadow there
     for head, group in groupby(ct._box_rows((los, his), budget), lambda base: base[1:-1]):
-        spans = ((ct._row_interval(q[3], (0,) + head, *last), q) for q in prisms)
+        spans = ((ct._row_interval(q[3], (0,) + head, los[-1], his[-1]), q) for q in prisms)
         active = [(lo, hi, q) for (lo, hi), q in spans if lo <= hi]
         for base in group:
             cover = []
@@ -476,15 +470,13 @@ def boundary_layer_audit(
 # corpus runner
 
 
-@dataclass(frozen=True)
-class CorpusRow:
+class CorpusRow(NamedTuple):
     index: int
     name: str
     report: InequalityReport
 
 
-@dataclass(frozen=True)
-class CorpusReport:
+class CorpusReport(NamedTuple):
     rows: tuple
     summary: dict        # id value -> {"verdicts": {...}, "min_slack": .., "max_slack": ..}
     violations: tuple    # (row, reloadable body dict)

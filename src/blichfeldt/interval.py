@@ -15,7 +15,6 @@ and likewise for ceilings, atan and acos keep the exact sums' endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -34,14 +33,26 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-@dataclass(frozen=True)
 class Interval:
-    lo: Fraction
-    hi: Fraction
+    """[lo, hi] with lo <= hi; a value, not a tuple: no concatenation, no order."""
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("empty interval")
+        self.lo, self.hi = lo, hi
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     @staticmethod
     def point(x) -> "Interval":

@@ -15,10 +15,10 @@ tests count against a budget; running out raises ``EnumerationBudgetError``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from blichfeldt import linalg
 from blichfeldt.linalg import DegenerateBasisError
@@ -108,14 +108,12 @@ class Lattice:
         return f"Lattice(dim={self.dim}, det={self.determinant})"
 
 
-@dataclass(frozen=True)
-class ShortestVectorResult:
+class ShortestVectorResult(NamedTuple):
     length_sq: Fraction
     minimizers: tuple  # coefficient vectors, one per +/- pair
 
 
-@dataclass(frozen=True)
-class DirichletVoronoiCell:
+class DirichletVoronoiCell(NamedTuple):
     relevant_vectors: tuple  # coefficient vectors (both signs)
     vertices: tuple          # ambient rational points
 

@@ -17,11 +17,11 @@ lattice-normalized part and a single square root.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd
 from operator import mul
+from typing import NamedTuple
 
 from blichfeldt import linalg
 from blichfeldt.interval import Interval, acos_interval, pi, sqrt_fraction
@@ -39,8 +39,7 @@ class DegenerateHullError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     normal: tuple        # primitive outward normal, dual-basis coefficients
     offset: int          # a.x <= offset
     vertex_ids: tuple
@@ -307,8 +306,7 @@ def vertex_facet_counts(poly: LatticePolytope):
 # intrinsic volumes (n <= 3)
 
 
-@dataclass
-class IntrinsicVolumes3:
+class IntrinsicVolumes3(NamedTuple):
     v0: int
     v1: object   # RadicalSum when exact, else callable bits -> Interval
     v2: RadicalSum

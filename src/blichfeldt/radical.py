@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 from blichfeldt.interval import Interval, dyadic
 
@@ -221,8 +221,7 @@ class Cmp(enum.Enum):
     GREATER = "greater"
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(NamedTuple):
     precision_bits: int
 
 

@@ -12,8 +12,8 @@ reports reproduce anywhere.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from blichfeldt import polytope as pt
 from blichfeldt.counting import Body
@@ -108,8 +108,7 @@ def random_hull(
     raise RuntimeError("repeated degeneracy beyond retry limit")
 
 
-@dataclass(frozen=True)
-class CorpusSpec:
+class CorpusSpec(NamedTuple):
     """Deterministic corpus description; same spec + seed -> same corpus."""
 
     seed: int
@@ -124,8 +123,7 @@ class CorpusSpec:
     lattice_max_abs_det: int = 8
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     index: int
     name: str
     body: Body

@@ -158,6 +158,18 @@ class TestAudit:
         assert out == ""
         assert "budget" in err
 
+    def test_requires_dimension_two(self, tmp_path):
+        # a 1D prism is an endpoint and its strict bound #Q_i < 1 cannot
+        # hold: the audit refuses the segment as a usage error, not exit 1
+        path = str(tmp_path / "segment.json")
+        wt.save_body(Body.from_polytope(pt.hull([(0,), (5,)])), path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "blichfeldt.cli", "audit", "--body", path],
+                              env=env, capture_output=True, text=True, timeout=30, check=False)
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stdout == ""
+        assert "audit requires dimension >= 2" in proc.stderr
+
     def test_requires_untranslated(self, capsys, tmp_path):
         body = wt.half_translate(wt.simplex_Sk(3, 1), (Fraction(1, 2), 0, 0))
         path = str(tmp_path / "t.json")
@@ -441,6 +453,19 @@ class TestUsage:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=30, check=False)
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_skips_dataclasses(self):
+        # the records are NamedTuples: a CLI process loads neither
+        # dataclasses nor inspect (-S: no site hooks of the environment)
+        code = (
+            "import sys, blichfeldt.cli, blichfeldt.harness; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_no_command(self, capsys):
         assert cli.main([]) == cli.EXIT_USAGE

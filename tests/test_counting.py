@@ -2,14 +2,16 @@
 
 import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blichfeldt import counting as ct
 from blichfeldt import lattice as lt
 from blichfeldt import polytope as pt
-from blichfeldt.counting import Body, EnumerationBudgetError
+from blichfeldt import witnesses as wt
+from blichfeldt.counting import Body, CountResult, EnumerationBudgetError
 from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.polytope import DegenerateHullError
@@ -66,6 +68,27 @@ def _brute_force_polytope(poly):
             rec(prefix + (x,), j + 1)
     rec((), 0)
     return total
+
+
+def _box_scan_linear(constraints, box):
+    """Cells of the box with c.x <= t for every (c, t), tested one by one."""
+    ranges = [range(lo, hi + 1) for lo, hi in zip(*box)]
+    return sum(all(sum(map(mul, c, x)) <= t for c, t in constraints)
+               for x in itertools.product(*ranges))
+
+
+def _real_row_meets(constraints, base):
+    """True when the real line base + x_0 e_0 meets {c.x <= t}, in Fraction."""
+    lo = hi = None
+    for c, t in constraints:
+        rem = Fraction(t - sum(map(mul, c, base)), c[0] or 1)
+        if c[0] > 0:
+            hi = rem if hi is None else min(hi, rem)
+        elif c[0] < 0:
+            lo = rem if lo is None else max(lo, rem)
+        elif rem < 0:
+            return False
+    return lo is None or hi is None or lo <= hi
 
 
 class TestCeilSqrt:
@@ -253,6 +276,82 @@ class TestPick:
                 continue
         area, boundary, interior = pick_quantities(poly)
         assert area == interior + Fraction(boundary, 2) - 1
+
+
+class TestShadowRows:
+    @given(data=st.data(), n=st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_any_pairs_match_box_scan(self, data, n):
+        # random integer systems, empty ones included: no pairs, all pairs
+        # and any subset of them count what a scan of every box cell counts
+        coeff = st.tuples(*[st.integers(-3, 3)] * n)
+        cons = data.draw(st.lists(st.tuples(coeff, st.integers(-6, 6)), min_size=1, max_size=6))
+        los = data.draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n))
+        his = [lo + data.draw(st.integers(-1, 4)) for lo in los]
+        every = list(itertools.combinations(range(len(cons)), 2))
+        some = data.draw(st.lists(st.sampled_from(every), unique=True)) if every else []
+        expected = _box_scan_linear(cons, (los, his))
+        for pairs in ([], every, some):
+            assert ct._enumerate_linear(cons, (los, his), 10**6, pairs) == expected
+
+    @given(data=st.data(), n=st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_polytope_pairs_match_box_scan(self, data, n):
+        # a hull and a rational translate of it, whose rounded thresholds may
+        # change its combinatorics: P's ridge pairs stay valid for both
+        pts = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                                 min_size=n + 1, max_size=n + 4))
+        try:
+            poly = pt.hull(pts)
+        except DegenerateHullError:
+            assume(False)
+        t = tuple(data.draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(n))
+        ridges = [pair for _, pair in pt.facet_ridges(poly)]
+        for shift in (None, t):
+            cons = ct._polytope_constraints(poly, shift)
+            box = ct._polytope_box(poly, shift)
+            every = list(itertools.combinations(range(len(cons)), 2))
+            expected = _box_scan_linear(cons, box)
+            for pairs in ([], ridges, every):
+                assert ct._enumerate_linear(cons, box, 10**6, pairs) == expected
+        assert ct.count(Body.translated(t, poly)).count == expected
+
+    def test_empty_shadow_row(self, monkeypatch):
+        # x_0 <= x_1 - 1 and x_0 >= x_1 eliminate to 0 <= -1: the one group's
+        # shadow interval is empty and no row is solved
+        cons = [((1, -1), -1), ((-1, 1), 0)]
+        assert ct._shadow(cons, [(0, 1)]) == [((0,), -1)]
+        calls = []
+        row_interval = ct._row_interval
+        monkeypatch.setattr(ct, "_row_interval", lambda *a: calls.append(a) or row_interval(*a))
+        assert ct._enumerate_linear(cons, ([-5, -5], [5, 5]), 10**6, [(0, 1)]) == 0
+        assert len(calls) == 1
+
+    def test_solves_only_rows_meeting_p(self, monkeypatch):
+        # 12 S_1 in 4D: of its 13^3 box rows only those meeting P are solved,
+        # plus one shadow interval per (x_1, x_2) group
+        poly = wt.simplex_Sk(4, 1).scaled(12)
+        calls = []
+        row_interval = ct._row_interval
+
+        def counted(cons, base, lb, ub):
+            calls.append(base)
+            return row_interval(cons, base, lb, ub)
+
+        monkeypatch.setattr(ct, "_row_interval", counted)
+        assert ct.count(Body.from_polytope(poly)).count == 1820
+        monkeypatch.undo()
+        cons = ct._polytope_constraints(poly)
+        los, his = ct._polytope_box(poly)
+        ranges = [range(lo, hi + 1) for lo, hi in zip(los[1:], his[1:])]
+        meeting = sum(_real_row_meets(cons, (0,) + rest) for rest in itertools.product(*ranges))
+        groups = len(ranges[0]) * len(ranges[1])
+        assert (meeting, groups) == (455, 169)
+        assert len(calls) <= meeting + groups
+
+    def test_count_result_field(self):
+        # a field named count, read by callers as .count, not tuple.count
+        assert CountResult(5).count == 5
 
 
 class TestBudget:

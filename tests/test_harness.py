@@ -394,6 +394,11 @@ class TestBoundaryLayerAudit:
             assert record.partition_ok
             assert record.all_ok
 
+    def test_requires_dimension_two(self):
+        # a 1D prism is an endpoint with D_i = 1, so #Q_i < 1 cannot hold
+        with pytest.raises(ValueError, match="dimension >= 2"):
+            hz.boundary_layer_audit(pt.hull([(0,), (5,)]))
+
     def test_partition(self):
         record = hz.boundary_layer_audit(_cube(3, 3))
         assert record.l1_count + record.l2_count == record.total

@@ -88,6 +88,20 @@ class TestInterval:
         iv = sqrt_interval(Interval(Fraction(4), Fraction(9)), 64)
         assert iv.contains(Fraction(2)) and iv.contains(Fraction(3))
 
+    def test_value_semantics(self):
+        # a value with a checked constructor, not a tuple: no concatenation,
+        # no order; equality by endpoints, and the repr records print
+        with pytest.raises(ValueError):
+            Interval(Fraction(2), Fraction(1))
+        a = Interval(Fraction(1, 2), Fraction(1))
+        assert not isinstance(a, tuple)
+        with pytest.raises(TypeError):
+            a < Interval(Fraction(2), Fraction(3))
+        assert a == Interval(Fraction(1, 2), Fraction(1)) and a != (a.lo, a.hi)
+        assert a != Interval(Fraction(1, 2), Fraction(2))
+        assert hash(a) == hash((Fraction(1, 2), Fraction(1)))
+        assert repr(a) == "Interval(lo=Fraction(1, 2), hi=Fraction(1, 1))"
+
 
 class TestPi:
     def test_known_digits(self):
