@@ -258,20 +258,19 @@ def _cmd_corpus(args) -> int:
 def _cmd_witness(args) -> int:
     n = args.n
     if args.family == "simplex_Sk":
-        if args.k is None:
-            raise _CliError("simplex_Sk requires --k")
-        poly = wt.simplex_Sk(n, args.k)
+        make, flag = wt.simplex_Sk, "k"
         t = tuple(Fraction(1, 2) if j == 0 else Fraction(0) for j in range(n))
     elif args.family == "reeve_Tm":
-        if args.m is None:
-            raise _CliError("reeve_Tm requires --m")
-        try:
-            poly = wt.reeve_Tm(n, args.m)
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
+        make, flag = wt.reeve_Tm, "m"
         t = (Fraction(1, 2),) * n
     else:
         raise _CliError(f"unknown family {args.family!r}")
+    if getattr(args, flag) is None:
+        raise _CliError(f"{args.family} requires --{flag}")
+    try:
+        poly = make(n, getattr(args, flag))
+    except ValueError as exc:      # n, k or m out of range
+        raise _CliError(str(exc)) from exc
     body = wt.half_translate(poly, t) if args.translate else ct.Body.from_polytope(poly)
     text = json.dumps(wt.body_to_dict(body), indent=2)
     _emit(text, args.out)

@@ -3,21 +3,23 @@
 Everything is counted in lattice coefficient coordinates, so counting over
 an arbitrary lattice is counting integer vectors.  Linear membership is
 compiled to integer thresholds per constraint (a rational or single-radical
-right-hand side rounds to the exact integer cutoff), then enumeration
-sweeps the outer coordinates and solves an exact 1D slab innermost.  The
-sweep visits only the rows the body's shadow reaches: Fourier-Motzkin
-elimination of x_0 (Schrijver, Theory of Linear and Integer Programming,
-12.2) from chosen pairs of constraints gives, per (x_1, .., x_{n-2}), one
-interval of x_{n-1}.  Each eliminated pair is a valid inequality, so any
-set of pairs is sound; a polytope's ridge pairs are its exact shadow.  A
-ball is an ellipsoid in coefficients, counted by ``lattice.enum_ellipsoid``.
+right-hand side rounds to the exact integer cutoff).  One row sweep,
+``_rows``, yields each non-empty row along x_0 with its exact 1D slab of
+x_0; counting sums the slabs, and ``harness.boundary_layer_audit`` walks
+the same rows for P and for its facet prisms.  The sweep visits only the
+rows the body's shadow reaches: Fourier-Motzkin elimination of x_0
+(Schrijver, Theory of Linear and Integer Programming, 12.2) from chosen
+pairs of constraints gives, per (x_1, .., x_{n-2}), one interval of
+x_{n-1}.  Each eliminated pair is a valid inequality, so any set of pairs
+is sound; a polytope's ridge pairs are its exact shadow.  A ball is an
+ellipsoid in coefficients, counted by ``lattice.enum_ellipsoid``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -106,31 +108,6 @@ def _int_threshold(rhs: Fraction, strict: bool) -> int:
     return f
 
 
-def _box_rows(box, budget, shadow=None):
-    """Base points (0, x_1, .., x_{n-1}) of the box's rows along x_0.
-
-    With a ``shadow`` (from ``_shadow``) only the rows it reaches: for each
-    (x_1, .., x_{n-2}) the x_{n-1} interval it leaves.  Raises
-    ``EnumerationBudgetError`` when the box holds more cells than the
-    budget allows.
-    """
-    los, his = box
-    total_cells = 1
-    for lo, hi in zip(los, his):
-        total_cells *= max(0, hi - lo + 1)
-    if total_cells > budget:
-        raise EnumerationBudgetError(budget)
-    if total_cells == 0:
-        return ()
-    outer = [range(lo, hi + 1) for lo, hi in zip(los[1:], his[1:])]
-    if shadow is None or not outer:
-        return ((0,) + rest for rest in itertools.product(*outer))
-    *heads, last = outer
-    return (base + (x,) for base in ((0,) + head for head in itertools.product(*heads))
-            for lo, hi in [_row_interval(shadow, base, last[0], last[-1])]
-            for x in range(lo, hi + 1))
-
-
 def _shadow(constraints, pairs):
     """Fourier-Motzkin elimination of x_0, coefficients x_{n-1} first.
 
@@ -171,52 +148,60 @@ def _row_interval(constraints, base, lb, ub):
     return lb, ub
 
 
+def _rows(constraints, box, budget, pairs):
+    """The non-empty rows (base, lb, ub) of the box's points with c.x <= t.
+
+    A row is the line base + x_0 e_0, base = (0, x_1, .., x_{n-1}), and its
+    points are lb <= x_0 <= ub.  Only the rows that the shadow of ``pairs``
+    (index pairs into the constraints, see ``_shadow``) reaches are solved:
+    for each (x_1, .., x_{n-2}) the one x_{n-1} interval it leaves.  A
+    skipped row meets no real point of the body, so it holds no integer
+    one.  Raises ``EnumerationBudgetError`` when the box holds more cells
+    than the budget allows.
+    """
+    (lo0, *los), (hi0, *his) = box
+    cells = prod(max(0, hi - lo + 1) for lo, hi in zip(*box))
+    if cells > budget:
+        raise EnumerationBudgetError(budget)
+    if not cells:
+        return
+    bases = [(0,)]
+    if los:
+        shadow = _shadow(constraints, pairs)
+        *heads, last = [range(lo, hi + 1) for lo, hi in zip(los, his)]
+        bases = (base + (x,) for base in ((0,) + head for head in itertools.product(*heads))
+                 for lo, hi in [_row_interval(shadow, base, last[0], last[-1])]
+                 for x in range(lo, hi + 1))
+    for base in bases:
+        lb, ub = _row_interval(constraints, base, lo0, hi0)
+        if lb <= ub:
+            yield base, lb, ub
+
+
 def _enumerate_linear(constraints, box, budget, pairs) -> int:
     """Number of integer points of the box with c.x <= t for all (c, t).
 
-    Sweeps the rows that the shadow of ``pairs`` (index pairs into the
-    constraints, see ``_shadow``) reaches; the innermost coordinate is
-    solved as an exact 1D slab, so memory is O(1) in the count.  A skipped
-    row meets no real point of the body, so it holds no integer one.
+    The innermost coordinate is solved as an exact 1D slab per row, so
+    memory is O(1) in the count.
     """
-    lo0, hi0 = box[0][0], box[1][0]
-    count = 0
-    for base in _box_rows(box, budget, _shadow(constraints, pairs)):
-        lb, ub = _row_interval(constraints, base, lo0, hi0)
-        if lb <= ub:
-            count += ub - lb + 1
-    return count
+    return sum(ub - lb + 1 for _, lb, ub in _rows(constraints, box, budget, pairs))
 
 
-def _polytope_constraints(poly: LatticePolytope, t_coeff=None):
-    """Integer-threshold constraints for (t + P) in coefficient space."""
-    cons = []
-    for f in poly.facets:
-        rhs = f.offset
-        if t_coeff is not None:
-            rhs += sum(c * x for c, x in zip(f.normal, t_coeff))
-        cons.append((f.normal, _int_threshold(rhs, False)))
-    return cons
-
-
-def _polytope_box(poly: LatticePolytope, t_coeff=None):
-    n = poly.dim
-    los, his = [], []
-    for j in range(n):
-        vals = [Fraction(v[j]) for v in poly.vertices]
-        if t_coeff is not None:
-            vals = [x + t_coeff[j] for x in vals]
-        los.append(min(vals).__ceil__())
-        his.append(max(vals).__floor__())
-    return los, his
+def _polytope_system(poly: LatticePolytope, t_coeff=None):
+    """Integer constraints and integer box of (t + P) in coefficient space."""
+    cons = [(f.normal, f.offset) for f in poly.facets]
+    cols = list(zip(*poly.vertices))
+    if t_coeff is not None:
+        cons = [(a, (b + sum(map(mul, a, t_coeff))).__floor__()) for a, b in cons]
+        cols = [[x + t for x in col] for col, t in zip(cols, t_coeff)]
+    return cons, ([min(col).__ceil__() for col in cols], [max(col).__floor__() for col in cols])
 
 
 def count(body: Body, budget: int = DEFAULT_BUDGET) -> CountResult:
     """Exact number of lattice points of the body."""
     if body.kind in ("polytope", "translated_polytope"):
         t_coeff = body.lattice.to_coeff(body.translate) if body.translate else None
-        cons = _polytope_constraints(body.polytope, t_coeff)
-        box = _polytope_box(body.polytope, t_coeff)
+        cons, box = _polytope_system(body.polytope, t_coeff)
         ridges = [pair for _, pair in facet_ridges(body.polytope)]
         return CountResult(_enumerate_linear(cons, box, budget, ridges))
     if body.kind == "halfopen_parallelepiped":
@@ -281,6 +266,6 @@ def count_inner_parallel(
 ) -> CountResult:
     """Exact count of lattice points of the inner parallel body P - rho*B."""
     cons = inner_parallel_thresholds(poly, rho_sq)
-    box = _polytope_box(poly)
+    _, box = _polytope_system(poly)
     pairs = itertools.combinations(range(len(cons)), 2)
     return CountResult(_enumerate_linear(cons, box, budget, pairs))

@@ -23,7 +23,7 @@ import io
 import json
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, groupby
+from itertools import combinations
 from math import factorial
 from operator import mul
 from typing import Callable, NamedTuple
@@ -350,9 +350,12 @@ def boundary_layer_audit(
     b - gamma_i <= a.z <= b, with gamma_i = ceil(|a|_1/2) - 1, and
     z + ((b - a.z)/|a|_1) sign(a) lies in F_i.
 
-    All of it is counted in one sweep of the rows of P's integer box: each
-    row's points of P, of L1 and of every Q_i form an interval of x_0, and
-    no point list is kept.  Prism i is solved only on rows its shadow meets.
+    Each row's points of P, of L1 and of every Q_i form an interval of x_0,
+    and ``counting._rows`` yields them only for the rows a body's shadow
+    reaches.  The audit walks each prism's rows, counting its layers and
+    keeping its x_0 interval per row; then P's rows, counting G and L1 and
+    checking that L1 and the kept intervals cover each row.  No point list
+    is kept.
     """
     # Why every point of L2 is covered: take the facet i minimising
     # r_i = (b_i - a_i.z)/(|a_i|_1/2).  A point of L2 has r_i < 1, so z lies
@@ -378,6 +381,7 @@ def boundary_layer_audit(
     # real prism on (x_1, .., x_{n-1}) (Fourier-Motzkin; Schrijver, Theory of
     # Linear and Integer Programming, 12.2).  For fixed x_1 .. x_{n-2} its
     # integer x_{n-1} form one interval; a row outside it meets no real point.
+    # P's own rows come the same way from its ridge pairs (see ``counting``).
     lat = poly.lattice
     if not _is_integer_lattice(lat):
         raise ValueError("audit requires the integer lattice")
@@ -390,10 +394,13 @@ def boundary_layer_audit(
         # norms, the unit cube and facet areas below are taken in the
         # coordinates of the vertices, so they must be the ambient ones
         poly = pt.hull([lat.to_ambient(v) for v in poly.vertices], budget=budget)
-    los, his = ([f(col) for col in zip(*poly.vertices)] for f in (min, max))
+    box = [[f(col) for col in zip(*poly.vertices)] for f in (min, max)]
     inside = [(f.normal, f.offset) for f in poly.facets]
-    ridges = {p for _, (i, j) in pt.facet_ridges(poly) for p in ((i, j), (j, i))}
-    interior, prisms = [], []
+    pairs = [pair for _, pair in pt.facet_ridges(poly)]
+    ridges = {p for i, j in pairs for p in ((i, j), (j, i))}
+    interior, layers = [], []
+    # per row base, the x_0 intervals of the prisms that meet the row
+    cover = {}
     for i, (a, b) in enumerate(inside):
         l1 = sum(map(abs, a))
         # L1: a.z <= b - |a|_1/2, integer left side
@@ -408,42 +415,29 @@ def boundary_layer_audit(
         for h, bh in (f for j, f in enumerate(inside) if (i, j) in ridges):
             hs = sum(map(mul, h, sign))
             cons.append((tuple(l1 * x - hs * y for x, y in zip(h, a)), l1 * bh - b * hs))
-        shadow = ct._shadow(cons, combinations(range(len(cons)), 2))
-        prisms.append((a, b, cons, shadow, [0] * (gamma + 1)))
+        counts = [0] * (gamma + 1)
+        for base, lb, ub in ct._rows(cons, box, budget, combinations(range(len(cons)), 2)):
+            cover.setdefault(base, []).append((lb, ub))
+            slack = b - sum(map(mul, a, base))
+            if a[0]:
+                for x0 in range(lb, ub + 1):
+                    counts[slack - a[0] * x0] += 1
+            else:       # the whole row lies in one layer
+                counts[slack] += ub - lb + 1
+        layers.append(counts)
 
     g = l1_count = 0
     l2_covered = True
-    # rows by (x_1, .., x_{n-2}), and per prism the x_{n-1} interval of its
-    # shadow there
-    for head, group in groupby(ct._box_rows((los, his), budget), lambda base: base[1:-1]):
-        spans = ((ct._row_interval(q[3], (0,) + head, los[-1], his[-1]), q) for q in prisms)
-        active = [(lo, hi, q) for (lo, hi), q in spans if lo <= hi]
-        for base in group:
-            cover = []
-            for lo, hi, (a, b, cons, _, counts) in active:
-                if not lo <= base[-1] <= hi:
-                    continue
-                lb, ub = ct._row_interval(cons, base, los[0], his[0])
-                if lb <= ub:
-                    cover.append((lb, ub))
-                    slack = b - sum(map(mul, a, base))
-                    if a[0]:
-                        for x0 in range(lb, ub + 1):
-                            counts[slack - a[0] * x0] += 1
-                    else:       # the whole row lies in one layer
-                        counts[slack] += ub - lb + 1
-            plb, pub = ct._row_interval(inside, base, los[0], his[0])
-            if plb > pub:
-                continue
-            g += pub - plb + 1
-            qlb, qub = ct._row_interval(interior, base, plb, pub)
-            l1_count += max(0, qub - qlb + 1)
-            # L2 is the row less L1: covered when the prisms and L1 cover the row
-            l2_covered = l2_covered and _covers(cover + [(qlb, qub)], plb, pub)
+    for base, plb, pub in ct._rows(inside, box, budget, pairs):
+        g += pub - plb + 1
+        qlb, qub = ct._row_interval(interior, base, plb, pub)
+        l1_count += max(0, qub - qlb + 1)
+        # L2 is the row less L1: covered when the prisms and L1 cover the row
+        l2_covered = l2_covered and _covers(cover.get(base, []) + [(qlb, qub)], plb, pub)
     l2_count = g - l1_count
 
     facet_audits = []
-    for i, ((a, *_, counts), d) in enumerate(zip(prisms, poly.facet_dets)):
+    for i, ((a, _), counts, d) in enumerate(zip(inside, layers, poly.facet_dets)):
         facet_audits.append(FacetAudit(
             facet_index=i, gamma=len(counts) - 1, prism_count=sum(counts),
             layer_counts=tuple(counts),

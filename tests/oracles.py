@@ -4,15 +4,17 @@ Each computes a quantity the package also computes, by a second route that
 shares none of the code under test: the volume from a reversed placing
 triangulation and from signed cones, facet sublattices from an explicit
 unimodular kernel basis, the sublattice determinant behind det(L) lambda_1(L*),
-Pick's identity in 2D, and a 3D polytope's edges as the facet pairs sharing
-two vertices.  ``width`` is the tests' gauge of an enclosure's
-precision.  Nothing in ``src/`` calls these.
+Pick's identity in 2D, a 3D polytope's edges as the facet pairs sharing
+two vertices, and whether a real line along x_0 meets a polytope, in
+rationals.  ``width`` is the tests' gauge of an enclosure's precision.
+Nothing in ``src/`` calls these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd
+from operator import mul
 
 from blichfeldt import linalg
 from blichfeldt.counting import Body, count
@@ -179,3 +181,17 @@ def polytope_edges(poly: LatticePolytope):
             if len(common) == 2:
                 edges.append(((common[0], common[1]), (i, j)))
     return edges
+
+
+def real_row_meets(constraints, base):
+    """True when the real line base + x_0 e_0 meets {c.x <= t}, in Fraction."""
+    lo = hi = None
+    for c, t in constraints:
+        rem = Fraction(t - sum(map(mul, c, base)), c[0] or 1)
+        if c[0] > 0:
+            hi = rem if hi is None else min(hi, rem)
+        elif c[0] < 0:
+            lo = rem if lo is None else max(lo, rem)
+        elif rem < 0:
+            return False
+    return lo is None or hi is None or lo <= hi

@@ -207,6 +207,16 @@ class TestWitness:
         code, *_ = _run(capsys, ["witness", "--family", "simplex_Sk", "--n", "3"])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("family, n, flag, value", [
+        ("simplex_Sk", "0", "--k", "1"), ("simplex_Sk", "3", "--k", "0"),
+        ("reeve_Tm", "0", "--m", "1"), ("reeve_Tm", "3", "--m", "0"),
+    ])
+    def test_out_of_range_parameter(self, capsys, family, n, flag, value):
+        # a usage error (exit 2), never exit 1, the code of a violated inequality
+        code, out, err = _run(capsys, ["witness", "--family", family, "--n", n, flag, value])
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "error:" in err and "Traceback" not in err
+
 
 class TestCorpus:
     def _spec_file(self, tmp_path, **overrides):

@@ -16,7 +16,7 @@ from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.polytope import DegenerateHullError
 from blichfeldt.rng import Rng
-from oracles import pick_quantities
+from oracles import pick_quantities, real_row_meets
 
 
 def _cube(n, side):
@@ -75,20 +75,6 @@ def _box_scan_linear(constraints, box):
     ranges = [range(lo, hi + 1) for lo, hi in zip(*box)]
     return sum(all(sum(map(mul, c, x)) <= t for c, t in constraints)
                for x in itertools.product(*ranges))
-
-
-def _real_row_meets(constraints, base):
-    """True when the real line base + x_0 e_0 meets {c.x <= t}, in Fraction."""
-    lo = hi = None
-    for c, t in constraints:
-        rem = Fraction(t - sum(map(mul, c, base)), c[0] or 1)
-        if c[0] > 0:
-            hi = rem if hi is None else min(hi, rem)
-        elif c[0] < 0:
-            lo = rem if lo is None else max(lo, rem)
-        elif rem < 0:
-            return False
-    return lo is None or hi is None or lo <= hi
 
 
 class TestCeilSqrt:
@@ -308,8 +294,7 @@ class TestShadowRows:
         t = tuple(data.draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(n))
         ridges = [pair for _, pair in pt.facet_ridges(poly)]
         for shift in (None, t):
-            cons = ct._polytope_constraints(poly, shift)
-            box = ct._polytope_box(poly, shift)
+            cons, box = ct._polytope_system(poly, shift)
             every = list(itertools.combinations(range(len(cons)), 2))
             expected = _box_scan_linear(cons, box)
             for pairs in ([], ridges, every):
@@ -341,10 +326,9 @@ class TestShadowRows:
         monkeypatch.setattr(ct, "_row_interval", counted)
         assert ct.count(Body.from_polytope(poly)).count == 1820
         monkeypatch.undo()
-        cons = ct._polytope_constraints(poly)
-        los, his = ct._polytope_box(poly)
+        cons, (los, his) = ct._polytope_system(poly)
         ranges = [range(lo, hi + 1) for lo, hi in zip(los[1:], his[1:])]
-        meeting = sum(_real_row_meets(cons, (0,) + rest) for rest in itertools.product(*ranges))
+        meeting = sum(real_row_meets(cons, (0,) + rest) for rest in itertools.product(*ranges))
         groups = len(ranges[0]) * len(ranges[1])
         assert (meeting, groups) == (455, 169)
         assert len(calls) <= meeting + groups

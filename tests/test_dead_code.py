@@ -1,9 +1,9 @@
-"""No public function or method of the package is called only by tests.
+"""No function or method of the package is called only by tests.
 
-Every public module-level function and every public method in
-``src/blichfeldt/`` must be referenced by name somewhere in ``src/``,
-``scripts/`` or ``bench/``.  There are no exceptions: the independent
-oracles that tests hold the program's results against live in
+Every module-level function, public or private, and every method other
+than a dunder in ``src/blichfeldt/`` must be referenced by name somewhere
+in ``src/``, ``scripts/`` or ``bench/``.  There are no exceptions: the
+independent oracles that tests hold the program's results against live in
 ``tests/oracles.py``.
 """
 
@@ -14,14 +14,15 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "blichfeldt"
 
 
-def _public_definitions():
+def _definitions():
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
                 yield path.name, node.name, node.name
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
+                    if isinstance(item, ast.FunctionDef) and not (
+                            item.name.startswith("__") and item.name.endswith("__")):
                         yield path.name, f"{node.name}.{item.name}", item.name
 
 
@@ -43,8 +44,8 @@ def test_no_function_only_tests_call():
     used = _referenced_names()
     unused = [
         f"{module}: {qualified}"
-        for module, qualified, name in _public_definitions()
-        if not name.startswith("_") and name not in used
+        for module, qualified, name in _definitions()
+        if name not in used
     ]
     assert unused == []
 

@@ -18,6 +18,7 @@ from blichfeldt.harness import InequalityId as I, Verdict as V
 from blichfeldt.lattice import Lattice
 from blichfeldt.radical import Cmp, RadicalSum, certified_compare
 from blichfeldt.rng import Rng
+from oracles import real_row_meets
 
 
 def _cube(n, side):
@@ -534,6 +535,29 @@ class TestBoundaryLayerAudit:
             in_boxes += (y1 - y0 + 1) * (z1 - z0 + 1)
         assert len(solves) <= in_shadow
         assert 4 * in_shadow < in_boxes
+
+    def test_p_solved_only_on_rows_it_meets(self, monkeypatch):
+        # P's own row is solved on the rows of P's shadow only: on T_24 the
+        # 26 rows that meet P, not all 625 rows of its 25 x 25 box
+        poly = wt.reeve_Tm(3, 24)
+        inside = [(f.normal, f.offset) for f in poly.facets]
+        solves = []
+        row_interval = ct._row_interval
+
+        def counted(cons, base, lb, ub):
+            if len(base) == poly.dim and cons == inside:
+                solves.append(base)
+            return row_interval(cons, base, lb, ub)
+
+        monkeypatch.setattr(ct, "_row_interval", counted)
+        record = hz.boundary_layer_audit(poly)
+        monkeypatch.undo()
+        assert record == _reference_audit(poly)
+        los, his = ([f(c) for c in zip(*poly.vertices)] for f in (min, max))
+        rows = [(0, y, z) for y in range(los[1], his[1] + 1) for z in range(los[2], his[2] + 1)]
+        assert len(rows) == 625
+        assert sorted(solves) == [base for base in rows if real_row_meets(inside, base)]
+        assert len(solves) == 26
 
     # (count, n, d, s, holds): near ties of two surds, counts below n - 1,
     # and exact ties, which fail the strict bound
