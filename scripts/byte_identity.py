@@ -14,7 +14,11 @@ only totals and flags), ``count`` on a 4D ball and
 on a 3D ball with lattice points on its sphere, ``check --id
 GENERAL_THM_4_1`` on a 4D hull over a sheared lattice, ``measure`` on a 3D
 hull over a sheared lattice with acute, right and obtuse dihedral angles
-(V1 through the dual Gram and every arctangent branch), and ``measure`` on
+(V1 through the dual Gram and every arctangent branch), ``check --id
+CONJECTURE_1_4`` on that hull (its polar's shortest vector), ``check --id
+GENERAL_1_3_ii`` on a half translate of it, ``count`` on a half-open
+parallelepiped over that lattice with a rational anchor and generators of
+negative determinant, and ``measure`` on
 a triangle whose edge norm^2 is the product of two 40-bit primes.  Each line
 is ``sha256  exit-code  command``; a record line shows ``audit-record``.
 
@@ -91,6 +95,16 @@ def _commands(seed: int, workdir: str):
     path = os.path.join(workdir, "skew3_hull.json")
     wt.save_body(Body.from_polytope(pt.hull(corners3, lattice=skew3)), path)
     yield ["measure", "--body", path]
+    # the polar and its shortest vector in 3D, and a translate over skew3
+    yield ["check", "--id", "CONJECTURE_1_4", "--body", path]
+    path = os.path.join(workdir, "skew3_hull_half.json")
+    wt.save_body(wt.half_translate(pt.hull(corners3, lattice=skew3), (h, 0, 0)), path)
+    yield ["check", "--id", "GENERAL_1_3_ii", "--body", path]
+    # a half-open cell over skew3: rational anchor, generators of det -5
+    path = os.path.join(workdir, "ppd_skew3.json")
+    gens = [(2, 1, 0), (0, -1, 1), (1, 0, 3)]
+    wt.save_body(Body.parallelepiped(gens, anchor=(third, -h, quarter), lattice=skew3), path)
+    yield ["count", "--body", path]
     # an edge norm^2 u^2 + v^2 = p*q for the 40-bit primes p = 780175892429
     # and q = 849767860033: a radicand with no prime factor below 10^6
     u, v = 79079877299, 810379399766

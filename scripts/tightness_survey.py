@@ -50,7 +50,7 @@ def survey_mu_lambda(seed: int, num_lattices: int) -> None:
         for _ in range(num_lattices):
             lat = wt.random_lattice(rng, n, max_abs_det=8)
             mu = lt.inhomogeneous_minimum(lat)
-            lam = RadicalSum.sqrt(lt.shortest_vector(lt.polar_lattice(lat)).length_sq)
+            lam = RadicalSum.sqrt(lt.shortest_vector(lat.polar).length_sq)
             enc = ((mu * lam) / n).enclosure(96)
             products.append(float((enc.lo + enc.hi) / 2))
         products.sort()

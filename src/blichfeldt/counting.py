@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -209,7 +209,7 @@ def count(body: Body, budget: int = DEFAULT_BUDGET) -> CountResult:
     if body.kind == "ball":
         # |x B - c|^2 = (x - cB^-1) G (x - cB^-1)^T in coefficients x
         lat = body.lattice
-        found, _ = enum_ellipsoid(lat.gram, lat.to_coeff(body.center), body.radius_sq, budget)
+        found, _ = enum_ellipsoid(lat, lat.to_coeff(body.center), body.radius_sq, budget)
         return CountResult(found)
     raise ValueError(f"unknown body kind {body.kind!r}")
 
@@ -222,12 +222,15 @@ def count_halfopen_parallelepiped(body: Body, budget: int = DEFAULT_BUDGET) -> C
     if det == 0:
         raise ValueError("degenerate parallelepiped")
     t_coeff = body.lattice.to_coeff(body.anchor)
-    inv = linalg.frac_inv(gens)  # columns give the rho coordinates
+    # column i of gens^-1 = adj / det gives rho_i; ci / denom is it in lowest terms
+    adj = linalg.adjugate(gens)
+    sign = 1 if det > 0 else -1
     cons = []
     for i in range(n):
-        col = [inv[j][i] for j in range(n)]
-        denom = lcm(*(x.denominator for x in col))
-        ci = [int(x * denom) for x in col]
+        col = [adj[j][i] for j in range(n)]
+        g = gcd(det, *col)
+        denom = abs(det) // g
+        ci = [sign * c // g for c in col]
         shift = sum(Fraction(c) * t for c, t in zip(ci, t_coeff))
         # 0 <= rho_i:   -ci . x <= -shift        (closed)
         # rho_i < 1:     ci . x <  denom + shift (strict)

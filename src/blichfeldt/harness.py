@@ -95,10 +95,7 @@ def format_value(v, bits: int = 128) -> str:
 
 def _is_integer_lattice(lat: lt.Lattice) -> bool:
     """True when the lattice equals Z^n as a point set."""
-    return (
-        all(x.denominator == 1 for row in lat.basis for x in row)
-        and lat.determinant == 1
-    )
+    return lat.den == 1 and abs(lat.det_B) == 1
 
 
 def _rho3_enclosure(bits: int) -> Interval:
@@ -128,8 +125,7 @@ def _lattice_surface_bound(s: _Subject, factor=1):
 
 def _general_thm_4_1(s: _Subject):
     mu = lt.inhomogeneous_minimum(s.lat, s.budget)
-    polar = lt.polar_lattice(s.lat)
-    lam_star = RadicalSum.sqrt(lt.shortest_vector(polar, s.budget).length_sq)
+    lam_star = RadicalSum.sqrt(lt.shortest_vector(s.lat.polar, s.budget).length_sq)
     return _lattice_surface_bound(s, mu * lam_star + 1)
 
 
@@ -390,7 +386,7 @@ def boundary_layer_audit(
         # a 1D prism is an endpoint, D_i = 1, and #Q_i < 1 cannot hold: the
         # per-layer bounds need the translate lemma in dimension n - 1 >= 1
         raise ValueError("audit requires dimension >= 2")
-    if any(x != int(i == j) for i, row in enumerate(lat.basis) for j, x in enumerate(row)):
+    if any(x != int(i == j) for i, row in enumerate(lat.B) for j, x in enumerate(row)):
         # norms, the unit cube and facet areas below are taken in the
         # coordinates of the vertices, so they must be the ambient ones
         poly = pt.hull([lat.to_ambient(v) for v in poly.vertices], budget=budget)
@@ -445,7 +441,6 @@ def boundary_layer_audit(
             layer_bounds_ok=max([counts[0] - (n - 1)] + counts[1:]) <= d,
         ))
 
-    f0, gcounts = pt.vertex_facet_counts(poly)
     return AuditRecord(
         total=g,
         l1_count=l1_count,
@@ -453,7 +448,8 @@ def boundary_layer_audit(
         l1_volume_ok=factorial(n) * l1_count <= poly.dets,
         l2_covered_ok=l2_covered,
         prisms_ok=all(f.prism_bound_ok for f in facet_audits),
-        vertex_count_ok=sum(f0) >= len(gcounts) + len(inside) * (n - 1),
+        vertex_count_ok=(sum(len(f.vertex_ids) for f in poly.facets)
+                         >= len(poly.vertices) + len(inside) * (n - 1)),
         layers_ok=all(f.layer_bounds_ok for f in facet_audits),
         partition_ok=l1_count + l2_count == g,
         facets=tuple(facet_audits),

@@ -99,10 +99,6 @@ class Interval:
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
     def strictly_less(self, other) -> bool:
         return self.hi < _coerce(other).lo
 

@@ -1,11 +1,15 @@
 """Full-rank lattices and their classical invariants.
 
-A lattice is stored by a rational row basis; all point work happens in
+A lattice keeps its rational row basis as one integer matrix B over one
+denominator; its determinant, inverse, Gram and dual Gram matrices and
+its polar come from B by integer elimination (``linalg.det_bareiss``,
+``linalg.adjugate``), each divided once.  All point work happens in
 coefficient space (so counting over any lattice is counting over Z^n),
 and Euclidean geometry enters only through the Gram matrix.  One exact
-Fincke-Pohst enumerator counts the points of balls and lists the short
-vectors, each with its norm, behind shortest and Voronoi-relevant vectors
-(found coset-wise in L/2L); the covering radius is the largest vertex norm
+Fincke-Pohst enumerator, on the Gram matrix's LDL^T factored once per
+lattice, counts the points of balls and lists the short vectors, each
+with its norm, behind shortest and Voronoi-relevant vectors (found
+coset-wise in L/2L); the covering radius is the largest vertex norm
 of the Dirichlet-Voronoi cell, whose vertices are the facets of the hull of
 the points 2v/|v|^2 (``polytope.convex_hull_facets``), and both invariants are
 memoised per exact basis.  Enumeration nodes and the hull's orientation
@@ -18,6 +22,7 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
+from operator import mul
 from typing import NamedTuple
 
 from blichfeldt import linalg
@@ -39,20 +44,32 @@ class EnumerationBudgetError(RuntimeError):
         self.budget = budget
 
 
-def _bilinear_form(g, u, v) -> Fraction:
+def _form(g, u, v):
     """u^T g v, exactly."""
-    return sum((a * b * gab for a, row in zip(u, g) for b, gab in zip(v, row)), Fraction(0))
+    return sum(a * sum(map(mul, row, v)) for a, row in zip(u, g))
 
 
 class Lattice:
-    """Full-rank lattice given by rational basis rows."""
+    """Full-rank lattice given by rational basis rows.
+
+    ``basis`` is the parsed form: it is what a body file holds and what
+    keys the memo.  ``B = den * basis`` is the same basis as an integer
+    matrix over the least common denominator ``den``, and every other datum
+    is an integer matrix from B, divided once where a rational is needed:
+    Gram = B B^T / den^2, basis^-1 = den adj(B) / det(B), and the dual Gram
+    = den^2 adj(B)^T adj(B) / det(B)^2.
+    """
 
     def __init__(self, basis):
         self.basis = tuple(tuple(Fraction(x) for x in row) for row in basis)
         self.dim = len(self.basis)
         if any(len(row) != self.dim for row in self.basis):
             raise ValueError("basis must be square")
-        if linalg.frac_det(self.basis) == 0:
+        self.den = den = lcm(*(x.denominator for row in self.basis for x in row))
+        self.B = tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                       for row in self.basis)
+        self.det_B = linalg.det_bareiss(self.B)
+        if self.det_B == 0:
             raise DegenerateBasisError("degenerate basis")
 
     @staticmethod
@@ -61,48 +78,55 @@ class Lattice:
 
     @cached_property
     def determinant(self) -> Fraction:
-        return abs(linalg.frac_det(self.basis))
+        return abs(Fraction(self.det_B, self.den ** self.dim))
 
     @cached_property
-    def gram(self):
-        b = self.basis
-        n = self.dim
-        return tuple(
-            tuple(sum(b[i][k] * b[j][k] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+    def adj(self):
+        """adj(B): B . adj = det(B) I."""
+        return linalg.adjugate(self.B)
 
     @cached_property
-    def basis_inverse(self):
-        return tuple(tuple(row) for row in linalg.frac_inv(self.basis))
+    def gram_B(self):
+        """B B^T, the Gram matrix times den^2."""
+        return tuple(tuple(sum(map(mul, r, s)) for s in self.B) for r in self.B)
 
     @cached_property
-    def dual_basis(self):
-        """Rows d_i with basis . dual^T = identity."""
-        inv = self.basis_inverse
-        n = self.dim
-        return tuple(tuple(inv[i][j] for i in range(n)) for j in range(n))
+    def gram_adj(self):
+        """adj(B)^T adj(B), the dual Gram matrix times (det(B) / den)^2."""
+        cols = tuple(zip(*self.adj))
+        return tuple(tuple(sum(map(mul, c, d)) for d in cols) for c in cols)
 
     @cached_property
     def dual_gram(self):
-        d = self.dual_basis
-        n = self.dim
-        return tuple(
-            tuple(sum(d[i][k] * d[j][k] for k in range(n)) for j in range(n))
-            for i in range(n)
-        )
+        """The dual Gram matrix, the inverse of the Gram matrix."""
+        scale = self.det_B ** 2
+        d2 = self.den ** 2
+        return tuple(tuple(Fraction(x * d2, scale) for x in row) for row in self.gram_adj)
+
+    @cached_property
+    def ldl(self):
+        """The Gram matrix's LDL^T, factored once per lattice (``_ldl``)."""
+        d2 = self.den ** 2
+        return _ldl([[Fraction(x, d2) for x in row] for row in self.gram_B])
+
+    @cached_property
+    def polar(self) -> "Lattice":
+        """L*, whose basis rows d_i satisfy basis . d^T = I."""
+        return Lattice([[Fraction(self.den * a, self.det_B) for a in col]
+                        for col in zip(*self.adj)])
 
     def to_ambient(self, coeff):
-        return tuple(linalg.frac_vec_mat([Fraction(x) for x in coeff], self.basis))
+        return tuple(Fraction(sum(map(mul, coeff, col)), self.den) for col in zip(*self.B))
 
     def to_coeff(self, point):
-        return tuple(linalg.frac_vec_mat([Fraction(x) for x in point], self.basis_inverse))
+        return tuple(Fraction(self.den * sum(map(mul, point, col)), self.det_B)
+                     for col in zip(*self.adj))
 
     def contains(self, point) -> bool:
         return all(c.denominator == 1 for c in self.to_coeff(point))
 
     def norm_sq_of_coeff(self, coeff) -> Fraction:
-        return _bilinear_form(self.gram, coeff, coeff)
+        return Fraction(_form(self.gram_B, coeff, coeff), self.den ** 2)
 
     def __repr__(self):
         return f"Lattice(dim={self.dim}, det={self.determinant})"
@@ -116,10 +140,6 @@ class ShortestVectorResult(NamedTuple):
 class DirichletVoronoiCell(NamedTuple):
     relevant_vectors: tuple  # coefficient vectors (both signs)
     vertices: tuple          # ambient rational points
-
-
-def polar_lattice(lat: Lattice) -> Lattice:
-    return Lattice(lat.dual_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -157,19 +177,21 @@ def _ceil_minus_sqrt(a: Fraction, t: Fraction) -> int:
     return -_floor_plus_sqrt(-a, t)
 
 
-def enum_ellipsoid(gram, center, radius_sq, budget: int = DEFAULT_BUDGET,
+def enum_ellipsoid(lat: Lattice, center, radius_sq, budget: int = DEFAULT_BUDGET,
                    points: bool = False):
-    """Integer vectors x with (x - center)^T G (x - center) <= radius_sq.
+    """Integer vectors x with (x - center)^T G (x - center) <= radius_sq,
+    G the lattice's Gram matrix.
 
     Returns ``(found, nodes)``: their number, or when ``points`` the list of
     pairs ``(x, (x - center)^T G (x - center))``, and the candidate
     coordinates tried, which count against ``budget``.  LDL^T gives each
-    level the exact interval of its coordinate, so the innermost level is
+    level the exact interval of its coordinate (``lat.ldl``, shared by
+    every call on the lattice), so the innermost level is
     counted without building a vector, and a point's norm is radius_sq less
     what remains of it at the innermost level.
     """
-    n = len(gram)
-    L, D = _ldl(gram)
+    n = lat.dim
+    L, D = lat.ldl
     # level j is centred at shift[j] - sum_{i>j} L[i][j] x_i
     shift = [center[j] + sum(L[i][j] * center[i] for i in range(j + 1, n)) for j in range(n)]
     radius_sq = Fraction(radius_sq)
@@ -239,9 +261,8 @@ def shortest_vector(lat: Lattice, budget: int = DEFAULT_BUDGET) -> ShortestVecto
 
 
 def _shortest_vector(lat: Lattice, budget: int):
-    g = lat.gram
-    radius = min(g[i][i] for i in range(lat.dim))
-    found, nodes = enum_ellipsoid(g, [0] * lat.dim, radius, budget, points=True)
+    radius = Fraction(min(lat.gram_B[i][i] for i in range(lat.dim)), lat.den ** 2)
+    found, nodes = enum_ellipsoid(lat, [0] * lat.dim, radius, budget, points=True)
     best = min(norm for v, norm in found if any(v))
     minimizers = sorted({_canonical_sign(v) for v, norm in found if norm == best})
     return ShortestVectorResult(length_sq=best, minimizers=tuple(minimizers)), nodes
@@ -261,7 +282,7 @@ def _relevant_vectors(lat: Lattice, budget: int):
         bound = lat.norm_sq_of_coeff(parity)
         center = [Fraction(-p, 2) for p in parity]
         # x = parity + 2y ; |x|^2 = 4*(y + parity/2)^T G (y + parity/2)
-        ys, nodes = enum_ellipsoid(lat.gram, center, bound / 4, budget, points=True)
+        ys, nodes = enum_ellipsoid(lat, center, bound / 4, budget, points=True)
         needed = max(needed, nodes)
         best = min(norm for _, norm in ys)
         minimal = [y for y, norm in ys if norm == best]
@@ -314,13 +335,13 @@ def inhomogeneous_minimum(lat: Lattice, budget: int = DEFAULT_BUDGET) -> Radical
 
 def min_hyperplane_sublattice_det(lat: Lattice, budget: int = DEFAULT_BUDGET) -> RadicalSum:
     """det(L) * lambda_1(L*): the minimal (n-1)-sublattice determinant."""
-    lam_sq = shortest_vector(polar_lattice(lat), budget).length_sq
+    lam_sq = shortest_vector(lat.polar, budget).length_sq
     return lat.determinant * RadicalSum.sqrt(lam_sq)
 
 
 def dual_inner(lat: Lattice, u, v) -> Fraction:
     """Inner product of the dual vectors with dual-basis coefficients u, v."""
-    return _bilinear_form(lat.dual_gram, u, v)
+    return Fraction(_form(lat.gram_adj, u, v) * lat.den ** 2, lat.det_B ** 2)
 
 
 def dual_norm_sq(lat: Lattice, coeffs) -> Fraction:

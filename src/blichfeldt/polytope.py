@@ -292,16 +292,6 @@ def facet_lattice_volume(poly: LatticePolytope, i: int) -> Fraction:
     return Fraction(poly.facet_dets[i], factorial(poly.dim - 1))
 
 
-def vertex_facet_counts(poly: LatticePolytope):
-    """(f0 per facet, g_{n-1} per vertex); their sums agree exactly."""
-    f0 = [len(f.vertex_ids) for f in poly.facets]
-    g = [0] * len(poly.vertices)
-    for f in poly.facets:
-        for v in f.vertex_ids:
-            g[v] += 1
-    return f0, g
-
-
 # ---------------------------------------------------------------------------
 # intrinsic volumes (n <= 3)
 

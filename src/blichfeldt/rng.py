@@ -64,6 +64,3 @@ class Rng:
     def randint(self, a: int, b: int) -> int:
         """Uniform in the closed interval [a, b]."""
         return a + self.randrange(b - a + 1)
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]

@@ -1,7 +1,8 @@
 """Independent oracles that the tests hold the program's results against.
 
 Each computes a quantity the package also computes, by a second route that
-shares none of the code under test: the volume from a reversed placing
+shares none of the code under test: determinants and inverses by Gaussian
+elimination on Fractions, the volume from a reversed placing
 triangulation and from signed cones, facet sublattices from an explicit
 unimodular kernel basis, the sublattice determinant behind det(L) lambda_1(L*),
 Pick's identity in 2D, a 3D polytope's edges as the facet pairs sharing
@@ -20,11 +21,67 @@ from blichfeldt import linalg
 from blichfeldt.counting import Body, count
 from blichfeldt.interval import Interval
 from blichfeldt.lattice import DEFAULT_BUDGET, Lattice
+from blichfeldt.linalg import DegenerateBasisError
 from blichfeldt.polytope import LatticePolytope, convex_hull_facets
 
 
 def width(iv: Interval) -> Fraction:
     return iv.hi - iv.lo
+
+
+# ---------------------------------------------------------------------------
+# rational matrices by Gaussian elimination on Fractions
+
+
+def frac_vec_mat(v, m):
+    return [sum((v[i] * m[i][j] for i in range(len(v))), Fraction(0)) for j in range(len(m[0]))]
+
+
+def frac_det(m) -> Fraction:
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for k in range(n):
+        piv = None
+        for i in range(k, n):
+            if a[i][k] != 0:
+                piv = i
+                break
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] * inv
+            if f:
+                a[i] = [a[i][j] - f * a[k][j] for j in range(n)]
+    return det
+
+
+def frac_inv(m):
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+         for i, row in enumerate(m)]
+    for k in range(n):
+        piv = None
+        for i in range(k, n):
+            if a[i][k] != 0:
+                piv = i
+                break
+        if piv is None:
+            raise DegenerateBasisError("singular matrix")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+        inv = 1 / a[k][k]
+        a[k] = [x * inv for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [a[i][j] - f * a[k][j] for j in range(2 * n)]
+    return [row[n:] for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +178,10 @@ def facet_lattice_coords(poly: LatticePolytope, i: int):
     """
     f = poly.facets[i]
     u = unimodular_for_primitive(list(f.normal))
-    uinv = linalg.frac_inv(u)
+    uinv = frac_inv(u)
     ys = []
     for vid in f.vertex_ids:
-        z = linalg.frac_vec_mat([Fraction(x) for x in poly.vertices[vid]], uinv)
+        z = frac_vec_mat([Fraction(x) for x in poly.vertices[vid]], uinv)
         assert z[0] == f.offset
         ys.append(tuple(int(x) for x in z[1:]))
     kernel = u[1:]
@@ -145,7 +202,7 @@ def hyperplane_sublattice_det_sq(lat: Lattice, dual_coeff) -> Fraction:
         [sum(rows[i][k] * rows[j][k] for k in range(lat.dim)) for j in range(m)]
         for i in range(m)
     ]
-    return linalg.frac_det(gram)
+    return frac_det(gram)
 
 
 # ---------------------------------------------------------------------------

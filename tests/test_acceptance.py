@@ -245,7 +245,7 @@ def test_criterion_6_lattice_invariants():
         if lt.min_hyperplane_sublattice_det(zn) != RadicalSum.rational(1):
             ok = False
             notes.append(f"hyperplane sublattice determinant, n={n}")
-        polar = lt.polar_lattice(zn)
+        polar = zn.polar
         if polar.determinant != 1 or not all(
             polar.contains(row) and zn.contains(prow)
             for row, prow in zip(zn.basis, polar.basis)

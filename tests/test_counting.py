@@ -218,8 +218,8 @@ class TestBallCount:
         assert ct.count(body).count == _box_scan_ball(body)
         # count mode and points mode are one enumeration: same count, same nodes
         cc = lat.to_coeff(center)
-        found, nodes = lt.enum_ellipsoid(lat.gram, cc, r2)
-        points, point_nodes = lt.enum_ellipsoid(lat.gram, cc, r2, points=True)
+        found, nodes = lt.enum_ellipsoid(lat, cc, r2)
+        points, point_nodes = lt.enum_ellipsoid(lat, cc, r2, points=True)
         assert (found, nodes) == (len(points), point_nodes)
         assert v in [x for x, _ in points]
         # each point comes with its exact squared distance from the centre

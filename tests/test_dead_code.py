@@ -5,6 +5,12 @@ than a dunder in ``src/blichfeldt/`` must be referenced by name somewhere
 in ``src/``, ``scripts/`` or ``bench/``.  There are no exceptions: the
 independent oracles that tests hold the program's results against live in
 ``tests/oracles.py``.
+
+The test matches bare names, not what they resolve to: a method is
+counted as used when any name or attribute anywhere is spelled the same.
+So a name collision can hide a dead method (an unused ``Interval.contains``
+passed because ``Lattice.contains`` is called); check a new method's
+callers by hand when its name is already taken.
 """
 
 import ast

@@ -127,6 +127,25 @@ class TestVoronoi:
         check()
 
 
+class TestGramFactorization:
+    def test_one_ldl_per_lattice(self, monkeypatch):
+        # a 4D covering radius enumerates the 15 nonzero cosets of L/2L, and
+        # the polar's shortest vector one more ball: two lattices, two LDL^Ts
+        factored = []
+
+        def counted(gram):
+            factored.append(gram)
+            return ldl(gram)
+
+        ldl = lt._ldl
+        monkeypatch.setattr(lt, "_ldl", counted)
+        monkeypatch.setattr(lt, "_INVARIANTS", {})
+        lat = random_lattice(Rng(7, stream=4), 4, 8)
+        lt.covering_radius_sq(lat)
+        lt.shortest_vector(lat.polar)
+        assert len(factored) == 2
+
+
 class TestCoveringRadius:
     def test_standard(self):
         # mu(Z^n) = sqrt(n)/2
@@ -142,20 +161,20 @@ class TestCoveringRadius:
 
 class TestPolarLattice:
     def test_self_dual(self):
-        polar = lt.polar_lattice(Lattice.standard(3))
+        polar = Lattice.standard(3).polar
         assert polar.determinant == 1
         assert polar.contains((1, 0, 0))
 
     def test_determinant_reciprocal(self):
         lat = Lattice([[2, 1, 0], [0, 1, 0], [1, 1, 3]])
-        polar = lt.polar_lattice(lat)
+        polar = lat.polar
         assert lat.determinant * polar.determinant == 1
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_double_polar_is_identity(self, seed):
         lat = _random_integer_lattice(Rng(seed), 3)
-        back = lt.polar_lattice(lt.polar_lattice(lat))
+        back = lat.polar.polar
         # same lattice: each basis vector of one lies in the other
         for row in back.basis:
             assert lat.contains(row)
@@ -185,7 +204,7 @@ class TestHyperplaneSublatticeDet:
         # independent kernel-basis route.
         lat = _random_integer_lattice(Rng(seed), 3)
         via_polar = lt.min_hyperplane_sublattice_det(lat)
-        polar = lt.polar_lattice(lat)
+        polar = lat.polar
         best = None
         for coeff in lt.shortest_vector(polar).minimizers:
             d_sq = hyperplane_sublattice_det_sq(lat, coeff)

@@ -1,4 +1,5 @@
-"""Integer/rational linear algebra: determinants, kernels, rational routines."""
+"""Integer linear algebra: determinants, adjugates and kernels, held against
+Gaussian elimination on Fractions."""
 
 from fractions import Fraction
 from operator import mul
@@ -6,19 +7,24 @@ from operator import mul
 from hypothesis import given, settings, strategies as st
 
 from blichfeldt import linalg
-from oracles import kernel_basis, unimodular_for_primitive
+from blichfeldt.lattice import Lattice
+from blichfeldt.linalg import DegenerateBasisError
+from oracles import frac_det, frac_inv, frac_vec_mat, kernel_basis, unimodular_for_primitive
 
 
 def _frac_det_oracle(m):
-    return linalg.frac_det([[Fraction(x) for x in row] for row in m])
+    return frac_det([[Fraction(x) for x in row] for row in m])
 
 
-small_matrix = st.integers(2, 4).flatmap(
-    lambda n: st.lists(
-        st.lists(st.integers(-6, 6), min_size=n, max_size=n),
-        min_size=n, max_size=n,
-    )
-)
+def _square(size, entries):
+    return size.flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+small_matrix = _square(st.integers(2, 4), st.integers(-6, 6))
+# entries in {-1, 0, 1} make singular matrices common
+adjugate_matrix = _square(st.integers(1, 6), st.integers(-6, 6) | st.integers(-1, 1))
+rational_basis = _square(st.integers(1, 4), st.fractions(-4, 4, max_denominator=6))
 
 
 class TestDeterminant:
@@ -27,6 +33,7 @@ class TestDeterminant:
         assert linalg.det_bareiss([[1, 2], [3, 4]]) == -2
         assert linalg.det_bareiss([[0, 1], [1, 0]]) == -1
         assert linalg.det_bareiss([[3]]) == 3
+        assert linalg.det_bareiss([]) == 1
 
     @given(small_matrix)
     @settings(max_examples=150)
@@ -38,6 +45,46 @@ class TestDeterminant:
         assert linalg.det_bareiss([row[:] for row in m]) == linalg.det_bareiss(
             [list(col) for col in zip(*m)]
         )
+
+
+class TestAdjugate:
+    def test_known_values(self):
+        assert linalg.adjugate([[5]]) == [[1]]     # the empty minor is 1
+        assert linalg.adjugate([[1, 2], [3, 4]]) == [[4, -2], [-3, 1]]
+        assert linalg.adjugate([[1, 2], [2, 4]]) == [[4, -2], [-2, 1]]
+
+    @given(adjugate_matrix)
+    @settings(max_examples=200)
+    def test_times_matrix_is_det_identity(self, m):
+        n = len(m)
+        adj = linalg.adjugate(m)
+        d = linalg.det_bareiss(m)
+        assert d == _frac_det_oracle(m)
+        expected = [[d * (i == j) for j in range(n)] for i in range(n)]
+        assert [[sum(map(mul, row, col)) for col in zip(*adj)] for row in m] == expected
+        assert [[sum(map(mul, row, col)) for col in zip(*m)] for row in adj] == expected
+
+    @given(rational_basis)
+    @settings(max_examples=150)
+    def test_lattice_data_match_fraction_elimination(self, basis):
+        # the lattice's integer route and the Fraction route give the same
+        # exact rationals: det, coefficients, dual Gram and polar basis
+        det = frac_det(basis)
+        try:
+            lat = Lattice(basis)
+        except DegenerateBasisError:
+            assert det == 0
+            return
+        n = len(basis)
+        inv = frac_inv(basis)
+        dual = [[inv[i][j] for i in range(n)] for j in range(n)]
+        assert lat.determinant == abs(det)
+        point = [Fraction(k + 1, 3) for k in range(n)]
+        assert lat.to_coeff(point) == tuple(frac_vec_mat(point, inv))
+        assert lat.to_ambient(lat.to_coeff(point)) == tuple(point)
+        assert lat.dual_gram == tuple(
+            tuple(sum(map(mul, d, e)) for e in dual) for d in dual)
+        assert lat.polar.basis == tuple(map(tuple, dual))
 
 
 class TestKernel:
@@ -63,7 +110,7 @@ class TestKernel:
 class TestRationalRoutines:
     def test_inverse_roundtrip(self):
         m = [[Fraction(2), Fraction(1)], [Fraction(0), Fraction(3)]]
-        inv = linalg.frac_inv(m)
+        inv = frac_inv(m)
         assert [[sum(map(mul, row, col)) for col in zip(*inv)] for row in m] == [
             [Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]
         ]

@@ -16,6 +16,7 @@ from blichfeldt.radical import RadicalSum, enclose
 from blichfeldt.rng import Rng
 from oracles import (
     facet_lattice_coords,
+    frac_det,
     hyperplane_sublattice_det_sq,
     normalized_volume_reversed,
     polytope_edges,
@@ -33,7 +34,7 @@ def _hyperplane_normal(points):
     normal = []
     for j in range(d):
         minor = [[row[k] for k in range(d) if k != j] for row in diffs]
-        det = linalg.frac_det(minor) if minor else Fraction(1)
+        det = frac_det(minor) if minor else Fraction(1)
         normal.append(det if j % 2 == 0 else -det)
     if all(x == 0 for x in normal):
         return None
@@ -387,7 +388,7 @@ class TestSteinerVolume:
 
     def test_zero_radius_is_volume(self):
         out = pt.steiner_volume(_box(2, 3, 5), 0, bits=96)
-        assert out.contains(Fraction(30))
+        assert out.lo <= 30 <= out.hi
 
     def test_monotone_in_radius(self):
         small = pt.steiner_volume(_cube(3), Fraction(1, 2), bits=96)
@@ -431,9 +432,3 @@ class TestEdgesAndIncidence:
         # 12 octahedron edges x S, 8 faces x 4 square edges, Q x 4 square vertices
         assert len(poly.facets) == 12 and len(ridges) == 12 + 32 + 4
         assert len(set(fours) - set(ridges)) == 12
-
-    def test_vertex_facet_counts(self):
-        f0, g = pt.vertex_facet_counts(_cube(3))
-        assert f0 == [4] * 6       # each square facet has four vertices
-        assert g == [3] * 8        # each cube vertex meets three facets
-        assert sum(f0) == sum(g)

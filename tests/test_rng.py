@@ -33,8 +33,3 @@ class TestRng:
         rng = Rng(1)
         seen = {rng.randrange(5) for _ in range(200)}
         assert seen == {0, 1, 2, 3, 4}
-
-    def test_choice(self):
-        rng = Rng(2)
-        seq = ("a", "b", "c")
-        assert all(rng.choice(seq) in seq for _ in range(20))
