@@ -18,8 +18,10 @@ hull over a sheared lattice with acute, right and obtuse dihedral angles
 CONJECTURE_1_4`` on that hull (its polar's shortest vector), ``check --id
 GENERAL_1_3_ii`` on a half translate of it, ``count`` on a half-open
 parallelepiped over that lattice with a rational anchor and generators of
-negative determinant, and ``measure`` on
-a triangle whose edge norm^2 is the product of two 40-bit primes.  Each line
+negative determinant, ``measure`` on a triangle whose edge norm^2 is the
+product of two 40-bit primes, and ``measure`` on a nearly flat pyramid
+whose base angles have 1 - cos^2 of about 2^-150, near the 2^-160 grid
+that arccos rounds it to for a 128-bit V1.  Each line
 is ``sha256  exit-code  command``; a record line shows ``audit-record``.
 
 Usage:
@@ -110,6 +112,13 @@ def _commands(seed: int, workdir: str):
     u, v = 79079877299, 810379399766
     path = os.path.join(workdir, "triangle40.json")
     wt.save_body(Body.from_polytope(pt.hull([(0, 0), (u, v), (u, v + 1)])), path)
+    yield ["measure", "--body", path]
+    # apex (N, N, 1) over the square [0, 2N]^2, N = 2^75: at the base
+    # edges 1 - cos^2 = 1/(N^2 + 1) is 2^10 units of the 2^-160 grid
+    n = 2**75
+    path = os.path.join(workdir, "flat_pyramid.json")
+    wt.save_body(Body.from_polytope(pt.hull(
+        [(0, 0, 0), (2 * n, 0, 0), (0, 2 * n, 0), (2 * n, 2 * n, 0), (n, n, 1)])), path)
     yield ["measure", "--body", path]
 
 

@@ -21,7 +21,7 @@ from blichfeldt import counting as ct
 from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
 from blichfeldt.lattice import SVP_MAX_DIM
-from blichfeldt.radical import MAX_BITS
+from blichfeldt.radical import DEFAULT_BITS, MAX_BITS
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -87,6 +87,13 @@ def _budget(args) -> int:
         except ValueError as exc:
             raise _CliError(f"BLICH_BUDGET not an integer: {env!r}") from exc
     return ct.DEFAULT_BUDGET
+
+
+def _precision_bits(text: str) -> int:
+    if not (text.isdecimal() and DEFAULT_BITS <= int(text) <= MAX_BITS):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from {DEFAULT_BITS} to {MAX_BITS}, got {text!r}")
+    return int(text)
 
 
 def _cmd_count(args) -> int:
@@ -291,7 +298,7 @@ def _parser() -> argparse.ArgumentParser:
     budget.add_argument("--budget", type=int, default=None,
                         help="enumeration budget (fallback: BLICH_BUDGET)")
     precision = argparse.ArgumentParser(add_help=False, parents=[budget])
-    precision.add_argument("--precision-max-bits", type=int, default=MAX_BITS)
+    precision.add_argument("--precision-max-bits", type=_precision_bits, default=MAX_BITS)
 
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -11,6 +11,22 @@ series is rounded out to 2^-(bits+8) and shifted by a multiple m of
 pi(bits)/4, on the 2^-(bits+2) grid, before the 2^-bits rounding; as
 floor_b(m + floor_w(y)) = floor_b(m + y) for m on the 2^-w grid, w >= b,
 and likewise for ceilings, atan and acos keep the exact sums' endpoints.
+
+``_atan_series`` sums in fixed point on the 2^-(w+g) grid, w = bits + 8,
+g = ``_GUARD``: each power of t is one product with t^2 and a shift, each
+term a floor quotient, all truncating down.  For |t| <= 1/2 a power is
+short by less than 2 units, so a term is too, and S_k lies within 2(k+1)
+units of the exact partial sum.  The carried power decides the stop test
+|t|^(2k+1)/(2k+1) < 2^-w except within its error of the threshold, where
+the cross-multiplied test does, so N is exact.  Ziv's rounding test (ACM
+TOMS 17, 1991): where S - error and S + error floor (ceil, for the upper
+end) to one point of the 2^-w grid, so does the exact sum; elsewhere,
+about once in 2^g / 4N calls, ``_atan_sums`` gives it.  So the endpoints
+are the exact sums' at every precision.  Around the series, each exact
+rational step of acos and V1 (1 - c^2, c / sqrt(1 - c^2), pi/4 + or
+pi/2 - an arctangent, length * angle summed and divided by 2 pi) and the
+rounding after it is one integer floor division, giving the endpoint
+interval arithmetic gives.
 """
 
 from __future__ import annotations
@@ -140,14 +156,25 @@ def sqrt_interval(iv: Interval, bits: int) -> Interval:
     return root_interval(iv, 2, bits)
 
 
+def numerators(iv: Interval, den: int) -> tuple[int, int]:
+    """floor(iv.lo * den) and ceil(iv.hi * den): exact for a den that both
+    endpoints' denominators divide."""
+    return ((iv.lo.numerator * den) // iv.lo.denominator,
+            -((-iv.hi.numerator * den) // iv.hi.denominator))
+
+
+def on_grid(lo: int, hi: int, bits: int) -> Interval:
+    """[lo * 2^-bits, hi * 2^-bits]."""
+    return Interval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+
+
 def dyadic(lo: int, hi: int, den: int, bits: int) -> Interval:
     """[lo/den, hi/den], den > 0, rounded out to 2^-bits: two divisions."""
-    scale = 1 << bits
-    return Interval(Fraction((lo << bits) // den, scale),
-                    Fraction(-((-hi << bits) // den), scale))
+    return on_grid((lo << bits) // den, -((-hi << bits) // den), bits)
 
 
 _PI_CACHE: dict[int, Interval] = {}
+_GUARD = 64     # guard bits of the fixed-point arctangent sum
 
 
 def pi(bits: int) -> Interval:
@@ -193,34 +220,84 @@ def _atan_sums(t: Fraction, bits: int) -> tuple[int, int, int]:
 
 
 def _atan_series(t: Fraction, bits: int) -> Interval:
-    """The bracket of ``_atan_sums`` rounded out to 2^-(bits+8)."""
-    return dyadic(*_atan_sums(t, bits), bits + 8)
+    """The bracket of ``_atan_sums`` rounded out to 2^-w, w = bits + 8.
+
+    Summed in fixed point on the 2^-(w+g) grid; ``_atan_sums`` decides only
+    where the rounding test cannot (module docstring).  |t| <= 1/2.
+    """
+    w = bits + 8
+    scale = w + _GUARD
+    a, b = abs(t.numerator), t.denominator
+    p = (a << scale) // b              # |t|^d 2^scale, short by less than 2
+    tsq = (a * a << scale) // (b * b)  # t^2 2^scale, short by less than 1
+    prev = s = k = 0                   # S_(k-1) and S_k times 2^scale
+    while True:
+        d = 2 * k + 1
+        term = p // d                  # short by less than 2
+        prev, s = s, s - term if k % 2 else s + term
+        # the exact stop test where p lies within its error of the threshold
+        if p + 2 <= d << _GUARD or (p < d << _GUARD and a ** d << w < d * b ** d):
+            break
+        p = p * tsq >> scale
+        k += 1
+    # S_k lies within 2(k + 1) units of the exact partial sum
+    lo, hi, elo, ehi = (s, prev, 2 * k + 2, 2 * k) if k % 2 else (prev, s, 2 * k, 2 * k + 2)
+    lo_w, hi_w = lo - elo >> _GUARD, -(-hi - ehi >> _GUARD)
+    if lo_w != lo + elo >> _GUARD or hi_w != -(ehi - hi >> _GUARD):
+        return dyadic(*_atan_sums(t, bits), w)
+    return on_grid(-hi_w, -lo_w, w) if t.numerator < 0 else on_grid(lo_w, hi_w, w)
 
 
-def _atan_fraction(t: Fraction, bits: int) -> Interval:
-    if t < 0:
-        return -_atan_fraction(-t, bits)
-    if t > 1:
-        return pi(bits) / 2 - _atan_fraction(1 / t, bits)
-    if t > Fraction(1, 2):
-        # atan(t) = pi/4 + atan((t-1)/(1+t)); argument lands in (-1/3, 0]
-        return pi(bits) / 4 + _atan_series((t - 1) / (1 + t), bits)
-    return _atan_series(t, bits)
+def _atan_fraction(a: int, b: int, bits: int) -> tuple[int, int]:
+    """atan(a/b), b > 0, as numerators over 2^(bits+8): the series, pi/4
+    plus it, or pi/2 minus atan(b/a), each exact on that grid."""
+    if a < 0:
+        lo, hi = _atan_fraction(-a, b, bits)
+        return -hi, -lo
+    if a > b:
+        # atan(t) = pi/2 - atan(1/t)
+        lo, hi = _atan_fraction(b, a, bits)
+        p_lo, p_hi = numerators(pi(bits), 1 << bits + 7)
+        return p_lo - hi, p_hi - lo
+    if 2 * a <= b:
+        return numerators(_atan_series(Fraction(a, b), bits), 1 << bits + 8)
+    # atan(t) = pi/4 + atan((t-1)/(1+t)); argument lands in (-1/3, 0]
+    p_lo, p_hi = numerators(pi(bits), 1 << bits + 6)
+    s_lo, s_hi = numerators(_atan_series(Fraction(a - b, a + b), bits), 1 << bits + 8)
+    return p_lo + s_lo, p_hi + s_hi
 
 
 def atan_interval(iv: Interval, bits: int) -> Interval:
-    iv = iv.round_out(bits + 16)
-    return Interval(
-        _atan_fraction(iv.lo, bits).lo, _atan_fraction(iv.hi, bits).hi
-    ).round_out(bits)
+    """The argument rounded out to 2^-(bits+16), the result to 2^-bits."""
+    e = bits + 16
+    m_lo, m_hi = numerators(iv, 1 << e)
+    lo, hi = _atan_fraction(m_lo, 1 << e, bits)[0], _atan_fraction(m_hi, 1 << e, bits)[1]
+    return on_grid(lo >> 8, -(-hi >> 8), bits)
 
 
 def acos_interval(c: Interval, bits: int) -> Interval:
     """Enclosure of arccos(c) for c strictly inside (-1, 1).
 
     Uses acos(c) = pi/2 - atan(c / sqrt(1 - c^2)), valid on all of (-1, 1).
+    1 - c^2 is rounded out to 2^-(bits+16), or to a finer grid where that
+    would round its lower end to 0.
     """
-    if c.lo <= -1 or c.hi >= 1:
+    n1, d1, n2, d2 = c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator
+    if n1 <= -d1 or n2 >= d2:
         raise ValueError("cosine enclosure must lie strictly inside (-1, 1)")
-    s = sqrt_interval((1 - c * c).round_out(bits + 16), bits + 16)
-    return (pi(bits) / 2 - atan_interval(c / s, bits)).round_out(bits)
+    # 1 - c^2 lies in [1 - hn/hd, 1 - ln/ld] where c has one sign; where it
+    # straddles 0 only the lower end bounds it, and only that end is used
+    sq1, sq2 = (n1 * n1, d1 * d1), (n2 * n2, d2 * d2)
+    (ln, ld), (hn, hd) = (sq1, sq2) if abs(n1) * d2 <= abs(n2) * d1 else (sq2, sq1)
+    e = bits + 16
+    while (r_lo := (hd - hn << e) // hd) <= 0:
+        e *= 2
+    s = sqrt_interval(on_grid(r_lo, -((ln - ld << e) // ld), e), e)
+    # c / s, each end of c over the end of s that bounds the quotient outward
+    s1, s2 = s.hi if n1 >= 0 else s.lo, s.lo if n2 >= 0 else s.hi
+    t = on_grid((n1 * s1.denominator << bits + 16) // (d1 * s1.numerator),
+                -((-n2 * s2.denominator << bits + 16) // (d2 * s2.numerator)), bits + 16)
+    a_lo, a_hi = numerators(atan_interval(t, bits), 1 << bits)
+    p_lo, p_hi = numerators(pi(bits), 1 << bits)
+    # pi/2 - atan on the 2^-(bits+1) grid, rounded out to 2^-bits
+    return on_grid(p_lo - 2 * a_hi >> 1, -(2 * a_lo - p_hi >> 1), bits)

@@ -19,12 +19,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import mul
 from typing import NamedTuple
 
 from blichfeldt import linalg
-from blichfeldt.interval import Interval, acos_interval, pi, sqrt_fraction
+from blichfeldt.interval import (
+    Interval, acos_interval, numerators, on_grid, pi, sqrt_fraction,
+)
 from blichfeldt.lattice import (
     DEFAULT_BUDGET,
     EnumerationBudgetError,
@@ -328,39 +330,50 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
     v3 = poly.volume
     v2 = poly.surface_area / 2
     edge_data = []
-    all_right_angles = True
     lat = poly.lattice
     for (va, vb), (fi, fj) in facet_ridges(poly):
         edge = [x - y for x, y in zip(poly.vertices[va], poly.vertices[vb])]
         len_sq = lat.norm_sq_of_coeff(edge)
         dot = dual_inner(lat, poly.facets[fi].normal, poly.facets[fj].normal)
         nn = poly.facet_norms_sq[fi] * poly.facet_norms_sq[fj]
-        edge_data.append((len_sq, dot, nn))
-        if dot != 0:
-            all_right_angles = False
-    if all_right_angles:
+        edge_data.append((len_sq, dot.numerator, dot.denominator, nn))
+    if not any(dn for _, dn, _, _ in edge_data):
         # every exterior angle is exactly pi/2: V1 = sum of edge lengths / 4
         v1 = RadicalSum()
-        for len_sq, _, _ in edge_data:
+        for len_sq, *_ in edge_data:
             v1 = v1 + RadicalSum.sqrt(len_sq) / 4
         return IntrinsicVolumes3(1, v1, v2, v3)
 
     enclosures: dict[int, Interval] = {}   # V1 per precision
+    den = lcm(*(len_sq.denominator for len_sq, *_ in edge_data))
 
     def v1_fn(bits: int) -> Interval:
         if bits in enclosures:
             return enclosures[bits]
         work = bits + 16
-        total = Interval.point(0)
-        for len_sq, dot, nn in edge_data:
-            length = sqrt_fraction(len_sq, work)
-            if dot == 0:
-                angle = pi(work) / 2
+        p_lo, p_hi = numerators(pi(work), 1 << work)
+        lo = hi = 0     # sum of length * angle, over den << 2 * work + 1
+        for len_sq, dn, dd, nn in edge_data:
+            q = len_sq.denominator
+            l_lo, l_hi = numerators(sqrt_fraction(len_sq, work), q << work)
+            if dn == 0:
+                a_lo, a_hi = p_lo, p_hi    # pi/2 over 2^(work+1)
             else:
-                cos = Interval.point(dot) / sqrt_fraction(nn, work)
-                angle = acos_interval(cos, work)
-            total = total + length * angle
-        enclosures[bits] = (total / (2 * pi(work))).round_out(bits)
+                # cos = dot / sqrt(nn) lies inside (-1, 1): refine until its enclosure does
+                prec = work
+                while (abs(dn) * (s := sqrt_fraction(nn, prec)).lo.denominator
+                       >= dd * s.lo.numerator):
+                    prec *= 2
+                s1, s2 = (s.hi, s.lo) if dn > 0 else (s.lo, s.hi)
+                cos = Interval(Fraction(dn * s1.denominator, dd * s1.numerator),
+                               Fraction(dn * s2.denominator, dd * s2.numerator))
+                a_lo, a_hi = numerators(acos_interval(cos, prec), 1 << work + 1)
+            # lengths and angles are positive (a_lo < 0 still bounds below)
+            lo += l_lo * a_lo * (den // q)
+            hi += l_hi * a_hi * (den // q)
+        # divided by 2 pi = p / 2^(work-1), rounded out to 2^-bits
+        enclosures[bits] = on_grid((lo << bits) // (den * p_hi << work + 2),
+                                   -((-hi << bits) // (den * p_lo << work + 2)), bits)
         return enclosures[bits]
 
     return IntrinsicVolumes3(1, v1_fn, v2, v3)

@@ -103,6 +103,22 @@ class TestMeasure:
         assert fields["V2"] == "12/1"
         assert fields["V3"] == "8/1"
 
+    @pytest.mark.parametrize("e", (80, 200))
+    def test_nearly_flat_dihedral_angle(self, capsys, tmp_path, e):
+        # the base meets each side at cos^2 = N^2 / (N^2 + 1), N = 2^e: for a
+        # 128-bit V1, 1 - cos^2 rounds to 0 on its 2^-160 grid (e = 80), and
+        # cos's enclosure reaches -1 (e = 200)
+        n = 2**e
+        poly = pt.hull([(0, 0, 0), (2 * n, 0, 0), (0, 2 * n, 0), (2 * n, 2 * n, 0), (n, n, 1)])
+        path = str(tmp_path / "pyramid.json")
+        wt.save_body(Body.from_polytope(poly), path)
+        code, out, err = _run(capsys, ["measure", "--body", path])
+        assert (code, err) == (0, "")
+        v1 = wt.load_body(path).polytope.intrinsic_volumes.v1
+        coarse, fine = v1(128), v1(512)
+        assert coarse.lo <= fine.lo <= fine.hi <= coarse.hi
+        assert f"V1: [{coarse.lo}, {coarse.hi}]@128" in out.splitlines()
+
 
 class TestCheck:
     def test_holds(self, capsys, cube_body):
@@ -343,6 +359,21 @@ class TestFlags:
     def test_unread_flag_rejected(self, capsys, cube_body, argv):
         code, out, _ = _run(capsys, argv + ["--body", cube_body])
         assert code == cli.EXIT_USAGE and out == ""
+
+    @pytest.mark.parametrize("command", ["check", "corpus"])
+    @pytest.mark.parametrize("bits", ["127", "4097", "-1", "lots"])
+    def test_precision_cap_out_of_range(self, capsys, cube_body, command, bits):
+        # below 128 bits no comparison runs; above MAX_BITS nothing bounds it
+        argv = {"check": ["check", "--id", "MAIN_THM_1_1", "--body", cube_body],
+                "corpus": ["corpus", "--spec", cube_body]}[command]
+        code, out, err = _run(capsys, argv + ["--precision-max-bits", bits])
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "--precision-max-bits" in err
+
+    @pytest.mark.parametrize("bits", ["128", "4096"])
+    def test_precision_cap_bounds_accepted(self, capsys, cube_body, bits):
+        argv = ["check", "--id", "MAIN_THM_1_1", "--body", cube_body, "--precision-max-bits", bits]
+        assert _run(capsys, argv)[0] == cli.EXIT_OK
 
     def test_witness_takes_no_budget(self, capsys):
         argv = ["witness", "--family", "simplex_Sk", "--n", "3", "--k", "2", "--budget", "5"]

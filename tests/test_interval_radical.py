@@ -1,13 +1,17 @@
 """Dyadic interval enclosures and exact radical-sum arithmetic."""
 
 import functools
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blichfeldt import interval, radical
+from blichfeldt import interval, polytope as pt, radical, witnesses as wt
 from blichfeldt.interval import (
     Interval,
     _atan_series,
@@ -27,7 +31,8 @@ from blichfeldt.radical import (
     certified_compare,
     squarefree_decompose,
 )
-from oracles import width
+from blichfeldt.lattice import Lattice, dual_inner, dual_norm_sq
+from oracles import polytope_edges, width
 
 
 class TestIroot:
@@ -220,6 +225,28 @@ def _acos_reference(c: Interval, bits: int) -> Interval:
     return (_pi_fraction(bits) / 2 - _atan_reference(c / s, bits)).round_out(bits)
 
 
+def _v1_reference(poly, bits: int) -> Interval:
+    """V1 = sum of edge length * exterior angle / (2 pi) on Intervals, over
+    the exact path's arccos and pi."""
+    work, lat, facets = bits + 16, poly.lattice, poly.facets
+    total = Interval.point(0)
+    for (va, vb), (fi, fj) in polytope_edges(poly):
+        edge = [x - y for x, y in zip(poly.vertices[va], poly.vertices[vb])]
+        dot = dual_inner(lat, facets[fi].normal, facets[fj].normal)
+        nn = dual_norm_sq(lat, facets[fi].normal) * dual_norm_sq(lat, facets[fj].normal)
+        angle = (_pi_fraction(work) / 2 if dot == 0 else
+                 _acos_reference(Interval.point(dot) / sqrt_fraction(nn, work), work))
+        total = total + sqrt_fraction(lat.norm_sq_of_coeff(edge), work) * angle
+    return (total / (2 * _pi_fraction(work))).round_out(bits)
+
+
+def _counted(fn, calls: list):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+    return wrapper
+
+
 def _in(lo, hi):
     """Fractions strictly between lo and hi."""
     return st.fractions(min_value=lo, max_value=hi, max_denominator=2**64).filter(
@@ -243,6 +270,13 @@ ACOS_BRANCHES = {
     "reciprocal": _in(Fraction(3, 4), 1),
 }
 PI_BITS = tuple(b for k in range(6) for b in (128 << k, (128 << k) + 16, (128 << k) + 32))
+# 3D hulls with acute and obtuse dihedral angles: the benchmark's fixed hull,
+# and one over a sheared lattice whose arctangents take every branch
+V1_HULLS = {
+    "bench": ([(1, 2, 2), (2, 2, 5), (3, 0, 1), (4, 0, 4), (4, 1, 4)], None),
+    "skew3": ([(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 1), (1, -1, 2)],
+              [[1, 0, 0], [Fraction(1, 2), 1, 0], [Fraction(1, 3), Fraction(1, 2), 1]]),
+}
 
 
 class TestAtanSeriesOracle:
@@ -295,6 +329,71 @@ class TestAtanSeriesOracle:
         # the cap keeps hi below 1; a c drawn above the cap gives a point
         iv = Interval(c, max(c, min(c + width, Fraction(2**40 - 1, 2**40))))
         got, want = acos_interval(iv, bits), _acos_reference(iv, bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("lo, hi", [(Fraction(-1, 3), Fraction(1, 5)),
+                                        (Fraction(-1, 5), Fraction(1, 3)),
+                                        (Fraction(-2, 7), Fraction(2, 7))])
+    @pytest.mark.parametrize("bits", (128, 272))
+    def test_acos_interval_straddling_zero(self, lo, hi, bits):
+        got, want = acos_interval(Interval(lo, hi), bits), _acos_reference(Interval(lo, hi), bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("t", (Fraction(1, 5), Fraction(1, 239), Fraction(-5**68, 2**160)),
+                             ids=("1/5", "1/239", "2^-160"))
+    @pytest.mark.parametrize("bits", (1040, 2064))
+    def test_fixed_arguments_at_high_precision(self, t, bits):
+        got, want = _atan_series(t, bits), _exact_series(t, bits).round_out(bits + 8)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("a", (3763504725918222510864622, 3763504725918222510864641,
+                                   3763504725918222510864643), ids=("stop", "go-on", "on-it"))
+    def test_stop_index_next_to_the_threshold(self, a):
+        # at 128 bits the carried power of a/b at k = 50 lands on the last unit
+        # below the stop threshold, where the exact test stops or goes on, or on it
+        t = Fraction(a, 9143132648213408697548801)
+        got, want = _atan_series(t, 128), _exact_series(t, 128).round_out(136)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    def test_exact_sums_decide_where_the_rounding_test_cannot(self, monkeypatch):
+        # with one guard bit the fixed-point sum's error often straddles a
+        # grid point, and the exact sums give the endpoints instead
+        monkeypatch.setattr(interval, "_GUARD", 1)
+        calls = []
+        monkeypatch.setattr(interval, "_atan_sums", _counted(_atan_sums, calls))
+        rng = random.Random(11)
+        for _ in range(40):
+            t = Fraction(rng.randrange(-2**159, 2**159), 2**160 - rng.randrange(2**100))
+            bits = rng.choice(KERNEL_BITS)
+            got, want = _atan_series(t, bits), _exact_series(t, bits).round_out(bits + 8)
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+        assert calls
+        for _ in range(10):
+            c = Interval.point(Fraction(rng.randrange(-2**64 + 1, 2**64), 2**64))
+            bits = rng.choice(KERNEL_BITS)
+            got, want = acos_interval(c, bits), _acos_reference(c, bits)
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    def test_corpus_arguments_need_no_fallback(self, monkeypatch):
+        spec = wt.CorpusSpec(seed=20260824, dimensions=(3,), num_random_hulls=60,
+                             k_values=(1, 2, 3), m_values=(1, 2), num_random_lattices=3)
+        v1s = [e.body.polytope.intrinsic_volumes.v1 for e in wt.build_corpus(spec)
+               if e.body.kind == "polytope"]
+        pi(144)
+        series, sums = [], []
+        monkeypatch.setattr(interval, "_atan_series", _counted(_atan_series, series))
+        monkeypatch.setattr(interval, "_atan_sums", _counted(_atan_sums, sums))
+        for v1 in v1s:
+            if callable(v1):
+                v1(128)
+        assert len(series) > 100 and sums == []
+
+    @pytest.mark.parametrize("hull, bits", [
+        ("bench", 128), ("bench", 256), ("bench", 512), ("skew3", 128), ("skew3", 256)])
+    def test_v1(self, hull, bits):
+        corners, basis = V1_HULLS[hull]
+        poly = pt.hull(corners, lattice=Lattice(basis) if basis else None)
+        got, want = poly.intrinsic_volumes.v1(bits), _v1_reference(poly, bits)
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
     @given(
@@ -539,6 +638,18 @@ class TestCertifiedCompare:
         result = certified_compare(stuck, Fraction(1, 2), max_bits=512)
         assert isinstance(result, Inconclusive)
         assert result.precision_bits >= 512
+
+    def test_v1_tie_reaches_the_cap_within_seconds(self):
+        # a V1 against itself never separates, so every precision up to
+        # MAX_BITS is tried on the arccos of each non-right dihedral angle
+        code = ("from blichfeldt import polytope as pt; "
+                "from blichfeldt.radical import certified_compare; "
+                f"iv = pt.hull({V1_HULLS['bench'][0]}).intrinsic_volumes; "
+                "print(certified_compare(iv.v1, iv.v1))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(interval.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=10, check=False)
+        assert proc.stdout.strip() == repr(Inconclusive(radical.MAX_BITS))
 
     def test_square_factor_left_in_a_radicand_is_inconclusive(self):
         # sqrt(4) kept as a radicand, as a cofactor with a repeated prime
