@@ -61,7 +61,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text if text.endswith("\n") else text + "\n")
+        try:
+            _atomic_write(out, text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise _CliError(f"--out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -69,7 +72,7 @@ def _emit(text: str, out: str | None) -> None:
 def _load_body(path: str, budget: int) -> ct.Body:
     try:
         return wt.load_body(path, budget)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise _CliError(f"body-spec {path}: {exc.strerror}") from exc
     except wt.BodySpecError as exc:
         raise _CliError(f"body-spec {path}: {exc}") from exc
@@ -190,10 +193,12 @@ def _corpus_spec_from_file(path: str, seed_override) -> wt.CorpusSpec:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         raise _CliError(f"corpus spec {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise _CliError(f"corpus spec {path}: line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"corpus spec {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise _CliError(f"corpus spec {path}: expected a JSON object")
     known = set(wt.CorpusSpec._fields)

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, prod
 from operator import mul
 from typing import NamedTuple
 
 from blichfeldt import linalg
+from blichfeldt.interval import root_ends
 from blichfeldt.lattice import DEFAULT_BUDGET, EnumerationBudgetError, Lattice, enum_ellipsoid
 from blichfeldt.polytope import LatticePolytope, facet_ridges
 
@@ -91,13 +92,8 @@ class CountResult(NamedTuple):
 def ceil_sqrt_fraction(r) -> int:
     """Smallest integer >= sqrt(r) for a non-negative rational r."""
     r = Fraction(r)
-    if r < 0:
-        raise ValueError("negative radicand")
-    p, q = r.numerator, r.denominator
-    m = isqrt(p // q)
-    while m * m * q < p:
-        m += 1
-    return m
+    # ceil(ceil(sqrt(r) q) / q) = ceil(sqrt(r))
+    return -(-root_ends(r.numerator, r.denominator, 2, 0)[1] // r.denominator)
 
 
 def _int_threshold(rhs: Fraction, strict: bool) -> int:

@@ -32,7 +32,7 @@ from blichfeldt import counting as ct
 from blichfeldt import lattice as lt
 from blichfeldt import polytope as pt
 from blichfeldt.counting import Body
-from blichfeldt.interval import Interval, pi, root_interval
+from blichfeldt.interval import Interval, pi, root_ends
 from blichfeldt.radical import (
     MAX_BITS, Cmp, Inconclusive, RadicalSum, certified_compare, enclose,
 )
@@ -99,8 +99,13 @@ def _is_integer_lattice(lat: lt.Lattice) -> bool:
 
 
 def _rho3_enclosure(bits: int) -> Interval:
-    """(3 / (4 pi))^(1/3): the radius making the unit-ball volume 1."""
-    return root_interval(Interval.point(Fraction(3, 4)) / pi(bits + 16), 3, bits)
+    """(3 / (4 pi))^(1/3): the radius making the unit-ball volume 1, each
+    end's cube root on the grid of that end of 3/(4 pi) in lowest terms."""
+    p = pi(bits + 16)
+    lo, hi = Fraction(3, 4) / p.hi, Fraction(3, 4) / p.lo
+    r_lo = root_ends(lo.numerator, lo.denominator, 3, bits)[0]
+    r_hi = root_ends(hi.numerator, hi.denominator, 3, bits)[1]
+    return Interval(Fraction(r_lo, lo.denominator << bits), Fraction(r_hi, hi.denominator << bits))
 
 
 class _Subject:

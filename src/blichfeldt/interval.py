@@ -6,6 +6,13 @@ and k-th roots round outward to a requested number of bits.  Alternating
 series with bracketing partial sums provide the transcendental enclosures,
 so no step ever relies on floating point.
 
+Every root in the package is ``root_ends(p, q, k, bits)``: the floor and
+ceiling of (p/q)^(1/k) q 2^bits, the k-th root of p/q rounded outward on
+the 1/(q 2^bits) grid.  That grid depends on the pair (p, q), not only on
+the value p/q, so the caller picks it by the pair it passes: acos passes
+each end of 1 - c^2, and ``harness`` each end of 3/(4 pi), in lowest
+terms.
+
 The kernels sum on integers and floor once (``dyadic``).  An arctangent
 series is rounded out to 2^-(bits+8) and shifted by a multiple m of
 pi(bits)/4, on the 2^-(bits+2) grid, before the 2^-bits rounding; as
@@ -22,7 +29,10 @@ the cross-multiplied test does, so N is exact.  Ziv's rounding test (ACM
 TOMS 17, 1991): where S - error and S + error floor (ceil, for the upper
 end) to one point of the 2^-w grid, so does the exact sum; elsewhere,
 about once in 2^g / 4N calls, ``_atan_sums`` gives it.  So the endpoints
-are the exact sums' at every precision.  Around the series, each exact
+are the exact sums' at every precision.  The V1 kernels pass integers:
+``_atan_sums`` and ``_atan_series`` take t = a/b as (a, b), b > 0, and
+return numerators; their stop tests and floors read only the value a/b,
+so (a, b) need not be in lowest terms.  Around the series, each exact
 rational step of acos and V1 (1 - c^2, c / sqrt(1 - c^2), pi/4 + or
 pi/2 - an arctangent, length * angle summed and divided by 2 pi) and the
 rounding after it is one integer floor division, giving the endpoint
@@ -35,18 +45,21 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 
-def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of a non-negative integer."""
-    if n < 0:
+def root_ends(p: int, q: int, k: int, bits: int) -> tuple[int, int]:
+    """Floor and ceiling of (p/q)^(1/k) * q * 2^bits, p >= 0, q > 0: the
+    k-th root of p/q rounded outward on the 1/(q 2^bits) grid."""
+    if p < 0:
         raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    x = 1 << (n.bit_length() // k + 1)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
+    # (p/q)^(1/k) q = (p q^(k-1))^(1/k)
+    n = p * q ** (k - 1) << k * bits
+    if k == 2:
+        s = isqrt(n)
+    else:
+        # Newton's iteration from above stops at the floor
+        s = n and 1 << n.bit_length() // k + 1
+        while s and (y := ((k - 1) * s + n // s ** (k - 1)) // k) < s:
+            s = y
+    return s, s if s ** k == n else s + 1
 
 
 class Interval:
@@ -132,30 +145,6 @@ def _coerce(x) -> Interval:
     return Interval.point(x)
 
 
-def root_fraction(x, k: int, bits: int) -> Interval:
-    """Enclosure of x**(1/k) for a non-negative rational x."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("negative radicand")
-    # (p/q)^(1/k) = (p*q^(k-1))^(1/k) / q
-    p, q = x.numerator, x.denominator
-    num = p * q ** (k - 1) << k * bits
-    s = isqrt(num) if k == 2 else iroot(num, k)
-    return Interval(Fraction(s, q << bits), Fraction(s if s ** k == num else s + 1, q << bits))
-
-
-def root_interval(iv: Interval, k: int, bits: int) -> Interval:
-    return Interval(root_fraction(iv.lo, k, bits).lo, root_fraction(iv.hi, k, bits).hi)
-
-
-def sqrt_fraction(x, bits: int) -> Interval:
-    return root_fraction(x, 2, bits)
-
-
-def sqrt_interval(iv: Interval, bits: int) -> Interval:
-    return root_interval(iv, 2, bits)
-
-
 def numerators(iv: Interval, den: int) -> tuple[int, int]:
     """floor(iv.lo * den) and ceil(iv.hi * den): exact for a den that both
     endpoints' denominators divide."""
@@ -180,23 +169,22 @@ _GUARD = 64     # guard bits of the fixed-point arctangent sum
 def pi(bits: int) -> Interval:
     """Machin's formula: pi = 16*atan(1/5) - 4*atan(1/239), floored once."""
     if bits not in _PI_CACHE:
-        lo5, hi5, d5 = _atan_sums(Fraction(1, 5), bits + 8)
-        lo239, hi239, d239 = _atan_sums(Fraction(1, 239), bits + 8)
+        lo5, hi5, d5 = _atan_sums(1, 5, bits + 8)
+        lo239, hi239, d239 = _atan_sums(1, 239, bits + 8)
         _PI_CACHE[bits] = dyadic(16 * lo5 * d239 - 4 * hi239 * d5,
                                  16 * hi5 * d239 - 4 * lo239 * d5, d5 * d239, bits)
     return _PI_CACHE[bits]
 
 
-def _atan_sums(t: Fraction, bits: int) -> tuple[int, int, int]:
-    """atan for |t| <= 1/2 via the alternating Taylor series.
+def _atan_sums(a: int, b: int, bits: int) -> tuple[int, int, int]:
+    """atan(a/b) for |a/b| <= 1/2, b > 0, via the alternating Taylor series.
 
     The terms are (-1)^k t^(2k+1)/(2k+1); the series stops at the first
     term N below 2^-(bits+8), and the partial sums S_N and S_(N-1) bracket
-    the limit (S_(-1) = 0).  With t = a/b they are returned as (lower,
-    upper, denominator): integer numerators, ordered by the last term's
-    sign, over lcm(1, 3, .., 2N+1) * b^(2N+1), so the loop needs no gcd.
+    the limit (S_(-1) = 0).  They are returned as (lower, upper,
+    denominator): integer numerators, ordered by the last term's sign,
+    over lcm(1, 3, .., 2N+1) * b^(2N+1), so the loop needs no gcd.
     """
-    a, b = t.numerator, t.denominator
     asq, bsq = a * a, b * b
     apow, bpow = a, b           # a^(2k+1), b^(2k+1)
     den_lcm = 1                 # lcm(1, 3, .., 2k+1)
@@ -219,15 +207,16 @@ def _atan_sums(t: Fraction, bits: int) -> tuple[int, int, int]:
         k += 1
 
 
-def _atan_series(t: Fraction, bits: int) -> Interval:
-    """The bracket of ``_atan_sums`` rounded out to 2^-w, w = bits + 8.
+def _atan_series(a: int, b: int, bits: int) -> tuple[int, int]:
+    """The bracket of ``_atan_sums`` as numerators rounded out to 2^-w,
+    w = bits + 8.
 
     Summed in fixed point on the 2^-(w+g) grid; ``_atan_sums`` decides only
-    where the rounding test cannot (module docstring).  |t| <= 1/2.
+    where the rounding test cannot (module docstring).  |a/b| <= 1/2, b > 0.
     """
     w = bits + 8
     scale = w + _GUARD
-    a, b = abs(t.numerator), t.denominator
+    neg, a = a < 0, abs(a)
     p = (a << scale) // b              # |t|^d 2^scale, short by less than 2
     tsq = (a * a << scale) // (b * b)  # t^2 2^scale, short by less than 1
     prev = s = k = 0                   # S_(k-1) and S_k times 2^scale
@@ -244,8 +233,9 @@ def _atan_series(t: Fraction, bits: int) -> Interval:
     lo, hi, elo, ehi = (s, prev, 2 * k + 2, 2 * k) if k % 2 else (prev, s, 2 * k, 2 * k + 2)
     lo_w, hi_w = lo - elo >> _GUARD, -(-hi - ehi >> _GUARD)
     if lo_w != lo + elo >> _GUARD or hi_w != -(ehi - hi >> _GUARD):
-        return dyadic(*_atan_sums(t, bits), w)
-    return on_grid(-hi_w, -lo_w, w) if t.numerator < 0 else on_grid(lo_w, hi_w, w)
+        lo, hi, den = _atan_sums(a, b, bits)
+        lo_w, hi_w = (lo << w) // den, -((-hi << w) // den)
+    return (-hi_w, -lo_w) if neg else (lo_w, hi_w)
 
 
 def _atan_fraction(a: int, b: int, bits: int) -> tuple[int, int]:
@@ -260,19 +250,11 @@ def _atan_fraction(a: int, b: int, bits: int) -> tuple[int, int]:
         p_lo, p_hi = numerators(pi(bits), 1 << bits + 7)
         return p_lo - hi, p_hi - lo
     if 2 * a <= b:
-        return numerators(_atan_series(Fraction(a, b), bits), 1 << bits + 8)
+        return _atan_series(a, b, bits)
     # atan(t) = pi/4 + atan((t-1)/(1+t)); argument lands in (-1/3, 0]
     p_lo, p_hi = numerators(pi(bits), 1 << bits + 6)
-    s_lo, s_hi = numerators(_atan_series(Fraction(a - b, a + b), bits), 1 << bits + 8)
+    s_lo, s_hi = _atan_series(a - b, a + b, bits)
     return p_lo + s_lo, p_hi + s_hi
-
-
-def atan_interval(iv: Interval, bits: int) -> Interval:
-    """The argument rounded out to 2^-(bits+16), the result to 2^-bits."""
-    e = bits + 16
-    m_lo, m_hi = numerators(iv, 1 << e)
-    lo, hi = _atan_fraction(m_lo, 1 << e, bits)[0], _atan_fraction(m_hi, 1 << e, bits)[1]
-    return on_grid(lo >> 8, -(-hi >> 8), bits)
 
 
 def acos_interval(c: Interval, bits: int) -> Interval:
@@ -280,7 +262,9 @@ def acos_interval(c: Interval, bits: int) -> Interval:
 
     Uses acos(c) = pi/2 - atan(c / sqrt(1 - c^2)), valid on all of (-1, 1).
     1 - c^2 is rounded out to 2^-(bits+16), or to a finer grid where that
-    would round its lower end to 0.
+    would round its lower end to 0; the square root of each end r/2^e is
+    taken on the grid of that end in lowest terms.  The argument of atan
+    is rounded out to 2^-(bits+16), the result to 2^-bits.
     """
     n1, d1, n2, d2 = c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator
     if n1 <= -d1 or n2 >= d2:
@@ -292,12 +276,17 @@ def acos_interval(c: Interval, bits: int) -> Interval:
     e = bits + 16
     while (r_lo := (hd - hn << e) // hd) <= 0:
         e *= 2
-    s = sqrt_interval(on_grid(r_lo, -((ln - ld << e) // ld), e), e)
-    # c / s, each end of c over the end of s that bounds the quotient outward
-    s1, s2 = s.hi if n1 >= 0 else s.lo, s.lo if n2 >= 0 else s.hi
-    t = on_grid((n1 * s1.denominator << bits + 16) // (d1 * s1.numerator),
-                -((-n2 * s2.denominator << bits + 16) // (d2 * s2.numerator)), bits + 16)
-    a_lo, a_hi = numerators(atan_interval(t, bits), 1 << bits)
+    s = []      # sqrt of each end r/2^e as (numerator, denominator)
+    for r, end in ((r_lo, 0), (-((ln - ld << e) // ld), 1)):
+        z = min(e, (r & -r).bit_length() - 1)   # r/2^e = (r >> z)/2^(e-z)
+        s.append((root_ends(r >> z, 1 << e - z, 2, e)[end], 1 << 2 * e - z))
+    # c / s, each end of c over the end of s that bounds the quotient outward,
+    # rounded out to 2^-(bits+16); atan of its ends on 2^-(bits+8)
+    (s1, q1), (s2, q2) = s[1] if n1 >= 0 else s[0], s[0] if n2 >= 0 else s[1]
+    w = bits + 16
+    lo = _atan_fraction((n1 * q1 << w) // (d1 * s1), 1 << w, bits)[0]
+    hi = _atan_fraction(-((-n2 * q2 << w) // (d2 * s2)), 1 << w, bits)[1]
+    a_lo, a_hi = lo >> 8, -(-hi >> 8)
     p_lo, p_hi = numerators(pi(bits), 1 << bits)
-    # pi/2 - atan on the 2^-(bits+1) grid, rounded out to 2^-bits
+    # atan rounded out to 2^-bits; pi/2 - it on the 2^-(bits+1) grid, rounded out to 2^-bits
     return on_grid(p_lo - 2 * a_hi >> 1, -(2 * a_lo - p_hi >> 1), bits)

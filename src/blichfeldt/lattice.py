@@ -21,11 +21,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
 from blichfeldt import linalg
+from blichfeldt.interval import root_ends
 from blichfeldt.linalg import DegenerateBasisError
 from blichfeldt.radical import RadicalSum
 
@@ -162,15 +163,10 @@ def _ldl(gram):
 
 
 def _floor_plus_sqrt(a: Fraction, t: Fraction) -> int:
-    """floor(a + sqrt(t)) for rationals, t >= 0, computed exactly."""
-    p, q = t.numerator, t.denominator
-    hi = Fraction(isqrt(p * q) + 1, q)  # upper bound on sqrt(t)
-    m = (a + hi).__floor__() + 1
-    while True:
-        diff = m - a
-        if diff <= 0 or diff * diff <= t:
-            return m
-        m -= 1
+    """floor(a + sqrt(t)) for rationals, t >= 0, computed exactly: with
+    a = u/v and t = p/q it is (u q + floor(sqrt(v^2 p q))) // (v q)."""
+    u, v, p, q = a.numerator, a.denominator, t.numerator, t.denominator
+    return (u * q + root_ends(v * v * p, q, 2, 0)[0]) // (v * q)
 
 
 def _ceil_minus_sqrt(a: Fraction, t: Fraction) -> int:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from blichfeldt import linalg
 from blichfeldt.interval import (
-    Interval, acos_interval, numerators, on_grid, pi, sqrt_fraction,
+    Interval, acos_interval, numerators, on_grid, pi, root_ends,
 )
 from blichfeldt.lattice import (
     DEFAULT_BUDGET,
@@ -355,18 +355,18 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
         lo = hi = 0     # sum of length * angle, over den << 2 * work + 1
         for len_sq, dn, dd, nn in edge_data:
             q = len_sq.denominator
-            l_lo, l_hi = numerators(sqrt_fraction(len_sq, work), q << work)
+            l_lo, l_hi = root_ends(len_sq.numerator, q, 2, work)    # over q << work
             if dn == 0:
                 a_lo, a_hi = p_lo, p_hi    # pi/2 over 2^(work+1)
             else:
                 # cos = dot / sqrt(nn) lies inside (-1, 1): refine until its enclosure does
                 prec = work
-                while (abs(dn) * (s := sqrt_fraction(nn, prec)).lo.denominator
-                       >= dd * s.lo.numerator):
+                while (abs(dn) * (nn.denominator << prec)
+                       >= dd * (s := root_ends(nn.numerator, nn.denominator, 2, prec))[0]):
                     prec *= 2
-                s1, s2 = (s.hi, s.lo) if dn > 0 else (s.lo, s.hi)
-                cos = Interval(Fraction(dn * s1.denominator, dd * s1.numerator),
-                               Fraction(dn * s2.denominator, dd * s2.numerator))
+                s1, s2 = (s[1], s[0]) if dn > 0 else s
+                cos = Interval(Fraction(dn * nn.denominator << prec, dd * s1),
+                               Fraction(dn * nn.denominator << prec, dd * s2))
                 a_lo, a_hi = numerators(acos_interval(cos, prec), 1 << work + 1)
             # lengths and angles are positive (a_lo < 0 still bounds below)
             lo += l_lo * a_lo * (den // q)

@@ -28,7 +28,7 @@ from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
-from blichfeldt.interval import Interval, dyadic
+from blichfeldt.interval import Interval, dyadic, root_ends
 
 DEFAULT_BITS = 128
 MAX_BITS = 4096
@@ -191,13 +191,12 @@ class RadicalSum:
     def enclosure(self, bits: int = DEFAULT_BITS) -> Interval:
         """The exact interval sum rounded out to 2^-bits, as one integer sum
         over den * 2^bits (den = lcm of the denominators): numerator times
-        isqrt(d << 2*bits), + 1 for an inexact root where the sign needs it."""
+        the floor or ceiling of sqrt(d) 2^bits, as the sign needs it."""
         den = lcm(*(c.denominator for c, _ in self.terms))
         lo = hi = 0
         for c, d in self.terms:
             p = c.numerator * (den // c.denominator)
-            s = isqrt(d << 2 * bits)
-            up = s if s * s == d << 2 * bits else s + 1
+            s, up = root_ends(d, 1, 2, bits)
             lo += p * (s if p > 0 else up)
             hi += p * (up if p > 0 else s)
         return dyadic(lo, hi, den << bits, bits)

@@ -6,15 +6,18 @@ elimination on Fractions, the volume from a reversed placing
 triangulation and from signed cones, facet sublattices from an explicit
 unimodular kernel basis, the sublattice determinant behind det(L) lambda_1(L*),
 Pick's identity in 2D, a 3D polytope's edges as the facet pairs sharing
-two vertices, and whether a real line along x_0 meets a polytope, in
-rationals.  ``width`` is the tests' gauge of an enclosure's precision.
+two vertices, whether a real line along x_0 meets a polytope, in
+rationals, and roots by Newton's iteration into ``Interval``s of
+``Fraction``s and by search loops on ``Fraction``s (the package's earlier
+root code, which ``interval.root_ends`` replaced).  ``width`` is the
+tests' gauge of an enclosure's precision.
 Nothing in ``src/`` calls these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from operator import mul
 
 from blichfeldt import linalg
@@ -252,3 +255,69 @@ def real_row_meets(constraints, base):
         elif rem < 0:
             return False
     return lo is None or hi is None or lo <= hi
+
+
+# ---------------------------------------------------------------------------
+# roots by Newton's iteration and by search, into Intervals and Fractions
+
+
+def iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of a non-negative integer."""
+    if n < 0:
+        raise ValueError("negative radicand")
+    if n == 0:
+        return 0
+    x = 1 << (n.bit_length() // k + 1)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def root_fraction(x, k: int, bits: int) -> Interval:
+    """Enclosure of x**(1/k) for a non-negative rational x."""
+    x = Fraction(x)
+    if x < 0:
+        raise ValueError("negative radicand")
+    # (p/q)^(1/k) = (p*q^(k-1))^(1/k) / q
+    p, q = x.numerator, x.denominator
+    num = p * q ** (k - 1) << k * bits
+    s = isqrt(num) if k == 2 else iroot(num, k)
+    return Interval(Fraction(s, q << bits), Fraction(s if s ** k == num else s + 1, q << bits))
+
+
+def root_interval(iv: Interval, k: int, bits: int) -> Interval:
+    return Interval(root_fraction(iv.lo, k, bits).lo, root_fraction(iv.hi, k, bits).hi)
+
+
+def sqrt_fraction(x, bits: int) -> Interval:
+    return root_fraction(x, 2, bits)
+
+
+def sqrt_interval(iv: Interval, bits: int) -> Interval:
+    return root_interval(iv, 2, bits)
+
+
+def ceil_sqrt_by_search(r) -> int:
+    """Smallest integer >= sqrt(r) for a non-negative rational r."""
+    r = Fraction(r)
+    if r < 0:
+        raise ValueError("negative radicand")
+    p, q = r.numerator, r.denominator
+    m = isqrt(p // q)
+    while m * m * q < p:
+        m += 1
+    return m
+
+
+def floor_plus_sqrt_by_search(a: Fraction, t: Fraction) -> int:
+    """floor(a + sqrt(t)) for rationals, t >= 0, computed exactly."""
+    p, q = t.numerator, t.denominator
+    hi = Fraction(isqrt(p * q) + 1, q)  # upper bound on sqrt(t)
+    m = (a + hi).__floor__() + 1
+    while True:
+        diff = m - a
+        if diff <= 0 or diff * diff <= t:
+            return m
+        m -= 1

@@ -234,6 +234,37 @@ class TestWitness:
         assert out == "" and "error:" in err and "Traceback" not in err
 
 
+class TestFileErrors:
+    """A file the CLI cannot read or write is an input error: exit 2 with
+    the path named, not a traceback and exit 1, the code of a violated
+    inequality."""
+
+    @pytest.mark.parametrize("case", [
+        "witness-out-in-missing-folder", "count-out-is-folder", "count-body-is-folder",
+        "corpus-spec-is-folder", "corpus-spec-not-utf8", "count-body-not-utf8",
+    ])
+    def test_exit_usage_naming_the_path(self, capsys, cube_body, tmp_path, case):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        missing = str(tmp_path / "missing" / "x.json")
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b'{"seed": 1\xff}')
+        argv, path = {
+            "witness-out-in-missing-folder": (
+                ["witness", "--family", "simplex_Sk", "--n", "2", "--k", "1", "--out", missing],
+                missing),
+            "count-out-is-folder": (["count", "--body", cube_body, "--out", str(folder)], folder),
+            "count-body-is-folder": (["count", "--body", str(folder)], folder),
+            "corpus-spec-is-folder": (["corpus", "--spec", str(folder)], folder),
+            "corpus-spec-not-utf8": (["corpus", "--spec", str(binary)], binary),
+            "count-body-not-utf8": (["count", "--body", str(binary)], binary),
+        }[case]
+        code, out, err = _run(capsys, argv)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("error:") and str(path) in err
+        assert not os.path.exists(os.path.dirname(missing))
+
+
 class TestCorpus:
     def _spec_file(self, tmp_path, **overrides):
         doc = {

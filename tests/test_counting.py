@@ -16,7 +16,7 @@ from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.polytope import DegenerateHullError
 from blichfeldt.rng import Rng
-from oracles import pick_quantities, real_row_meets
+from oracles import ceil_sqrt_by_search, pick_quantities, real_row_meets
 
 
 def _cube(n, side):
@@ -90,6 +90,18 @@ class TestCeilSqrt:
         m = ct.ceil_sqrt_fraction(r)
         assert m * m >= r
         assert m == 0 or (m - 1) ** 2 < r
+
+    @given(st.one_of(st.fractions(min_value=0, max_value=10**6, max_denominator=2**200),
+                     st.tuples(st.integers(0, 10**30), st.integers(1, 10**30)).map(
+                         lambda mr: Fraction(mr[0] ** 2, mr[1] ** 2))))
+    @settings(max_examples=200)
+    def test_matches_search(self, r):
+        # random and perfect-square rationals, against the search loop it replaced
+        assert ct.ceil_sqrt_fraction(r) == ceil_sqrt_by_search(r)
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            ct.ceil_sqrt_fraction(Fraction(-1, 3))
 
 
 class TestPolytopeCount:

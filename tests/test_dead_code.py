@@ -11,6 +11,11 @@ counted as used when any name or attribute anywhere is spelled the same.
 So a name collision can hide a dead method (an unused ``Interval.contains``
 passed because ``Lattice.contains`` is called); check a new method's
 callers by hand when its name is already taken.
+
+Every module-level import in ``src/blichfeldt/`` must be read in its own
+module: a name it binds appears as a name in that module's code or in its
+``__all__``.  The project has no linter dependency, so this is the same
+AST walk.
 """
 
 import ast
@@ -55,3 +60,33 @@ def test_no_function_only_tests_call():
     ]
     assert unused == []
 
+
+
+def _unused_imports(path: pathlib.Path):
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".", 1)[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(elt.value for elt in node.value.elts)
+    return [f"{path.name}:{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_import():
+    unused = [u for path in sorted(PACKAGE.glob("*.py")) for u in _unused_imports(path)]
+    assert unused == []
+
+
+def test_unused_import_is_found(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from math import gcd, isqrt\nimport os.path\n\n\ndef f(a, b):\n"
+                      "    return gcd(a, b)\n")
+    assert _unused_imports(module) == ["m.py:1: isqrt", "m.py:2: os"]

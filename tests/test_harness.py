@@ -15,10 +15,11 @@ from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
 from blichfeldt.counting import Body
 from blichfeldt.harness import InequalityId as I, Verdict as V
+from blichfeldt.interval import Interval, pi
 from blichfeldt.lattice import Lattice
 from blichfeldt.radical import Cmp, RadicalSum, certified_compare
 from blichfeldt.rng import Rng
-from oracles import real_row_meets
+from oracles import real_row_meets, root_interval
 
 
 def _cube(n, side):
@@ -149,6 +150,13 @@ class TestVerdicts:
         r = _check(I.SKETCH_RHO_HALF, body)
         assert r.verdict is V.HOLDS
         assert "sketch" in r.note
+
+    @pytest.mark.parametrize("bits", (128, 144, 256, 512, 1024))
+    def test_rho3_endpoints(self, bits):
+        # each end's cube root on the grid of that end of 3/(4 pi) in lowest terms
+        got = hz._rho3_enclosure(bits)
+        want = root_interval(Interval.point(Fraction(3, 4)) / pi(bits + 16), 3, bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
 
     def test_conjecture_and_general_over_random_lattice(self):
         from blichfeldt.rng import Rng

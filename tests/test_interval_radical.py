@@ -14,15 +14,14 @@ from hypothesis import given, settings, strategies as st
 from blichfeldt import interval, polytope as pt, radical, witnesses as wt
 from blichfeldt.interval import (
     Interval,
+    _atan_fraction,
     _atan_series,
     _atan_sums,
     acos_interval,
-    atan_interval,
-    iroot,
+    numerators,
+    on_grid,
     pi,
-    root_fraction,
-    sqrt_fraction,
-    sqrt_interval,
+    root_ends,
 )
 from blichfeldt.radical import (
     Cmp,
@@ -32,7 +31,21 @@ from blichfeldt.radical import (
     squarefree_decompose,
 )
 from blichfeldt.lattice import Lattice, dual_inner, dual_norm_sq
-from oracles import polytope_edges, width
+from oracles import (
+    iroot,
+    polytope_edges,
+    root_fraction,
+    sqrt_fraction,
+    sqrt_interval,
+    width,
+)
+
+
+def _root(x, k: int, bits: int) -> Interval:
+    """``root_ends`` on x in lowest terms, as an Interval."""
+    x = Fraction(x)
+    lo, hi = root_ends(x.numerator, x.denominator, k, bits)
+    return Interval(Fraction(lo, x.denominator << bits), Fraction(hi, x.denominator << bits))
 
 
 class TestIroot:
@@ -47,6 +60,41 @@ class TestIroot:
     def test_floor_root_property(self, n, k):
         r = iroot(n, k)
         assert r**k <= n < (r + 1) ** k
+
+
+class TestRootEnds:
+    """``root_ends`` against the Newton iteration and ``root_fraction`` it
+    replaced, kept verbatim in tests/oracles.py."""
+
+    @given(st.integers(2, 4), st.one_of(st.just(0), st.integers(1, 10**60)),
+           st.integers(1, 10**30), st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_root_fraction(self, k, p, q, bits):
+        got, want = _root(Fraction(p, q), k, bits), root_fraction(Fraction(p, q), k, bits)
+        assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @given(st.integers(2, 4), st.integers(0, 10**20), st.integers(1, 10**10), st.integers(0, 200))
+    def test_exact_powers(self, k, m, r, bits):
+        # (m^k / r^k)^(1/k) r^k 2^bits = m r^(k-1) 2^bits, on any grid
+        assert root_ends(m ** k, r ** k, k, bits) == (m * r ** (k - 1) << bits,) * 2
+
+    @given(st.integers(2, 4), st.integers(0, 10**60), st.integers(1, 10**30),
+           st.sampled_from((1, 2, 3, 2**40, 10**9 + 7)), st.integers(0, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_outward_on_the_grid_of_the_pair(self, k, p, q, g, bits):
+        # an unreduced pair rounds on its own grid, 1/(q g 2^bits)
+        n = p * g * (q * g) ** (k - 1) << k * bits
+        lo, hi = root_ends(p * g, q * g, k, bits)
+        assert lo ** k <= n <= hi ** k and hi - lo == (lo ** k != n)
+
+    @given(st.integers(0, 10**40), st.integers(2, 4))
+    def test_floor_matches_newton(self, n, k):
+        r = iroot(n, k)
+        assert root_ends(n, 1, k, 0) == (r, r + (r ** k != n))
+
+    def test_negative_radicand_rejected(self):
+        with pytest.raises(ValueError):
+            root_ends(-1, 1, 2, 0)
 
 
 class TestInterval:
@@ -75,23 +123,23 @@ class TestInterval:
     @given(st.fractions(min_value=0, max_value=10**6), st.integers(8, 256))
     @settings(max_examples=80)
     def test_sqrt_enclosure(self, x, bits):
-        iv = sqrt_fraction(x, bits)
+        iv = _root(x, 2, bits)
         assert iv.lo**2 <= x <= iv.hi**2
         assert width(iv) <= Fraction(1, 2 ** (bits - 2))
 
     def test_sqrt_exact_square(self):
-        iv = sqrt_fraction(Fraction(9, 4), 64)
+        iv = _root(Fraction(9, 4), 2, 64)
         assert iv.lo <= Fraction(3, 2) <= iv.hi
 
     @given(st.fractions(min_value=Fraction(1, 100), max_value=100),
            st.integers(2, 4))
     @settings(max_examples=50)
     def test_root_enclosure(self, x, k):
-        iv = root_fraction(x, k, 96)
+        iv = _root(x, k, 96)
         assert iv.lo**k <= x <= iv.hi**k
 
     def test_sqrt_interval_monotone(self):
-        iv = sqrt_interval(Interval(Fraction(4), Fraction(9)), 64)
+        iv = Interval(_root(4, 2, 64).lo, _root(9, 2, 64).hi)
         assert iv.lo <= 2 and 3 <= iv.hi
 
     def test_value_semantics(self):
@@ -127,13 +175,13 @@ class TestPi:
 class TestTrig:
     def test_atan_one(self):
         # atan(1) = pi/4
-        iv = atan_interval(Interval.point(Fraction(1)), 96)
+        iv = on_grid(*_atan_fraction(1, 1, 96), 104)
         quarter_pi = pi(96) / Interval.point(4)
         assert iv.lo <= quarter_pi.hi and quarter_pi.lo <= iv.hi
 
     def test_atan_odd(self):
-        a = atan_interval(Interval.point(Fraction(3, 7)), 80)
-        b = atan_interval(Interval.point(Fraction(-3, 7)), 80)
+        a = on_grid(*_atan_fraction(3, 7, 80), 88)
+        b = on_grid(*_atan_fraction(-3, 7, 80), 88)
         assert (a + b).lo <= 0 <= (a + b).hi
 
     def test_acos_zero_is_half_pi(self):
@@ -197,8 +245,13 @@ def _exact_series(t: Fraction, bits: int) -> Interval:
     """The kernel's exact partial sums as Fractions, unrounded.  Their
     values are pinned to ``_atan_series_fraction`` by the random-rational
     test; summing long Fraction series is too slow at 528 bits."""
-    lo, hi, den = _atan_sums(t, bits)
+    lo, hi, den = _atan_sums(t.numerator, t.denominator, bits)
     return Interval(Fraction(lo, den), Fraction(hi, den))
+
+
+def _series(t: Fraction, bits: int) -> Interval:
+    """``_atan_series`` on t, its numerators over 2^(bits+8)."""
+    return on_grid(*_atan_series(t.numerator, t.denominator, bits), bits + 8)
 
 
 def _atan_fraction_reference(t: Fraction, bits: int) -> Interval:
@@ -254,7 +307,7 @@ def _in(lo, hi):
 
 
 KERNEL_BITS = (128, 144, 160, 272, 528)
-# arguments of atan_interval in each branch of _atan_fraction
+# arguments of _atan_fraction in each of its branches
 ATAN_BRANCHES = {
     "negative": _in(-40, 0),
     "series": st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=2**64),
@@ -291,14 +344,14 @@ class TestAtanSeriesOracle:
     )
     @settings(max_examples=120, deadline=None)
     def test_random_rationals(self, t, bits):
-        got = _atan_series(t, bits)
+        got = _series(t, bits)
         want = _atan_series_fraction(t, bits).round_out(bits + 8)
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
     @pytest.mark.parametrize("x", (5, 239))
     @pytest.mark.parametrize("bits", SERIES_BITS)
     def test_machin_arguments(self, x, bits):
-        got = _atan_series(Fraction(1, x), bits)
+        got = _series(Fraction(1, x), bits)
         want = _atan_series_fraction(Fraction(1, x), bits).round_out(bits + 8)
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
@@ -315,8 +368,15 @@ class TestAtanSeriesOracle:
         t = data.draw(ATAN_BRANCHES[branch])
         width = data.draw(st.sampled_from((0, Fraction(1, 2**40))))
         bits = data.draw(st.sampled_from(KERNEL_BITS))
-        iv = Interval(t, t + width)
-        got, want = atan_interval(iv, bits), _atan_reference(iv, bits)
+        # each end of the argument rounded out to 2^-(bits+16), as acos_interval
+        # passes it; the result on the 2^-(bits+8) grid
+        e = bits + 16
+        m_lo, m_hi = numerators(Interval(t, t + width), 1 << e)
+        got = on_grid(_atan_fraction(m_lo, 1 << e, bits)[0],
+                      _atan_fraction(m_hi, 1 << e, bits)[1], bits + 8)
+        want = Interval(_atan_fraction_reference(Fraction(m_lo, 1 << e), bits).lo,
+                        _atan_fraction_reference(Fraction(m_hi, 1 << e), bits).hi)
+        want = want.round_out(bits + 8)
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
     @pytest.mark.parametrize("branch", ACOS_BRANCHES)
@@ -343,7 +403,7 @@ class TestAtanSeriesOracle:
                              ids=("1/5", "1/239", "2^-160"))
     @pytest.mark.parametrize("bits", (1040, 2064))
     def test_fixed_arguments_at_high_precision(self, t, bits):
-        got, want = _atan_series(t, bits), _exact_series(t, bits).round_out(bits + 8)
+        got, want = _series(t, bits), _exact_series(t, bits).round_out(bits + 8)
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
     @pytest.mark.parametrize("a", (3763504725918222510864622, 3763504725918222510864641,
@@ -352,8 +412,26 @@ class TestAtanSeriesOracle:
         # at 128 bits the carried power of a/b at k = 50 lands on the last unit
         # below the stop threshold, where the exact test stops or goes on, or on it
         t = Fraction(a, 9143132648213408697548801)
-        got, want = _atan_series(t, 128), _exact_series(t, 128).round_out(136)
+        got, want = _series(t, 128), _exact_series(t, 128).round_out(136)
         assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    @pytest.mark.parametrize("guard", (64, 1))
+    def test_unreduced_arguments_give_the_same_endpoints(self, guard, monkeypatch):
+        # the stop tests and floors read only the value a/b; with one guard
+        # bit the exact sums decide some of the ends
+        monkeypatch.setattr(interval, "_GUARD", guard)
+        rng = random.Random(5)
+        for _ in range(40):
+            b = rng.randrange(1, 2**64)
+            a, c = rng.randrange(-(b // 2), b // 2 + 1), rng.randrange(-4 * b, 4 * b)
+            g = rng.choice((2, 3, 2**40, 10**9 + 7))
+            bits = rng.choice(KERNEL_BITS)
+            assert _atan_series(a * g, b * g, bits) == _atan_series(a, b, bits)
+            lo, hi, den = _atan_sums(a, b, bits)
+            g_lo, g_hi, g_den = _atan_sums(a * g, b * g, bits)
+            assert (Fraction(g_lo, g_den), Fraction(g_hi, g_den)) == (Fraction(lo, den),
+                                                                      Fraction(hi, den))
+            assert _atan_fraction(c * g, b * g, bits) == _atan_fraction(c, b, bits)
 
     def test_exact_sums_decide_where_the_rounding_test_cannot(self, monkeypatch):
         # with one guard bit the fixed-point sum's error often straddles a
@@ -365,7 +443,7 @@ class TestAtanSeriesOracle:
         for _ in range(40):
             t = Fraction(rng.randrange(-2**159, 2**159), 2**160 - rng.randrange(2**100))
             bits = rng.choice(KERNEL_BITS)
-            got, want = _atan_series(t, bits), _exact_series(t, bits).round_out(bits + 8)
+            got, want = _series(t, bits), _exact_series(t, bits).round_out(bits + 8)
             assert (got.lo, got.hi) == (want.lo, want.hi)
         assert calls
         for _ in range(10):

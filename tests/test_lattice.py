@@ -15,7 +15,7 @@ from blichfeldt.linalg import det_bareiss
 from blichfeldt.radical import RadicalSum
 from blichfeldt.rng import Rng
 from blichfeldt.witnesses import random_lattice
-from oracles import hyperplane_sublattice_det_sq
+from oracles import floor_plus_sqrt_by_search, hyperplane_sublattice_det_sq
 
 
 def _random_integer_lattice(rng, n, max_abs_det=8):
@@ -24,6 +24,30 @@ def _random_integer_lattice(rng, n, max_abs_det=8):
         d = abs(det_bareiss([r[:] for r in rows]))
         if 1 <= d <= max_abs_det:
             return Lattice(rows)
+
+
+_RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=2**128)
+
+
+class TestFloorPlusSqrt:
+    """The closed forms of floor(a + sqrt(t)) and ceil(a - sqrt(t)) against
+    the search loop they replaced."""
+
+    @given(_RATIONALS, st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=0, max_value=10**6, max_denominator=2**128),
+        st.tuples(st.integers(0, 10**20), st.integers(1, 10**20)).map(
+            lambda mr: Fraction(mr[0] ** 2, mr[1] ** 2))))
+    @settings(max_examples=300)
+    def test_matches_search(self, a, t):
+        assert lt._floor_plus_sqrt(a, t) == floor_plus_sqrt_by_search(a, t)
+        assert lt._ceil_minus_sqrt(a, t) == -floor_plus_sqrt_by_search(-a, t)
+
+    @given(st.integers(-10**6, 10**6), st.integers(0, 10**6))
+    def test_integers(self, a, m):
+        # integer a and a perfect square t: the bounds are a +- m exactly
+        assert lt._floor_plus_sqrt(a, m * m) == a + m
+        assert lt._ceil_minus_sqrt(a, m * m) == a - m
 
 
 class TestLatticeBasics:
