@@ -60,13 +60,24 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            _atomic_write(out, text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            raise _CliError(f"--out {out}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+    """Write a report to ``out`` or to standard output, flushed, so that a
+    failed write is an input error (exit 2), not a traceback."""
+    text = text if text.endswith("\n") else text + "\n"
+    try:
+        if out:
+            _atomic_write(out, text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out:
+            # the interpreter flushes what is left again at exit: send it to
+            # the null device, so that no second error changes the exit code
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        where = f"--out {out}" if out else "standard output"
+        raise _CliError(f"{where}: {exc.strerror}") from exc
 
 
 def _load_body(path: str, budget: int) -> ct.Body:

@@ -9,7 +9,8 @@ Rambau and Santos, *Triangulations*, 4.3), and the boundary simplices
 sharing a hyperplane tile one facet.  The sweep keeps only their measures:
 how far a point lies beyond a simplex's hyperplane is |det| of the simplex
 it cones, so these sum to n! vol(P), and the gcd of a boundary simplex's
-normal is (n-1)! times its volume in the facet's lattice.  Facet normals
+normal is (n-1)! times its volume in the facet's lattice.  That normal is
+``linalg.cross`` of the simplex's edges from its first point.  Facet normals
 are primitive dual-lattice vectors, so facet volumes split into a rational
 lattice-normalized part and a single square root.
 """
@@ -69,21 +70,6 @@ def _independent(vectors, want):
     return chosen
 
 
-def _normal(simplex):
-    """Generalized cross product N of the edges of d points in Z^d.
-
-    N.(x - simplex[0]) is the determinant of the edges and x - simplex[0],
-    so N is normal to their hyperplane and |N| is (d-1)! times their volume.
-    """
-    base = simplex[0]
-    d = len(base)
-    rows = [[x - y for x, y in zip(p, base)] for p in simplex[1:]]
-    return [
-        (-1) ** (d - 1 + j) * linalg.det_bareiss([r[:j] + r[j + 1:] for r in rows])
-        for j in range(d)
-    ]
-
-
 def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     """Beneath-beyond hull of distinct, full-dimensional integer points.
 
@@ -92,11 +78,15 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     primitive outward normal, with ``normal.x <= offset`` on the hull, the
     ids of every point on the facet, and (d-1)! times its volume in the
     lattice of its hyperplane.  ``dets`` is d! times the hull's volume.
-    Facets come ordered by the lexicographically smallest affinely
-    independent d-subset of their ``on_ids``.  Every point-facet orientation
-    test counts against ``budget``, and running out raises
-    ``EnumerationBudgetError``; ``work`` is the count, the least budget
-    under which the call answers.
+    Facets come ordered by a key of their ``on_ids``: the first id, then
+    the ids that ``_independent`` picks from the rest by their differences
+    from ``points[0]``, not from the facet's first point.  A facet through
+    ``points[0]`` gets its lexicographically smallest affinely independent
+    d-subset; any other facet gets d of its points, which may be affinely
+    dependent.  A facet of exactly d points is its own key.  Every
+    point-facet orientation test counts against ``budget``, and running out
+    raises ``EnumerationBudgetError``; ``work`` is the count, the least
+    budget under which the call answers.
     """
     n, d = len(points), len(points[0])
     diffs = [[x - y for x, y in zip(p, points[0])] for p in points]
@@ -113,8 +103,9 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     live = {}   # boundary simplex (sorted ids) -> (N, c), N.x <= c inside
 
     def place(ids):
-        normal = _normal([points[i] for i in ids])
-        c = sum(map(mul, normal, points[ids[0]]))
+        base = points[ids[0]]
+        normal = linalg.cross([[x - y for x, y in zip(points[i], base)] for i in ids[1:]])
+        c = sum(map(mul, normal, base))
         if sum(map(mul, normal, inner)) > (d + 1) * c:
             normal, c = [-x for x in normal], -c
         live[ids] = (normal, c)
@@ -158,6 +149,10 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
 
     def first_basis(facet):
         on = facet[2]
+        if len(on) == d:
+            # d affinely independent points: their differences from any
+            # point off their hyperplane or among them are independent too
+            return on
         rest = _independent([diffs[i] for i in on[1:]], d - 1)
         return (on[0],) + tuple(on[1 + k] for k in rest)
 
@@ -247,7 +242,8 @@ def hull(points, lattice: Lattice | None = None,
     for c, b, on, _ in raw:
         for i in on:
             active[i].append(c)
-    vertex_ids = [i for i in range(len(pts)) if len(_independent(active[i], d)) == d]
+    vertex_ids = [i for i in range(len(pts))
+                  if len(active[i]) >= d and len(_independent(active[i], d)) == d]
     remap = {old: new for new, old in enumerate(vertex_ids)}
     facets = tuple(
         Facet(

@@ -2,7 +2,8 @@
 
 Each computes a quantity the package also computes, by a second route that
 shares none of the code under test: determinants and inverses by Gaussian
-elimination on Fractions, the volume from a reversed placing
+elimination on Fractions, a simplex's normal from the cofactors of its
+edges (the hull's kernel before ``linalg.cross``), the volume from a reversed placing
 triangulation and from signed cones, facet sublattices from an explicit
 unimodular kernel basis, the sublattice determinant behind det(L) lambda_1(L*),
 Pick's identity in 2D, a 3D polytope's edges as the facet pairs sharing
@@ -85,6 +86,23 @@ def frac_inv(m):
                 f = a[i][k]
                 a[i] = [a[i][j] - f * a[k][j] for j in range(2 * n)]
     return [row[n:] for row in a]
+
+
+def simplex_normal(simplex):
+    """Generalized cross product N of the edges of d points in Z^d.
+
+    N.(x - simplex[0]) is the determinant of the edges and x - simplex[0],
+    so N is normal to their hyperplane and |N| is (d-1)! times their volume.
+    The minors go through ``frac_det``: ``linalg.det_bareiss`` itself calls
+    ``linalg.cross`` up to 3x3.
+    """
+    base = simplex[0]
+    d = len(base)
+    rows = [[x - y for x, y in zip(p, base)] for p in simplex[1:]]
+    return [
+        (-1) ** (d - 1 + j) * int(frac_det([r[:j] + r[j + 1:] for r in rows]))
+        for j in range(d)
+    ]
 
 
 # ---------------------------------------------------------------------------

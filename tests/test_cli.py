@@ -265,6 +265,28 @@ class TestFileErrors:
         assert not os.path.exists(os.path.dirname(missing))
 
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["witness", "corpus-csv"])
+    def test_full_stdout(self, tmp_path, command):
+        # a report that cannot be written is an input error, not exit 1
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 5, "dimensions": [2], "num_random_hulls": 2,
+                                    "points_per_hull": 8, "coord_bound": 4,
+                                    "k_values": [1], "m_values": [1]}))
+        argv = {"witness": ["witness", "--family", "reeve_Tm", "--n", "3", "--m", "5"],
+                "corpus-csv": ["corpus", "--spec", str(spec), "--format", "csv"]}[command]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        # block-buffered, as by default: a short report fails only on flush
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "blichfeldt.cli", *argv], env=env,
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  timeout=60, check=False)
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stderr.startswith("error: standard output: ")
+        assert len(proc.stderr.splitlines()) == 1
+
+
 class TestCorpus:
     def _spec_file(self, tmp_path, **overrides):
         doc = {

@@ -1,15 +1,18 @@
-"""Integer linear algebra: determinants, adjugates and kernels, held against
-Gaussian elimination on Fractions."""
+"""Integer linear algebra: determinants, cross products, adjugates and
+kernels, held against Gaussian elimination on Fractions."""
 
 from fractions import Fraction
 from operator import mul
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from blichfeldt import linalg
 from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import DegenerateBasisError
-from oracles import frac_det, frac_inv, frac_vec_mat, kernel_basis, unimodular_for_primitive
+from oracles import (
+    frac_det, frac_inv, frac_vec_mat, kernel_basis, simplex_normal, unimodular_for_primitive,
+)
 
 
 def _frac_det_oracle(m):
@@ -25,6 +28,23 @@ small_matrix = _square(st.integers(2, 4), st.integers(-6, 6))
 # entries in {-1, 0, 1} make singular matrices common
 adjugate_matrix = _square(st.integers(1, 6), st.integers(-6, 6) | st.integers(-1, 1))
 rational_basis = _square(st.integers(1, 4), st.fractions(-4, 4, max_denominator=6))
+# small entries make zero pivots and dependent rows common; large ones test
+# that nothing rounds
+wide_entries = st.integers(-1, 1) | st.integers(-6, 6) | st.integers(-2**100, 2**100)
+
+
+@st.composite
+def _cross_rows(draw):
+    """d-1 rows in Z^d for d = 2..6, and a point x; one row may be replaced
+    by an integer combination of two rows, often making them dependent."""
+    d = draw(st.integers(2, 6))
+    row = st.lists(wide_entries, min_size=d, max_size=d)
+    rows = draw(st.lists(row, min_size=d - 1, max_size=d - 1))
+    if draw(st.booleans()):
+        i, j, k = (draw(st.integers(0, d - 2)) for _ in range(3))
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows, draw(row)
 
 
 class TestDeterminant:
@@ -40,11 +60,48 @@ class TestDeterminant:
     def test_matches_fraction_elimination(self, m):
         assert linalg.det_bareiss([row[:] for row in m]) == _frac_det_oracle(m)
 
+    @given(_square(st.integers(0, 3), wide_entries))
+    @settings(max_examples=300)
+    def test_closed_forms_match_fraction_elimination(self, m):
+        assert linalg.det_bareiss(m) == _frac_det_oracle(m)
+
+    @pytest.mark.parametrize("m", [
+        [[0, 1], [1, 0]], [[0, 2], [0, 3]], [[0, 1, 2], [3, 4, 5], [6, 7, 9]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 1, 1], [0, 2, 3], [0, 4, 5]],
+    ])
+    def test_closed_forms_with_zero_leading_pivot(self, m):
+        assert linalg.det_bareiss(m) == _frac_det_oracle(m)
+
+    @pytest.mark.parametrize("m", [
+        [[]], [[1, 2]], [[1], [2]], [[1, 2], [3]], [[1, 2, 3], [4, 5, 6]],
+        [[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 6], [7, 8]],
+    ])
+    def test_non_square_rejected(self, m):
+        with pytest.raises(ValueError, match="not square"):
+            linalg.det_bareiss(m)
+
     @given(small_matrix)
     def test_transpose_invariant(self, m):
         assert linalg.det_bareiss([row[:] for row in m]) == linalg.det_bareiss(
             [list(col) for col in zip(*m)]
         )
+
+
+class TestCross:
+    def test_known_values(self):
+        assert linalg.cross([]) == [1]
+        assert linalg.cross([[3, 5]]) == [-5, 3]
+        assert linalg.cross([[1, 0, 0], [0, 1, 0]]) == [0, 0, 1]
+        assert linalg.cross([[1, 2, 3], [2, 4, 6]]) == [0, 0, 0]
+        assert linalg.cross([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]) == [0, 0, 0, 1]
+
+    @given(_cross_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cofactor_oracle(self, case):
+        rows, x = case
+        n = linalg.cross(rows)
+        assert n == simplex_normal([[0] * len(x)] + rows)
+        assert sum(map(mul, n, x)) == _frac_det_oracle(rows + [x])
 
 
 class TestAdjugate:

@@ -20,6 +20,7 @@ from oracles import (
     hyperplane_sublattice_det_sq,
     normalized_volume_reversed,
     polytope_edges,
+    simplex_normal,
     volume_by_signed_cones,
     width,
 )
@@ -165,6 +166,56 @@ class TestHull:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateHullError):
             pt.hull([(0, 0), (1, 1), (2, 2)])
+
+    def test_facet_order_follows_the_key_from_points_0(self):
+        # the facet z = 0 misses points[0]; its key takes differences from
+        # points[0] and is (1, 2, 4), three collinear points
+        pts = [(0, 2, 1), (1, 0, 0), (2, 0, 0), (2, 2, 3), (3, 0, 0), (3, 5, 0)]
+        facets, dets, work = pt.convex_hull_facets(pts)
+        assert facets == [
+            ((-1, -1, 1), -1, (0, 1, 3), 4),
+            ((-5, 2, -9), -5, (0, 1, 5), 1),
+            ((-3, 4, 3), 11, (0, 3, 5), 2),
+            ((0, -3, 2), 0, (1, 2, 3, 4), 2),
+            ((0, 0, -1), 0, (1, 2, 4, 5), 10),
+            ((3, 0, 1), 9, (3, 4, 5), 5),
+        ]
+        assert (dets, work) == (58, 46)
+
+
+class TestCrossKernelIdentity:
+    """The hull from ``linalg.cross``, with a facet of d points as its own
+    key and the vertex test skipping points on fewer than d facets, against
+    the cofactor normals, the full ``_independent`` key and the full test."""
+
+    @staticmethod
+    def _points(d, seed):
+        # every point of [0,2]^d (collinear and coplanar in many ways) and
+        # d + 3 seeded extras around it; [0,1]^5 keeps the 5D case fast
+        rng = Rng(seed, stream=d)
+        grid = itertools.product(range(3 if d < 5 else 2), repeat=d)
+        extras = [tuple(rng.randint(-1, 3) for _ in range(d)) for _ in range(d + 3)]
+        return sorted(set(grid) | set(extras))
+
+    @pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3, 4, 5) for seed in (1, 2)])
+    def test_same_hull(self, d, seed, monkeypatch):
+        pts = self._points(d, seed)
+        facets, dets, work = pt.convex_hull_facets(pts)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "cross", lambda rows: simplex_normal([[0] * d] + rows))
+            ref, ref_dets, ref_work = pt.convex_hull_facets(pts)
+        diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts]
+
+        def full_key(facet):
+            on = facet[2]
+            rest = pt._independent([diffs[i] for i in on[1:]], d - 1)
+            return (on[0],) + tuple(on[1 + k] for k in rest)
+
+        assert all(full_key(f) == f[2] for f in facets if len(f[2]) == d)
+        assert (facets, dets, work) == (sorted(ref, key=full_key), ref_dets, ref_work)
+        active = [[f[0] for f in facets if i in f[2]] for i in range(len(pts))]
+        full = tuple(p for p, a in zip(pts, active) if len(pt._independent(a, d)) == d)
+        assert pt.hull(pts).vertices == full
 
 
 # the boundary-layer audit's ridge bodies (tests/test_harness.py)
