@@ -61,7 +61,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     """Write a report to ``out`` or to standard output, flushed, so that a
-    failed write is an input error (exit 2), not a traceback."""
+    failed write is an input error (exit 2), not a traceback.
+
+    A failed write to standard output also points the process's file
+    descriptor 1 at the null device for good, so later output of the
+    process, in ``main``'s caller too, is lost.
+    """
     text = text if text.endswith("\n") else text + "\n"
     try:
         if out:
@@ -362,6 +367,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns the exit code.  Without ``--out``, a failed
+    write of the report sends the process's standard output to the null
+    device for the rest of the process (see ``_emit``)."""
     parser = _parser()
     try:
         args = parser.parse_args(argv)

@@ -242,8 +242,7 @@ def hull(points, lattice: Lattice | None = None,
     for c, b, on, _ in raw:
         for i in on:
             active[i].append(c)
-    vertex_ids = [i for i in range(len(pts))
-                  if len(active[i]) >= d and len(_independent(active[i], d)) == d]
+    vertex_ids = [i for i in range(len(pts)) if len(_independent(active[i], d)) == d]
     remap = {old: new for new, old in enumerate(vertex_ids)}
     facets = tuple(
         Facet(
