@@ -5,23 +5,3 @@ square roots as canonical ``RadicalSum`` values, and irrational quantities
 (pi, angles, cube roots) as adaptive-precision dyadic enclosures.  No
 floating point ever decides a verdict.
 """
-
-from blichfeldt.radical import RadicalSum, Cmp, Inconclusive, certified_compare
-from blichfeldt.interval import Interval
-from blichfeldt.lattice import Lattice
-from blichfeldt.polytope import LatticePolytope, hull
-from blichfeldt.counting import Body, CountResult, count
-
-__all__ = [
-    "RadicalSum",
-    "Cmp",
-    "Inconclusive",
-    "certified_compare",
-    "Interval",
-    "Lattice",
-    "LatticePolytope",
-    "hull",
-    "Body",
-    "CountResult",
-    "count",
-]

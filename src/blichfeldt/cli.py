@@ -20,8 +20,8 @@ from fractions import Fraction
 from blichfeldt import counting as ct
 from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
+from blichfeldt.interval import DEFAULT_BITS, MAX_BITS
 from blichfeldt.lattice import SVP_MAX_DIM
-from blichfeldt.radical import DEFAULT_BITS, MAX_BITS
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -97,15 +97,15 @@ def _load_body(path: str, budget: int) -> ct.Body:
 
 
 def _budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("BLICH_BUDGET")
-    if env:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise _CliError(f"BLICH_BUDGET not an integer: {env!r}") from exc
-    return ct.DEFAULT_BUDGET
+    """``--budget``, else a non-empty ``BLICH_BUDGET``, else the default."""
+    name, text = "--budget", args.budget
+    if text is None:
+        name, text = "BLICH_BUDGET", os.environ.get("BLICH_BUDGET") or None
+    if text is None:
+        return ct.DEFAULT_BUDGET
+    if not text.isdecimal():
+        raise _CliError(f"{name}: expected an integer of at least 0, got {text!r}")
+    return int(text)
 
 
 def _precision_bits(text: str) -> int:
@@ -123,7 +123,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_measure(args) -> int:
-    from blichfeldt import harness as hz
+    from blichfeldt.radical import format_value
 
     body = _load_body(args.body, _budget(args))
     if body.polytope is None:
@@ -131,14 +131,14 @@ def _cmd_measure(args) -> int:
     poly = body.polytope
     lines = [
         f"dimension: {poly.dim}",
-        f"volume: {hz.format_value(poly.volume)}",
-        f"surface_area: {hz.format_value(poly.surface_area, bits=128)}",
+        f"volume: {format_value(poly.volume)}",
+        f"surface_area: {format_value(poly.surface_area, bits=128)}",
     ]
     if poly.dim == 3:
         iv = poly.intrinsic_volumes
-        lines.append(f"V1: {hz.format_value(iv.v1, bits=128)}")
-        lines.append(f"V2: {hz.format_value(iv.v2, bits=128)}")
-        lines.append(f"V3: {hz.format_value(iv.v3)}")
+        lines.append(f"V1: {format_value(iv.v1, bits=128)}")
+        lines.append(f"V2: {format_value(iv.v2, bits=128)}")
+        lines.append(f"V3: {format_value(iv.v3)}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -316,7 +316,7 @@ def _parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=None,
                      help="output path (atomic write for a regular file)")
     budget = argparse.ArgumentParser(add_help=False, parents=[out])
-    budget.add_argument("--budget", type=int, default=None,
+    budget.add_argument("--budget", default=None,
                         help="enumeration budget (fallback: BLICH_BUDGET)")
     precision = argparse.ArgumentParser(add_help=False, parents=[budget])
     precision.add_argument("--precision-max-bits", type=_precision_bits, default=MAX_BITS)

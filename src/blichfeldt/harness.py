@@ -34,7 +34,7 @@ from blichfeldt import polytope as pt
 from blichfeldt.counting import Body
 from blichfeldt.interval import Interval, pi, root_ends
 from blichfeldt.radical import (
-    MAX_BITS, Cmp, Inconclusive, RadicalSum, certified_compare, enclose,
+    MAX_BITS, Cmp, Inconclusive, RadicalSum, certified_compare, enclose, format_value,
 )
 from blichfeldt.witnesses import CorpusSpec, body_to_dict, build_corpus
 
@@ -77,20 +77,6 @@ class InequalityReport(NamedTuple):
     tightness: Interval | None = None   # enclosure of rhs - lhs
     precision_bits: int | None = None
     note: str = ""
-
-
-def format_value(v, bits: int = 128) -> str:
-    """Auditable text form: exact rationals as p/q, reals as [lo, hi]@bits."""
-    if v is None:
-        return ""
-    if isinstance(v, RadicalSum) and v.is_rational:
-        v = v.as_fraction()
-    if isinstance(v, int):
-        return f"{v}/1"
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    e = enclose(v, bits)
-    return f"[{e.lo}, {e.hi}]@{bits}"
 
 
 def _is_integer_lattice(lat: lt.Lattice) -> bool:

@@ -44,6 +44,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
+# the precision range of a certified comparison: its first and its last step
+DEFAULT_BITS = 128
+MAX_BITS = 4096
+
 
 def root_ends(p: int, q: int, k: int, bits: int) -> tuple[int, int]:
     """Floor and ceiling of (p/q)^(1/k) * q * 2^bits, p >= 0, q > 0: the

@@ -28,7 +28,6 @@ from typing import NamedTuple
 from blichfeldt import linalg
 from blichfeldt.interval import root_ends
 from blichfeldt.linalg import DegenerateBasisError
-from blichfeldt.radical import RadicalSum
 
 SVP_MAX_DIM = 6
 MU_MAX_DIM = 4
@@ -326,11 +325,15 @@ def covering_radius_sq(lat: Lattice, budget: int = DEFAULT_BUDGET) -> Fraction:
 
 def inhomogeneous_minimum(lat: Lattice, budget: int = DEFAULT_BUDGET) -> RadicalSum:
     """mu(L), exact (single square root of a rational)."""
+    from blichfeldt.radical import RadicalSum
+
     return RadicalSum.sqrt(covering_radius_sq(lat, budget))
 
 
 def min_hyperplane_sublattice_det(lat: Lattice, budget: int = DEFAULT_BUDGET) -> RadicalSum:
     """det(L) * lambda_1(L*): the minimal (n-1)-sublattice determinant."""
+    from blichfeldt.radical import RadicalSum
+
     lam_sq = shortest_vector(lat.polar, budget).length_sq
     return lat.determinant * RadicalSum.sqrt(lam_sq)
 

@@ -35,7 +35,6 @@ from blichfeldt.lattice import (
     dual_inner,
     dual_norm_sq,
 )
-from blichfeldt.radical import RadicalSum, enclose
 
 
 class DegenerateHullError(ValueError):
@@ -185,6 +184,8 @@ class LatticePolytope:
     @cached_property
     def surface_area(self) -> RadicalSum:
         """Exact surface area: the facets' Euclidean volumes, summed."""
+        from blichfeldt.radical import RadicalSum
+
         det = self.lattice.determinant
         return sum((
             facet_lattice_volume(self, i) * RadicalSum.sqrt(asq * det * det)
@@ -334,9 +335,9 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
         edge_data.append((len_sq, dot.numerator, dot.denominator, nn))
     if not any(dn for _, dn, _, _ in edge_data):
         # every exterior angle is exactly pi/2: V1 = sum of edge lengths / 4
-        v1 = RadicalSum()
-        for len_sq, *_ in edge_data:
-            v1 = v1 + RadicalSum.sqrt(len_sq) / 4
+        from blichfeldt.radical import RadicalSum
+
+        v1 = sum((RadicalSum.sqrt(len_sq) for len_sq, *_ in edge_data), RadicalSum()) / 4
         return IntrinsicVolumes3(1, v1, v2, v3)
 
     enclosures: dict[int, Interval] = {}   # V1 per precision
@@ -380,6 +381,8 @@ def steiner_volume(poly: LatticePolytope, rho, bits: int = 128) -> Interval:
     ``rho`` is any exact value (int, Fraction, RadicalSum) or an adaptive
     closure bits -> Interval, as ``radical.enclose`` takes.
     """
+    from blichfeldt.radical import enclose
+
     if poly.dim != 3:
         raise ValueError("dimension unsupported")
     iv = poly.intrinsic_volumes

@@ -28,10 +28,7 @@ from itertools import compress
 from math import gcd, isqrt, lcm, prod
 from typing import NamedTuple
 
-from blichfeldt.interval import Interval, dyadic, root_ends
-
-DEFAULT_BITS = 128
-MAX_BITS = 4096
+from blichfeldt.interval import DEFAULT_BITS, MAX_BITS, Interval, dyadic, root_ends
 
 _TRIAL_LIMIT = 10 ** 6
 _RUN = 1 << 11      # trial primes are taken a range of this width at a time
@@ -232,6 +229,18 @@ def enclose(x, bits: int = DEFAULT_BITS) -> Interval:
     if isinstance(x, RadicalSum):
         return x.enclosure(bits)
     return x(bits)
+
+
+def format_value(v, bits: int = DEFAULT_BITS) -> str:
+    """Auditable text form: exact rationals as p/q, reals as [lo, hi]@bits."""
+    if v is None:
+        return ""
+    if isinstance(v, RadicalSum) and v.is_rational:
+        v = v.as_fraction()
+    if isinstance(v, (int, Fraction)):
+        return f"{v.numerator}/{v.denominator}"
+    e = enclose(v, bits)
+    return f"[{e.lo}, {e.hi}]@{bits}"
 
 
 def certified_compare(x, y, max_bits: int = MAX_BITS):

@@ -20,7 +20,6 @@ from blichfeldt.counting import Body
 from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.polytope import DegenerateHullError, LatticePolytope
-from blichfeldt.rng import Rng
 
 SCHEMA_VERSION = 1
 _RETRY_LIMIT = 1000
@@ -131,6 +130,8 @@ class CorpusEntry(NamedTuple):
 
 def build_corpus(spec: CorpusSpec) -> tuple:
     """Witness families plus seeded random hulls, in a fixed order."""
+    from blichfeldt.rng import Rng
+
     entries = []
 
     def add(name, body):

@@ -529,6 +529,22 @@ class TestBudgetPlumbing:
         assert code == cli.EXIT_USAGE
         assert "BLICH_BUDGET" in err
 
+    def test_negative_env_value(self, capsys, cube_body, monkeypatch):
+        # a usage error naming the variable, not an exceeded budget
+        monkeypatch.setenv("BLICH_BUDGET", "-5")
+        code, _, err = _run(capsys, ["count", "--body", cube_body])
+        assert code == cli.EXIT_USAGE
+        assert "BLICH_BUDGET" in err and "budget=" not in err
+
+    @pytest.mark.parametrize("command", ["count", "measure", "check", "audit"])
+    def test_negative_flag(self, capsys, cube_body, command):
+        argv = [command, "--body", cube_body, "--budget", "-5"]
+        if command == "check":
+            argv += ["--id", "MAIN_THM_1_1"]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert "--budget" in err and "budget=" not in err
+
 
 class TestUsage:
     def test_count_and_witness_skip_harness(self, cube_body, tmp_path):
@@ -547,6 +563,27 @@ class TestUsage:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=30, check=False)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command, unused", [
+        ("count", ["harness", "radical", "rng"]),
+        ("measure", ["harness", "rng"]),
+    ])
+    def test_command_loads_only_its_modules(self, tmp_path, command, unused):
+        poly = pt.hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        path = str(tmp_path / "simplex.json")
+        wt.save_body(Body.from_polytope(poly), path)
+        code = (
+            "import sys; from blichfeldt import cli; "
+            f"assert cli.main([{command!r}, '--body', {path!r}]) == 0; "
+            "print(*sorted(m for m in sys.modules if m.startswith('blichfeldt.')))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30, check=False)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.split()
+        assert "blichfeldt.counting" in loaded
+        assert [m for m in unused if f"blichfeldt.{m}" in loaded] == []
 
     def test_import_skips_dataclasses(self):
         # the records are NamedTuples: a CLI process loads neither

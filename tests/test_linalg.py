@@ -35,9 +35,9 @@ wide_entries = st.integers(-1, 1) | st.integers(-6, 6) | st.integers(-2**100, 2*
 
 @st.composite
 def _cross_rows(draw):
-    """d-1 rows in Z^d for d = 2..6, and a point x; one row may be replaced
+    """d-1 rows in Z^d for d = 2..8, and a point x; one row may be replaced
     by an integer combination of two rows, often making them dependent."""
-    d = draw(st.integers(2, 6))
+    d = draw(st.integers(2, 8))
     row = st.lists(wide_entries, min_size=d, max_size=d)
     rows = draw(st.lists(row, min_size=d - 1, max_size=d - 1))
     if draw(st.booleans()):
@@ -94,6 +94,11 @@ class TestCross:
         assert linalg.cross([[1, 0, 0], [0, 1, 0]]) == [0, 0, 1]
         assert linalg.cross([[1, 2, 3], [2, 4, 6]]) == [0, 0, 0]
         assert linalg.cross([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]) == [0, 0, 0, 1]
+        # rows e_i + c_i e_(i+1): N_d = 1 and N_i = -c_i N_(i+1)
+        assert linalg.cross([[1, 2, 0, 0, 0], [0, 1, 3, 0, 0], [0, 0, 1, 4, 0],
+                             [0, 0, 0, 1, 5]]) == [120, -60, 20, -5, 1]
+        assert linalg.cross([[1, 2, 0, 0, 0, 0], [0, 1, 3, 0, 0, 0], [0, 0, 1, 4, 0, 0],
+                             [0, 0, 0, 1, 5, 0], [0, 0, 0, 0, 1, 6]]) == [-720, 360, -120, 30, -6, 1]
 
     @given(_cross_rows())
     @settings(max_examples=300, deadline=None)

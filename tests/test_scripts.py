@@ -1,7 +1,8 @@
-"""The scripts under ``scripts/`` run end to end."""
+"""The scripts under ``scripts/`` and the README's library example run end to end."""
 
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -41,3 +42,12 @@ def test_byte_identity_hashes_the_whole_audit_record(tmp_path):
     record = harness.boundary_layer_audit(poly)
     assert proc.stdout == repr(record) + "\n"
     assert "layer_counts=" in proc.stdout
+
+
+def test_readme_library_example(capsys):
+    # the README's "Library" block runs against the package as it is
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.split() == ["7", "4", "2/3"]
