@@ -69,8 +69,7 @@ def cross(rows):
     if d == 2:
         return [-rows[0][1], rows[0][0]]
     if 4 < d < 8:
-        # the last k rows' minors from the last k-1 rows' (first-row expansion);
-        # from d = 8 on, one elimination per entry takes fewer steps than 2^d
+        # 2^d shared minors, a row at a time; from d = 8 on, one elimination per entry wins
         m = rows[-1]
         for row, level in zip(rows[-2::-1], _minor_plan(d)):
             m = [sum([s * row[c] * m[i] for s, c, i in terms]) for terms in level]
@@ -80,8 +79,9 @@ def cross(rows):
 
 @functools.cache
 def _minor_plan(d):
-    """For k = 2..d-1 and each k columns in ``combinations`` order, the terms
-    (sign, column, index of k-1 columns) of their minor's first-row expansion."""
+    """Per k = 2..d-1 and per k columns in ``combinations`` order (at k = d-1,
+    leaving out column d-1 first), the terms (sign, column, index of k-1
+    columns) that expand the minor of the last k rows along its first row."""
     index = {cols: i for k in range(1, d) for i, cols in enumerate(combinations(range(d), k))}
     return [[[((-1) ** p, c, index[cols[:p] + cols[p + 1:]]) for p, c in enumerate(cols)]
              for cols in combinations(range(d), k)] for k in range(2, d)]
