@@ -21,8 +21,13 @@ parallelepiped over that lattice with a rational anchor and generators of
 negative determinant, ``measure`` on a triangle whose edge norm^2 is the
 product of two 40-bit primes, and ``measure`` on a nearly flat pyramid
 whose base angles have 1 - cos^2 of about 2^-150, near the 2^-160 grid
-that arccos rounds it to for a 128-bit V1.  Each line
-is ``sha256  exit-code  command``; a record line shows ``audit-record``.
+that arccos rounds it to for a 128-bit V1.  A ``hull-record`` line hashes
+the repr of a hull's vertices, facets, ``facet_dets``, ``dets`` and
+``facet_ridges``: one per polytope file of the ``audit`` and ``bodies``
+workloads, and one for the ``audit`` workload's seeded random hulls built
+in process, whose facet order comes from all their points, collinear and
+coplanar non-vertex points included.  Each line is ``sha256  exit-code
+command``; a record line shows ``audit-record`` or ``hull-record``.
 
 Usage:
     python3 scripts/byte_identity.py --seed 101 > change.txt
@@ -54,20 +59,39 @@ AUDIT_RECORD = (
     "print(repr(harness.boundary_layer_audit(witnesses.load_body(sys.argv[1]).polytope)))"
 )
 
+# run as ``python -c HULL_RECORD body-file`` or ``... HULL_RECORD --random
+# seed``: the hull of the body file's polytope, or the audit workload's
+# random hulls for that seed, one repr line per hull
+HULL_RECORD = (
+    "import sys; from blichfeldt import polytope as pt, witnesses as wt; "
+    "from blichfeldt.rng import Rng; a = sys.argv[1:]; "
+    f"polys = [wt.random_hull(rng, 3, 12, {workloads.AUDIT_BOX}) "
+    f"for rng in [Rng(int(a[1]), stream=3)] for _ in range({workloads.AUDIT_RANDOM})] "
+    "if a[0] == '--random' else [wt.load_body(a[0]).polytope]; "
+    "[print(repr((p.vertices, p.facets, p.facet_dets, p.dets, pt.facet_ridges(p)))) "
+    "for p in polys]"
+)
+
 
 def _commands(seed: int, workdir: str):
-    """CLI argv lists, and ``["-c", AUDIT_RECORD, path]`` for a record."""
+    """CLI argv lists, and ``["-c", AUDIT_RECORD or HULL_RECORD, arg, ..]``
+    for a record."""
     corpus_ops, _, _ = workloads.setup("corpus", seed, workdir)
     for op in corpus_ops:
         for fmt in ("json", "csv"):
             yield op["argv"][:-1] + [fmt]
-    bodies_ops, _, _ = workloads.setup("bodies", seed, workdir)
+    bodies_ops, bodies, _ = workloads.setup("bodies", seed, workdir)
     for op in bodies_ops:
         yield op["argv"]
+    for entry in bodies.values():
+        if wt.load_body(entry["path"]).polytope is not None:
+            yield ["-c", HULL_RECORD, entry["path"]]
     _, audit_bodies, _ = workloads.setup("audit", seed, workdir)
     for entry in audit_bodies.values():
         yield ["audit", "--body", entry["path"]]
         yield ["-c", AUDIT_RECORD, entry["path"]]
+        yield ["-c", HULL_RECORD, entry["path"]]
+    yield ["-c", HULL_RECORD, "--random", str(seed)]
     # balls beyond the benchmark's 2D/3D ones: a 4D ball, and a ball whose
     # sphere passes through lattice points (r^2 = |v - c|^2 for a lattice v)
     h, third, quarter = Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)
@@ -132,7 +156,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for argv in _commands(args.seed, workdir):
             if argv[0] == "-c":
-                command, argv = argv, ["audit-record", argv[2]]
+                record = "audit-record" if argv[1] == AUDIT_RECORD else "hull-record"
+                command, argv = argv, [record, *argv[2:]]
             else:
                 command = ["-m", "blichfeldt.cli", *argv]
             proc = subprocess.run([sys.executable, *command],

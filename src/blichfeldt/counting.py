@@ -26,7 +26,7 @@ from typing import NamedTuple
 from blichfeldt import linalg
 from blichfeldt.interval import root_ends
 from blichfeldt.lattice import DEFAULT_BUDGET, EnumerationBudgetError, Lattice, enum_ellipsoid
-from blichfeldt.polytope import LatticePolytope, facet_ridges
+from blichfeldt.polytope import LatticePolytope
 
 
 class Body(NamedTuple):
@@ -198,8 +198,7 @@ def count(body: Body, budget: int = DEFAULT_BUDGET) -> CountResult:
     if body.kind in ("polytope", "translated_polytope"):
         t_coeff = body.lattice.to_coeff(body.translate) if body.translate else None
         cons, box = _polytope_system(body.polytope, t_coeff)
-        ridges = [pair for _, pair in facet_ridges(body.polytope)]
-        return CountResult(_enumerate_linear(cons, box, budget, ridges))
+        return CountResult(_enumerate_linear(cons, box, budget, body.polytope.ridges))
     if body.kind == "halfopen_parallelepiped":
         return count_halfopen_parallelepiped(body, budget)
     if body.kind == "ball":
@@ -232,13 +231,10 @@ def count_halfopen_parallelepiped(body: Body, budget: int = DEFAULT_BUDGET) -> C
         # rho_i < 1:     ci . x <  denom + shift (strict)
         cons.append((tuple(-c for c in ci), _int_threshold(-shift, False)))
         cons.append((tuple(ci), _int_threshold(Fraction(denom) + shift, True)))
-    corners = []
-    for mask in itertools.product((0, 1), repeat=n):
-        corners.append([
-            t_coeff[j] + sum(mask[i] * gens[i][j] for i in range(n)) for j in range(n)
-        ])
-    los = [min(c[j] for c in corners).__ceil__() for j in range(n)]
-    his = [max(c[j] for c in corners).__floor__() for j in range(n)]
+    # the box of the 2^n corners, from the generators' signs
+    cols = list(zip(*gens))
+    los = [(t + sum(min(0, g) for g in col)).__ceil__() for t, col in zip(t_coeff, cols)]
+    his = [(t + sum(max(0, g) for g in col)).__floor__() for t, col in zip(t_coeff, cols)]
     cnt = _enumerate_linear(cons, (los, his), budget, itertools.combinations(range(len(cons)), 2))
     if cnt != abs(det):
         raise ArithmeticError(

@@ -383,8 +383,7 @@ def boundary_layer_audit(
         poly = pt.hull([lat.to_ambient(v) for v in poly.vertices], budget=budget)
     box = [[f(col) for col in zip(*poly.vertices)] for f in (min, max)]
     inside = [(f.normal, f.offset) for f in poly.facets]
-    pairs = [pair for _, pair in pt.facet_ridges(poly)]
-    ridges = {p for i, j in pairs for p in ((i, j), (j, i))}
+    ridges = {p for i, j in poly.ridges for p in ((i, j), (j, i))}
     interior, layers = [], []
     # per row base, the x_0 intervals of the prisms that meet the row
     cover = {}
@@ -415,7 +414,7 @@ def boundary_layer_audit(
 
     g = l1_count = 0
     l2_covered = True
-    for base, plb, pub in ct._rows(inside, box, budget, pairs):
+    for base, plb, pub in ct._rows(inside, box, budget, poly.ridges):
         g += pub - plb + 1
         qlb, qub = ct._row_interval(interior, base, plb, pub)
         l1_count += max(0, qub - qlb + 1)

@@ -309,7 +309,7 @@ def _dirichlet_voronoi_cell(lat: Lattice, budget: int):
         norm_sq = sum(a * a for a in amb)
         points.append([2 * a / norm_sq for a in amb])
     m = lcm(*(x.denominator for p in points for x in p))
-    facets, _, work = convex_hull_facets([tuple(int(m * x) for x in p) for p in points], budget)
+    facets, _, work, _ = convex_hull_facets([tuple(int(m * x) for x in p) for p in points], budget)
     # relevant vectors come in +/- pairs and span, so the origin is interior
     # and every offset c is positive: a.(m p) <= c reads (m a / c).p <= 1
     vertices = sorted(tuple(Fraction(m * a, c) for a in normal) for normal, c, *_ in facets)

@@ -1,12 +1,12 @@
 """Exact integer linear algebra.
 
 Matrices are lists (or tuples) of rows of Python ints.  Determinants use
-fraction-free (Bareiss) elimination, with closed forms up to 3x3, and the
-adjugate is the matrix of their cofactors, so a rational inverse is
+fraction-free (Bareiss) elimination, with closed forms up to 3x3.  ``cross``
+is the generalized cross product of d-1 rows in Z^d (the hull's simplex
+normals): closed-form in 2D and 3D, from shared minors in 5D to 7D.  The
+adjugate's columns are cross products, so a rational inverse is
 ``adjugate(m) / det_bareiss(m)`` with one division per entry, taken where it
-is used.  ``cross`` is the generalized cross product of d-1 rows in Z^d (the
-hull's simplex normals): closed-form in 2D and 3D, from shared minors in 5D
-to 7D.  ``primitive_vector`` divides out an integer vector's content.
+is used.  ``primitive_vector`` divides out an integer vector's content.
 """
 
 from __future__ import annotations
@@ -90,12 +90,11 @@ def _minor_plan(d):
 def adjugate(m):
     """adj(m), with m . adj(m) = det(m) I, singular m included.
 
-    Entry (j, i) is the cofactor of entry (i, j): (-1)^(i+j) times the
-    determinant of m less row i and column j.
+    Column i is (-1)^(n-1+i) times ``cross`` of m less row i: entry (j, i)
+    is the cofactor of entry (i, j).
     """
-    n = len(m)
-    return [[(-1) ** (i + j) * det_bareiss([r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i])
-             for i in range(n)] for j in range(n)]
+    cols = [cross([r for k, r in enumerate(m) if k != i]) for i in range(len(m))]
+    return [[(-1) ** (len(m) - 1 + i) * x for i, x in enumerate(row)] for row in zip(*cols)]
 
 
 def primitive_vector(v):

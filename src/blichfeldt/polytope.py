@@ -10,9 +10,11 @@ sharing a hyperplane tile one facet.  The sweep keeps only their measures:
 how far a point lies beyond a simplex's hyperplane is |det| of the simplex
 it cones, so these sum to n! vol(P), and the gcd of a boundary simplex's
 normal is (n-1)! times its volume in the facet's lattice.  That normal is
-``linalg.cross`` of the simplex's edges from its first point.  Facet normals
-are primitive dual-lattice vectors, so facet volumes split into a rational
-lattice-normalized part and a single square root.
+``linalg.cross`` of the simplex's edges from its first point.  A ridge of
+the boundary complex whose two simplices lie on different facets is a
+ridge of P.  Facet normals are primitive dual-lattice vectors, so facet
+volumes split into a rational lattice-normalized part and a single square
+root.
 """
 
 from __future__ import annotations
@@ -73,29 +75,24 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     """Beneath-beyond hull of distinct, full-dimensional integer points.
 
     The points are placed in the given order.  Returns ``(facets, dets,
-    work)``.  Each facet is ``(normal, offset, on_ids, facet_dets)``: a
-    primitive outward normal, with ``normal.x <= offset`` on the hull, the
+    work, ridges)``.  Each facet is ``(normal, offset, on_ids, facet_dets)``:
+    a primitive outward normal, with ``normal.x <= offset`` on the hull, the
     ids of every point on the facet, and (d-1)! times its volume in the
-    lattice of its hyperplane.  ``dets`` is d! times the hull's volume.
-    Facets come ordered by a key of their ``on_ids``: the first id, then
-    the ids that ``_independent`` picks from the rest by their differences
-    from ``points[0]``, not from the facet's first point.  A facet through
-    ``points[0]`` gets its lexicographically smallest affinely independent
-    d-subset; any other facet gets d of its points, which may be affinely
-    dependent.  A facet of exactly d points is its own key.  Every
-    point-facet orientation test counts against ``budget``, and running out
-    raises ``EnumerationBudgetError``; ``work`` is the count, the least
-    budget under which the call answers.
+    lattice of its hyperplane; facets come sorted by ``on_ids``.  ``dets`` is
+    d! times the hull's volume, and ``ridges`` the sorted pairs (i, j), i < j,
+    of facets that meet in a ridge.  Every point-facet orientation test
+    counts against ``budget``, and running out raises
+    ``EnumerationBudgetError``; ``work`` is the count, the least budget
+    under which the call answers.
     """
     n, d = len(points), len(points[0])
-    diffs = [[x - y for x, y in zip(p, points[0])] for p in points]
-    first = tuple([0] + _independent(diffs, d))
+    first = tuple([0] + _independent([[x - y for x, y in zip(p, points[0])] for p in points], d))
     if len(first) <= d:
         raise DegenerateHullError("degenerate: dim(K cap Lambda) < n")
     if d == 1:
         lo, hi = min(range(n), key=points.__getitem__), max(range(n), key=points.__getitem__)
         return [((1,), points[hi][0], (hi,), 1),
-                ((-1,), -points[lo][0], (lo,), 1)], points[hi][0] - points[lo][0], 0
+                ((-1,), -points[lo][0], (lo,), 1)], points[hi][0] - points[lo][0], 0, [(0, 1)]
 
     # d+1 times a point inside the first simplex, hence inside every later hull
     inner = [sum(col) for col in zip(*(points[i] for i in first))]
@@ -134,9 +131,10 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
                 place(tuple(sorted(ridge + (p,))))
 
     groups = {}   # (primitive normal, offset) -> sum of the pieces' gcds
-    for normal, c in live.values():
+    keys = {}     # boundary simplex -> its facet's (primitive normal, offset)
+    for ids, (normal, c) in live.items():
         prim, g = linalg.primitive_vector(normal)
-        key = (tuple(prim), c // g)
+        keys[ids] = key = (tuple(prim), c // g)
         groups[key] = groups.get(key, 0) + g
     work = tests + len(groups) * n
     if work > budget:
@@ -145,36 +143,37 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     for (normal, offset), facet_dets in groups.items():
         on = tuple(i for i, x in enumerate(points) if sum(map(mul, normal, x)) == offset)
         facets.append((normal, offset, on, facet_dets))
-
-    def first_basis(facet):
-        on = facet[2]
-        if len(on) == d:
-            # d affinely independent points: their differences from any
-            # point off their hyperplane or among them are independent too
-            return on
-        rest = _independent([diffs[i] for i in on[1:]], d - 1)
-        return (on[0],) + tuple(on[1 + k] for k in rest)
-
-    facets.sort(key=first_basis)
-    return facets, dets, work
+    facets.sort(key=lambda f: f[2])
+    index = {f[:2]: i for i, f in enumerate(facets)}
+    # each ridge of the boundary complex borders two simplices; the first
+    # one met leaves its facet for the second
+    met, pairs = {}, set()
+    for ids, key in keys.items():
+        i = index[key]
+        for k in range(d):
+            j = met.setdefault(ids[:k] + ids[k + 1:], i)
+            if j != i:
+                pairs.add((min(i, j), max(i, j)))
+    return facets, dets, work, sorted(pairs)
 
 
 class LatticePolytope:
     """Full-dimensional lattice polytope in coefficient coordinates.
 
     The hull's integer measures are kept: ``dets`` is n! times the
-    normalized volume and ``facet_dets[i]`` is (n-1)! times facet i's.  The
+    normalized volume and ``facet_dets[i]`` is (n-1)! times facet i's; the
     measures built on them (volume, surface area, facet norms, intrinsic
     volumes) are cached properties: each is computed once, on first use.
     """
 
-    def __init__(self, lattice: Lattice, vertices, facets, dets, facet_dets):
+    def __init__(self, lattice: Lattice, vertices, facets, dets, facet_dets, ridges):
         self.lattice = lattice
         self.dim = lattice.dim
         self.vertices = vertices      # tuple of integer coefficient tuples
         self.facets = facets          # tuple of Facet
         self.dets = dets
         self.facet_dets = facet_dets
+        self.ridges = ridges          # facet pairs (i, j), i < j, meeting in a ridge
 
     @cached_property
     def volume(self) -> Fraction:
@@ -205,8 +204,8 @@ class LatticePolytope:
     def scaled(self, c: int) -> "LatticePolytope":
         """c*P for an integer c >= 1, without a new hull.
 
-        Normals and facet vertex ids carry over; vertices and offsets are
-        multiplied by c, ``dets`` by c^n and ``facet_dets`` by c^(n-1).
+        Normals, facet vertex ids and ridges carry over; vertices and offsets
+        are multiplied by c, ``dets`` by c^n and ``facet_dets`` by c^(n-1).
         """
         if c < 1:
             raise ValueError("scale factor must be at least 1")
@@ -216,6 +215,7 @@ class LatticePolytope:
             tuple(Facet(f.normal, c * f.offset, f.vertex_ids) for f in self.facets),
             c ** self.dim * self.dets,
             tuple(c ** (self.dim - 1) * g for g in self.facet_dets),
+            self.ridges,
         )
 
     def __repr__(self):
@@ -237,7 +237,7 @@ def hull(points, lattice: Lattice | None = None,
     d = lattice.dim
     if any(len(p) != d for p in pts):
         raise ValueError("point dimension mismatch")
-    raw, dets, _ = convex_hull_facets(pts, budget)
+    raw, dets, _, ridges = convex_hull_facets(pts, budget)
     # vertices: points whose active facet normals span the whole space
     active = {i: [] for i in range(len(pts))}
     for c, b, on, _ in raw:
@@ -259,6 +259,7 @@ def hull(points, lattice: Lattice | None = None,
         facets,
         dets,
         tuple(g for *_, g in raw),
+        ridges,
     )
 
 
@@ -302,22 +303,11 @@ class IntrinsicVolumes3(NamedTuple):
 
 
 def facet_ridges(poly: LatticePolytope):
-    """(common vertex ids, facet pair) for each two facets meeting in a ridge.
-
-    The common vertices of a ridge span an (n-2)-flat; up to n = 4 their
-    count decides, as a smaller face is at most an edge.  In 3D: the edges.
-    """
-    n, vs = poly.dim, poly.vertices
-    sets = [set(f.vertex_ids) for f in poly.facets]
-    ridges = []
-    for i, si in enumerate(sets):
-        for j in range(i + 1, len(sets)):
-            common = sorted(si & sets[j])
-            if len(common) >= n - 1 and (n < 5 or len(_independent(
-                    [[x - y for x, y in zip(vs[k], vs[common[0]])] for k in common],
-                    n - 2)) == n - 2):
-                ridges.append((tuple(common), (i, j)))
-    return ridges
+    """(common vertex ids, facet pair) for each two facets meeting in a
+    ridge, in the order of ``poly.ridges``.  In 3D: the edges."""
+    fs = poly.facets
+    return [(tuple(sorted(set(fs[i].vertex_ids) & set(fs[j].vertex_ids))), (i, j))
+            for i, j in poly.ridges]
 
 
 def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:

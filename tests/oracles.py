@@ -1,13 +1,15 @@
 """Independent oracles that the tests hold the program's results against.
 
 Each computes a quantity the package also computes, by a second route that
-shares none of the code under test: determinants and inverses by Gaussian
-elimination on Fractions, a simplex's normal from the cofactors of its
+shares none of the code under test: determinants, inverses and ranks by
+Gaussian elimination on Fractions, a simplex's normal from the cofactors of its
 edges (the hull's kernel before ``linalg.cross``), the volume from a reversed placing
 triangulation and from signed cones, facet sublattices from an explicit
 unimodular kernel basis, the sublattice determinant behind det(L) lambda_1(L*),
 Pick's identity in 2D, a 3D polytope's edges as the facet pairs sharing
-two vertices, whether a real line along x_0 meets a polytope, in
+two vertices, the greedy facet key of the hull's earlier placing order,
+the Ehrhart polynomial through a polytope's dilate counts, whether a real
+line along x_0 meets a polytope, in
 rationals, and roots by Newton's iteration into ``Interval``s of
 ``Fraction``s and by search loops on ``Fraction``s (the package's earlier
 root code, which ``interval.root_ends`` replaced).  ``width`` is the
@@ -63,6 +65,24 @@ def frac_det(m) -> Fraction:
             if f:
                 a[i] = [a[i][j] - f * a[k][j] for j in range(n)]
     return det
+
+
+def frac_rank(m) -> int:
+    """Rank of a rational matrix, by Gauss-Jordan elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        a[rank] = [x / a[rank][col] for x in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
 
 
 def frac_inv(m):
@@ -157,6 +177,31 @@ def kernel_basis(c):
 
 
 # ---------------------------------------------------------------------------
+# facet order
+
+
+def placing_key(points, on):
+    """The key that ordered a hull's facets before they came in id order.
+
+    ``on`` is a facet's sorted point ids.  The key is ``on[0]``, then the
+    ids of ``on[1:]`` whose differences from ``points[0]`` (not from the
+    facet's first point), scanned in order, extend a linearly independent
+    set: d - 1 of them, the greedy choice.  Sorting by ids never orders two
+    facets against this key.
+    """
+    d = len(points[0])
+    key, diffs = [on[0]], []
+    for i in on[1:]:
+        if len(key) == d:
+            break
+        v = [x - y for x, y in zip(points[i], points[0])]
+        if frac_rank(diffs + [v]) > len(diffs):
+            diffs.append(v)
+            key.append(i)
+    return tuple(key)
+
+
+# ---------------------------------------------------------------------------
 # volume
 
 
@@ -245,6 +290,16 @@ def pick_quantities(poly: LatticePolytope, budget: int = DEFAULT_BUDGET):
         boundary += gcd(abs(a[0] - b[0]), abs(a[1] - b[1]))
     g = count(Body.from_polytope(poly), budget).count
     return area, boundary, g - boundary
+
+
+def interpolate(values):
+    """Coefficients c_0, .., c_m of the degree-m polynomial through
+    (k, values[k - 1]) for k = 1..m+1, exact: the Vandermonde system solved
+    on Fractions.  With a lattice polytope's counts of its first n + 1
+    dilates, m = n, it is the Ehrhart polynomial."""
+    m = len(values)
+    inv = frac_inv([[k ** j for j in range(m)] for k in range(1, m + 1)])
+    return [sum(map(mul, row, values)) for row in inv]
 
 
 def polytope_edges(poly: LatticePolytope):

@@ -482,6 +482,21 @@ class TestBudgetPlumbing:
         assert code == 0
         assert out.strip() == "count: 7"
 
+    def test_high_dimensional_cell_over_budget(self, tmp_path):
+        # a 22-D half-open cell: its box comes from the generators' signs,
+        # not from 2^22 corners, so the budget check comes at once
+        n = 22
+        gens = [[1 if j == i else 2 * (j == i + 1) for j in range(n)] for i in range(n)]
+        path = str(tmp_path / "cell22.json")
+        wt.save_body(Body.parallelepiped(gens), path)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = ["count", "--body", path, "--budget", "10"]
+        proc = subprocess.run([sys.executable, "-m", "blichfeldt.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=30, check=False)
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stdout == ""
+        assert "budget" in proc.stderr
+
     def test_check_count_over_budget(self, capsys, tmp_path):
         # S_30 in Z^3: counting its box [0,30] x [0,1]^2 takes 124 cells
         path = str(tmp_path / "s30.json")

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from math import factorial
 from operator import mul
 
 import pytest
@@ -16,7 +17,7 @@ from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.polytope import DegenerateHullError
 from blichfeldt.rng import Rng
-from oracles import ceil_sqrt_by_search, pick_quantities, real_row_meets
+from oracles import ceil_sqrt_by_search, interpolate, pick_quantities, real_row_meets
 
 
 def _cube(n, side):
@@ -348,6 +349,53 @@ class TestShadowRows:
     def test_count_result_field(self):
         # a field named count, read by callers as .count, not tuple.count
         assert CountResult(5).count == 5
+
+
+def _sheared(n):
+    return Lattice([[1 if i == j else Fraction(1, 2) * (j < i) for j in range(n)]
+                    for i in range(n)])
+
+
+class TestEhrhart:
+    """The counts of a lattice polytope's dilates kP are the values L(k) of
+    a polynomial of degree n, its Ehrhart polynomial (Beck and Robins,
+    *Computing the Continuous Discretely*, 3.8): L(k) for k = 1..n+1 fix it.
+    Its leading coefficient is the normalized volume, the next one half the
+    facets' normalized volumes, its constant is 1, and (-1)^n L(-k) counts
+    the lattice points inside kP (Ehrhart-Macdonald reciprocity, 4.1)."""
+
+    BODIES = {
+        f"{name} n={n} seed={seed}": lambda n=n, bound=bound, seed=seed, lat=lat: wt.random_hull(
+            Rng(seed, stream=n), n, n + 4, bound, lattice=lat(n))
+        for n, bound in ((2, 5), (3, 4), (4, 3))
+        for name, lat, seeds in (("Z^n", lambda n: None, (31, 32)), ("sheared", _sheared, (33,)))
+        for seed in seeds
+    }
+
+    @pytest.mark.parametrize("name", BODIES)
+    def test_dilate_counts(self, name):
+        poly = self.BODIES[name]()
+        n = poly.dim
+
+        def dilate_count(k):
+            return ct.count(Body.from_polytope(poly.scaled(k))).count
+
+        coeffs = interpolate([dilate_count(k) for k in range(1, n + 2)])
+
+        def ehrhart(k):
+            return sum(c * k ** j for j, c in enumerate(coeffs))
+
+        for k in (n + 2, 12):
+            assert ehrhart(k) == dilate_count(k)
+        assert coeffs[n] == Fraction(poly.dets, factorial(n))
+        assert coeffs[n - 1] == Fraction(sum(poly.facet_dets), 2 * factorial(n - 1))
+        assert coeffs[0] == 1
+        for k in (1, 2):
+            # the interior of kP: a.x <= k b - 1 for integer a.x
+            cons = [(f.normal, k * f.offset - 1) for f in poly.facets]
+            box = [[k * f(col) for col in zip(*poly.vertices)] for f in (min, max)]
+            pairs = itertools.combinations(range(len(cons)), 2)
+            assert (-1) ** n * ehrhart(-k) == ct._enumerate_linear(cons, box, 10**7, pairs)
 
 
 class TestBudget:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blichfeldt import linalg
 from blichfeldt import polytope as pt
@@ -17,8 +17,10 @@ from blichfeldt.rng import Rng
 from oracles import (
     facet_lattice_coords,
     frac_det,
+    frac_rank,
     hyperplane_sublattice_det_sq,
     normalized_volume_reversed,
+    placing_key,
     polytope_edges,
     simplex_normal,
     volume_by_signed_cones,
@@ -44,28 +46,10 @@ def _hyperplane_normal(points):
     return tuple(prim)
 
 
-def _frac_rank(m) -> int:
-    """Rank of a rational matrix, by Gauss-Jordan elimination."""
-    a = [[Fraction(x) for x in row] for row in m]
-    rank = 0
-    for col in range(len(a[0]) if a else 0):
-        piv = next((i for i in range(rank, len(a)) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        a[rank] = [x / a[rank][col] for x in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
-        rank += 1
-    return rank
-
-
 def _affine_rank(points) -> int:
     """Dimension of the affine hull of a list of rational points."""
     base = points[0]
-    return _frac_rank([[Fraction(x) - y for x, y in zip(p, base)] for p in points[1:]])
+    return frac_rank([[Fraction(x) - y for x, y in zip(p, base)] for p in points[1:]])
 
 
 def _reference_facets(pts):
@@ -109,7 +93,7 @@ def _reference_hull(points):
             active[i].append(c)
     vertex_ids = [
         i for i in range(len(pts))
-        if len(active[i]) >= d and _frac_rank(active[i]) == d
+        if len(active[i]) >= d and frac_rank(active[i]) == d
     ]
     remap = {old: new for new, old in enumerate(vertex_ids)}
     facets = tuple(
@@ -168,10 +152,12 @@ class TestHull:
             pt.hull([(0, 0), (1, 1), (2, 2)])
 
     def test_facet_order_follows_the_key_from_points_0(self):
-        # the facet z = 0 misses points[0]; its key takes differences from
-        # points[0] and is (1, 2, 4), three collinear points
+        """Facets come in the order of their point ids, which is the order
+        of ``oracles.placing_key``: the facet z = 0 misses points[0], and its
+        key, from differences with points[0], is (1, 2, 4), three collinear
+        points."""
         pts = [(0, 2, 1), (1, 0, 0), (2, 0, 0), (2, 2, 3), (3, 0, 0), (3, 5, 0)]
-        facets, dets, work = pt.convex_hull_facets(pts)
+        facets, dets, work, _ = pt.convex_hull_facets(pts)
         assert facets == [
             ((-1, -1, 1), -1, (0, 1, 3), 4),
             ((-5, 2, -9), -5, (0, 1, 5), 1),
@@ -183,9 +169,58 @@ class TestHull:
         assert (dets, work) == (58, 46)
 
 
+@st.composite
+def _collinear_point_sets(draw):
+    """Distinct points of [0,3]^d, 2 <= d <= 5, in drawn or sorted order;
+    about half carry three collinear points on a line that misses
+    points[0]."""
+    d = draw(st.integers(2, 5))
+    box = st.tuples(*[st.integers(0, 3)] * d)
+    pts = list(dict.fromkeys(draw(st.lists(box, min_size=d + 1, max_size=d + 6))))
+    if draw(st.booleans()):
+        u, v = draw(box), draw(st.tuples(*[st.integers(-1, 1)] * d).filter(any))
+        assume(frac_rank([[x - y for x, y in zip(pts[0], u)], v]) == 2)
+        pts += [p for p in (tuple(x + k * y for x, y in zip(u, v)) for k in range(3))
+                if p not in pts]
+    return sorted(pts) if draw(st.booleans()) else pts
+
+
+class TestFacetOrder:
+    """Facets in id order never go against the greedy placing key, and the
+    ridges read off the boundary complex are the facet pairs whose common
+    points span an (n-2)-flat."""
+
+    @given(_collinear_point_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_placing_key_is_non_decreasing(self, pts):
+        try:
+            facets, _, _, ridges = pt.convex_hull_facets(pts)
+        except DegenerateHullError:
+            return
+        ons = [f[2] for f in facets]
+        assert ons == sorted(ons)
+        keys = [placing_key(pts, on) for on in ons]
+        assert keys == sorted(keys)
+        d = len(pts[0])
+        assert ridges == [
+            (i, j) for i, j in itertools.combinations(range(len(ons)), 2)
+            if len(common := set(ons[i]) & set(ons[j])) >= d - 1
+            and _affine_rank([pts[k] for k in sorted(common)]) == d - 2
+        ]
+
+    def test_tied_keys_come_in_id_order(self):
+        # the facets y = 0 and z = 0 share the edge of points 1, 2 and 3,
+        # and points[0] lies on neither: both keys are (1, 2, 3), and the
+        # facet with the smaller fourth id comes first
+        pts = [(-1, 1, 1), (0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1), (3, 1, 0)]
+        facets, *_ = pt.convex_hull_facets(pts)
+        tied = [f[:3] for f in facets if placing_key(pts, f[2]) == (1, 2, 3)]
+        assert tied == [((0, -1, 0), 0, (1, 2, 3, 4)), ((0, 0, -1), 0, (1, 2, 3, 5))]
+
+
 class TestCrossKernelIdentity:
-    """The hull from ``linalg.cross``, with a facet of d points as its own
-    key, against the cofactor normals and the full ``_independent`` key."""
+    """The hull from ``linalg.cross``, in id order, against the cofactor
+    normals and the order of the full placing key."""
 
     @staticmethod
     def _points(d, seed):
@@ -199,20 +234,18 @@ class TestCrossKernelIdentity:
     @pytest.mark.parametrize("d, seed", [(d, seed) for d in (2, 3, 4, 5) for seed in (1, 2)])
     def test_same_hull(self, d, seed, monkeypatch):
         pts = self._points(d, seed)
-        facets, dets, work = pt.convex_hull_facets(pts)
+        facets, dets, work, ridges = pt.convex_hull_facets(pts)
         with monkeypatch.context() as m:
             m.setattr(linalg, "cross", lambda rows: simplex_normal([[0] * len(rows[0]), *rows]))
-            ref, ref_dets, ref_work = pt.convex_hull_facets(pts)
+            ref, ref_dets, ref_work, ref_ridges = pt.convex_hull_facets(pts)
             ref_vertices = pt.hull(pts).vertices
-        diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts]
 
         def full_key(facet):
-            on = facet[2]
-            rest = pt._independent([diffs[i] for i in on[1:]], d - 1)
-            return (on[0],) + tuple(on[1 + k] for k in rest)
+            return placing_key(pts, facet[2])
 
         assert all(full_key(f) == f[2] for f in facets if len(f[2]) == d)
-        assert (facets, dets, work) == (sorted(ref, key=full_key), ref_dets, ref_work)
+        assert (facets, dets, work, ridges) == (sorted(ref, key=full_key), ref_dets, ref_work,
+                                                ref_ridges)
         assert pt.hull(pts).vertices == ref_vertices
 
 
@@ -309,7 +342,7 @@ class TestScaled:
     @staticmethod
     def _fields(poly):
         return (poly.lattice.basis, poly.vertices, poly.facets, poly.dets,
-                poly.facet_dets)
+                poly.facet_dets, pt.facet_ridges(poly))
 
     @pytest.mark.parametrize("name", BODIES)
     def test_equals_hull_of_scaled_vertices(self, name, monkeypatch):
@@ -455,7 +488,8 @@ class TestEdgesAndIncidence:
             poly = wt.random_hull(rng, 3, 12, 9)
             assert pt.facet_ridges(poly) == polytope_edges(poly)
 
-    @pytest.mark.parametrize("n, count, bound", [(2, 8, 9), (4, 9, 3), (5, 9, 2)])
+    @pytest.mark.parametrize("n, count, bound",
+                             [(2, 8, 9), (3, 10, 5), (4, 9, 3), (5, 9, 2), (6, 11, 2)])
     def test_ridges_span_an_n_minus_2_flat(self, n, count, bound):
         # a pair of facets meets in a ridge exactly when their common
         # vertices span an (n-2)-flat; in 5D the count alone does not decide
@@ -468,6 +502,12 @@ class TestEdgesAndIncidence:
                 if common and _affine_rank([poly.vertices[k] for k in common]) == n - 2:
                     expected.append((tuple(common), (i, j)))
             assert pt.facet_ridges(poly) == expected
+
+    def test_segment_ridge(self):
+        # the two endpoints of a segment meet in the empty ridge
+        segment = pt.hull([(3,), (0,), (1,)])
+        assert segment.ridges == [(0, 1)]
+        assert pt.facet_ridges(segment) == [((), (0, 1))]
 
     def test_ridges_of_octahedron_times_square(self):
         # facets F x S of two octahedron faces F sharing only a vertex v meet

@@ -44,6 +44,38 @@ def test_byte_identity_hashes_the_whole_audit_record(tmp_path):
     assert "layer_counts=" in proc.stdout
 
 
+def test_byte_identity_hashes_the_hull_record(tmp_path):
+    # the hull record runs HULL_RECORD on a body file, or on a seed for the
+    # audit workload's random hulls: one repr line per hull
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "byte_identity", ROOT / "scripts" / "byte_identity.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    from blichfeldt import polytope as pt
+    from blichfeldt import witnesses
+    from blichfeldt.counting import Body
+    from blichfeldt.rng import Rng
+
+    def record(poly):
+        return repr((poly.vertices, poly.facets, poly.facet_dets, poly.dets,
+                     pt.facet_ridges(poly))) + "\n"
+
+    poly = witnesses.reeve_Tm(3, 4)
+    path = str(tmp_path / "t4.json")
+    witnesses.save_body(Body.from_polytope(poly), path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for args, polys in (([path], [poly]), (["--random", "7"], None)):
+        proc = subprocess.run([sys.executable, "-c", script.HULL_RECORD, *args], env=env,
+                              capture_output=True, text=True, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr
+        if polys is None:
+            rng = Rng(7, stream=3)
+            polys = [witnesses.random_hull(rng, 3, 12, 6) for _ in range(30)]
+        assert proc.stdout == "".join(map(record, polys))
+
+
 def test_readme_library_example(capsys):
     # the README's "Library" block runs against the package as it is
     readme = (ROOT / "README.md").read_text()
