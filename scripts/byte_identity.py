@@ -19,9 +19,10 @@ CONJECTURE_1_4`` on that hull (its polar's shortest vector), ``check --id
 GENERAL_1_3_ii`` on a half translate of it, ``count`` on a half-open
 parallelepiped over that lattice with a rational anchor and generators of
 negative determinant, ``measure`` on a triangle whose edge norm^2 is the
-product of two 40-bit primes, and ``measure`` on a nearly flat pyramid
-whose base angles have 1 - cos^2 of about 2^-150, near the 2^-160 grid
-that arccos rounds it to for a 128-bit V1.  A ``hull-record`` line hashes
+product of two 40-bit primes, ``measure`` on a nearly flat pyramid whose
+base angles have 1 - cos^2 of about 2^-150 and a cotangent of -2^75, and
+``measure`` and ``check --id BOKOWSKI_3_4`` on a wedge whose two slanted
+edges have a cotangent of exactly -1.  A ``hull-record`` line hashes
 the repr of a hull's vertices, facets, ``facet_dets``, ``dets`` and
 ``facet_ridges``: one per polytope file of the ``audit`` and ``bodies``
 workloads, and one for the ``audit`` workload's seeded random hulls built
@@ -138,12 +139,20 @@ def _commands(seed: int, workdir: str):
     wt.save_body(Body.from_polytope(pt.hull([(0, 0), (u, v), (u, v + 1)])), path)
     yield ["measure", "--body", path]
     # apex (N, N, 1) over the square [0, 2N]^2, N = 2^75: at the base
-    # edges 1 - cos^2 = 1/(N^2 + 1) is 2^10 units of the 2^-160 grid
+    # edges 1 - cos^2 = 1/(N^2 + 1), about 2^-150, and the cotangent is -N
     n = 2**75
     path = os.path.join(workdir, "flat_pyramid.json")
     wt.save_body(Body.from_polytope(pt.hull(
         [(0, 0, 0), (2 * n, 0, 0), (0, 2 * n, 0), (2 * n, 2 * n, 0), (n, n, 1)])), path)
     yield ["measure", "--body", path]
+    # the wedge 0 <= x <= 2, y, z >= 0, y + z <= 2: at its two edges on the
+    # slanted facet y + z = 2, cos = -1/sqrt(2), so the arctangent's argument
+    # is exactly -1 and its series argument 0
+    path = os.path.join(workdir, "wedge.json")
+    wt.save_body(Body.from_polytope(pt.hull(
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (0, 0, 2), (2, 0, 2)])), path)
+    yield ["measure", "--body", path]
+    yield ["check", "--id", "BOKOWSKI_3_4", "--body", path]
 
 
 def main() -> int:

@@ -15,7 +15,6 @@ import os
 import stat
 import sys
 import tempfile
-from fractions import Fraction
 
 from blichfeldt import counting as ct
 from blichfeldt import polytope as pt
@@ -284,22 +283,15 @@ def _cmd_corpus(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    n = args.n
-    if args.family == "simplex_Sk":
-        make, flag = wt.simplex_Sk, "k"
-        t = tuple(Fraction(1, 2) if j == 0 else Fraction(0) for j in range(n))
-    elif args.family == "reeve_Tm":
-        make, flag = wt.reeve_Tm, "m"
-        t = (Fraction(1, 2),) * n
-    else:
-        raise _CliError(f"unknown family {args.family!r}")
+    make, flag, shift = wt.FAMILIES[args.family]
     if getattr(args, flag) is None:
         raise _CliError(f"{args.family} requires --{flag}")
     try:
-        poly = make(n, getattr(args, flag))
+        poly = make(args.n, getattr(args, flag))
     except ValueError as exc:      # n, k or m out of range
         raise _CliError(str(exc)) from exc
-    body = wt.half_translate(poly, t) if args.translate else ct.Body.from_polytope(poly)
+    body = (wt.half_translate(poly, shift(args.n)) if args.translate
+            else ct.Body.from_polytope(poly))
     text = json.dumps(wt.body_to_dict(body), indent=2)
     _emit(text, args.out)
     return EXIT_OK
@@ -356,7 +348,7 @@ def _parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("witness", parents=[out],
                         help="emit a witness-family body-spec")
     sw.add_argument("--family", required=True,
-                    choices=("simplex_Sk", "reeve_Tm"))
+                    choices=tuple(wt.FAMILIES))
     sw.add_argument("--n", type=int, required=True)
     sw.add_argument("--k", type=int, default=None)
     sw.add_argument("--m", type=int, default=None)

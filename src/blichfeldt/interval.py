@@ -10,8 +10,8 @@ Every root in the package is ``root_ends(p, q, k, bits)``: the floor and
 ceiling of (p/q)^(1/k) q 2^bits, the k-th root of p/q rounded outward on
 the 1/(q 2^bits) grid.  That grid depends on the pair (p, q), not only on
 the value p/q, so the caller picks it by the pair it passes: acos passes
-each end of 1 - c^2, and ``harness`` each end of 3/(4 pi), in lowest
-terms.
+the integer Q R of its cotangent (``acos_interval``) over q = 1, and
+``harness`` each end of 3/(4 pi), in lowest terms.
 
 The kernels sum on integers and floor once (``dyadic``).  An arctangent
 series is rounded out to 2^-(bits+8) and shifted by a multiple m of
@@ -33,7 +33,7 @@ are the exact sums' at every precision.  The V1 kernels pass integers:
 ``_atan_sums`` and ``_atan_series`` take t = a/b as (a, b), b > 0, and
 return numerators; their stop tests and floors read only the value a/b,
 so (a, b) need not be in lowest terms.  Around the series, each exact
-rational step of acos and V1 (1 - c^2, c / sqrt(1 - c^2), pi/4 + or
+rational step of acos and V1 (the cotangent dn sqrt(Q R) / R, pi/4 + or
 pi/2 - an arctangent, length * angle summed and divided by 2 pi) and the
 rounding after it is one integer floor division, giving the endpoint
 interval arithmetic gives.
@@ -216,8 +216,11 @@ def _atan_series(a: int, b: int, bits: int) -> tuple[int, int]:
     w = bits + 8.
 
     Summed in fixed point on the 2^-(w+g) grid; ``_atan_sums`` decides only
-    where the rounding test cannot (module docstring).  |a/b| <= 1/2, b > 0.
+    where the rounding test cannot (module docstring).  |a/b| <= 1/2, b > 0;
+    atan(0) is (0, 0), where the test could not decide.
     """
+    if not a:
+        return 0, 0
     w = bits + 8
     scale = w + _GUARD
     neg, a = a < 0, abs(a)
@@ -261,35 +264,25 @@ def _atan_fraction(a: int, b: int, bits: int) -> tuple[int, int]:
     return p_lo + s_lo, p_hi + s_hi
 
 
-def acos_interval(c: Interval, bits: int) -> Interval:
-    """Enclosure of arccos(c) for c strictly inside (-1, 1).
+def acos_interval(dot, nn, bits: int) -> Interval:
+    """Enclosure of arccos(dot / sqrt(nn)) for rationals dot, nn with dot^2 < nn.
 
-    Uses acos(c) = pi/2 - atan(c / sqrt(1 - c^2)), valid on all of (-1, 1).
-    1 - c^2 is rounded out to 2^-(bits+16), or to a finer grid where that
-    would round its lower end to 0; the square root of each end r/2^e is
-    taken on the grid of that end in lowest terms.  The argument of atan
-    is rounded out to 2^-(bits+16), the result to 2^-bits.
+    Uses acos = pi/2 - atan(cot), cot = dot / sqrt(nn - dot^2) by Lagrange's
+    identity.  For dot = dn/dd and nn = P/Q, cot = dn sqrt(Q R) / R with the
+    integer R = P dd^2 - dn^2 Q > 0: one square root, on the 2^-(bits+16)
+    grid, and the cotangent's ends rounded out to that grid; atan of them on
+    2^-(bits+8), the result rounded out to 2^-bits.
     """
-    n1, d1, n2, d2 = c.lo.numerator, c.lo.denominator, c.hi.numerator, c.hi.denominator
-    if n1 <= -d1 or n2 >= d2:
-        raise ValueError("cosine enclosure must lie strictly inside (-1, 1)")
-    # 1 - c^2 lies in [1 - hn/hd, 1 - ln/ld] where c has one sign; where it
-    # straddles 0 only the lower end bounds it, and only that end is used
-    sq1, sq2 = (n1 * n1, d1 * d1), (n2 * n2, d2 * d2)
-    (ln, ld), (hn, hd) = (sq1, sq2) if abs(n1) * d2 <= abs(n2) * d1 else (sq2, sq1)
-    e = bits + 16
-    while (r_lo := (hd - hn << e) // hd) <= 0:
-        e *= 2
-    s = []      # sqrt of each end r/2^e as (numerator, denominator)
-    for r, end in ((r_lo, 0), (-((ln - ld << e) // ld), 1)):
-        z = min(e, (r & -r).bit_length() - 1)   # r/2^e = (r >> z)/2^(e-z)
-        s.append((root_ends(r >> z, 1 << e - z, 2, e)[end], 1 << 2 * e - z))
-    # c / s, each end of c over the end of s that bounds the quotient outward,
-    # rounded out to 2^-(bits+16); atan of its ends on 2^-(bits+8)
-    (s1, q1), (s2, q2) = s[1] if n1 >= 0 else s[0], s[0] if n2 >= 0 else s[1]
+    dn, dd, p, q = dot.numerator, dot.denominator, nn.numerator, nn.denominator
+    r = p * dd * dd - dn * dn * q
+    if r <= 0:
+        raise ValueError("need dot^2 < nn")
     w = bits + 16
-    lo = _atan_fraction((n1 * q1 << w) // (d1 * s1), 1 << w, bits)[0]
-    hi = _atan_fraction(-((-n2 * q2 << w) // (d2 * s2)), 1 << w, bits)[1]
+    s_lo, s_hi = root_ends(q * r, 1, 2, w)
+    if dn < 0:
+        s_lo, s_hi = s_hi, s_lo
+    lo = _atan_fraction(dn * s_lo // r, 1 << w, bits)[0]
+    hi = _atan_fraction(-(-dn * s_hi // r), 1 << w, bits)[1]
     a_lo, a_hi = lo >> 8, -(-hi >> 8)
     p_lo, p_hi = numerators(pi(bits), 1 << bits)
     # atan rounded out to 2^-bits; pi/2 - it on the 2^-(bits+1) grid, rounded out to 2^-bits

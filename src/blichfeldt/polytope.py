@@ -320,10 +320,11 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
     for (va, vb), (fi, fj) in facet_ridges(poly):
         edge = [x - y for x, y in zip(poly.vertices[va], poly.vertices[vb])]
         len_sq = lat.norm_sq_of_coeff(edge)
+        # the exact cosine dot / sqrt(nn); dot^2 < nn for two adjacent facets
         dot = dual_inner(lat, poly.facets[fi].normal, poly.facets[fj].normal)
         nn = poly.facet_norms_sq[fi] * poly.facet_norms_sq[fj]
-        edge_data.append((len_sq, dot.numerator, dot.denominator, nn))
-    if not any(dn for _, dn, _, _ in edge_data):
+        edge_data.append((len_sq, dot, nn))
+    if not any(dot for _, dot, _ in edge_data):
         # every exterior angle is exactly pi/2: V1 = sum of edge lengths / 4
         from blichfeldt.radical import RadicalSum
 
@@ -339,21 +340,13 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
         work = bits + 16
         p_lo, p_hi = numerators(pi(work), 1 << work)
         lo = hi = 0     # sum of length * angle, over den << 2 * work + 1
-        for len_sq, dn, dd, nn in edge_data:
+        for len_sq, dot, nn in edge_data:
             q = len_sq.denominator
             l_lo, l_hi = root_ends(len_sq.numerator, q, 2, work)    # over q << work
-            if dn == 0:
+            if dot == 0:
                 a_lo, a_hi = p_lo, p_hi    # pi/2 over 2^(work+1)
             else:
-                # cos = dot / sqrt(nn) lies inside (-1, 1): refine until its enclosure does
-                prec = work
-                while (abs(dn) * (nn.denominator << prec)
-                       >= dd * (s := root_ends(nn.numerator, nn.denominator, 2, prec))[0]):
-                    prec *= 2
-                s1, s2 = (s[1], s[0]) if dn > 0 else s
-                cos = Interval(Fraction(dn * nn.denominator << prec, dd * s1),
-                               Fraction(dn * nn.denominator << prec, dd * s2))
-                a_lo, a_hi = numerators(acos_interval(cos, prec), 1 << work + 1)
+                a_lo, a_hi = numerators(acos_interval(dot, nn, work), 1 << work + 1)
             # lengths and angles are positive (a_lo < 0 still bounds below)
             lo += l_lo * a_lo * (den // q)
             hi += l_hi * a_hi * (den // q)

@@ -12,6 +12,7 @@ reports reproduce anywhere.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -63,6 +64,21 @@ def reeve_Tm(n: int, m: int) -> LatticePolytope:
         points.append(tuple(1 if j == i else 0 for j in range(n)))
     points.append((m,) * n)
     return pt.hull(points)
+
+
+def e1_half(n: int) -> tuple:
+    """e1/2: the half translate of S_k."""
+    return (Fraction(1, 2),) + (Fraction(0),) * (n - 1)
+
+
+def ones_half(n: int) -> tuple:
+    """(1,..,1)/2: the half translate of T_m."""
+    return (Fraction(1, 2),) * n
+
+
+# family name: (constructor, its parameter, its half translate in n dimensions)
+FAMILIES = {"simplex_Sk": (simplex_Sk, "k", e1_half),
+            "reeve_Tm": (reeve_Tm, "m", ones_half)}
 
 
 def half_translate(poly: LatticePolytope, t) -> Body:
@@ -142,8 +158,7 @@ def build_corpus(spec: CorpusSpec) -> tuple:
             sk = simplex_Sk(n, k)
             add(f"S_k n={n} k={k}", Body.from_polytope(sk))
             if spec.include_translates:
-                t = tuple(Fraction(1, 2) if j == 0 else Fraction(0) for j in range(n))
-                add(f"S_k+e1/2 n={n} k={k}", half_translate(sk, t))
+                add(f"S_k+e1/2 n={n} k={k}", half_translate(sk, e1_half(n)))
     for n in spec.dimensions:
         if n <= 2:
             continue
@@ -151,7 +166,7 @@ def build_corpus(spec: CorpusSpec) -> tuple:
             tm = reeve_Tm(n, m)
             add(f"T_m n={n} m={m}", Body.from_polytope(tm))
             if spec.include_translates:
-                add(f"T_m+v/2 n={n} m={m}", half_translate(tm, (Fraction(1, 2),) * n))
+                add(f"T_m+v/2 n={n} m={m}", half_translate(tm, ones_half(n)))
     per_dim = -(-spec.num_random_hulls // len(spec.dimensions))
     for n in spec.dimensions:
         rng = Rng(spec.seed, stream=n)
@@ -177,14 +192,17 @@ def frac_to_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def str_to_frac(s, where: str) -> Fraction:
-    try:
-        if isinstance(s, int):
+    """A JSON integer that is not a bool, or an ASCII string -?digits(/digits)?."""
+    if type(s) is int or isinstance(s, str) and _RATIONAL.fullmatch(s):
+        try:
             return Fraction(s)
-        num, _, den = str(s).partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BodySpecError(where, f"not a rational: {s!r}") from exc
+        except (ValueError, ZeroDivisionError):   # too many digits, or a zero denominator
+            pass
+    raise BodySpecError(where, f"not a rational: {s!r}")
 
 
 def body_to_dict(body: Body) -> dict:

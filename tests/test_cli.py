@@ -56,7 +56,19 @@ class TestCount:
          "body.translate"),
         ([[1, 0], [0, 1]], {"kind": "polytope", "vertices": [5, 6, 7]}, "body.vertices"),
         (3, {"kind": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]]}, "lattice.basis"),
-    ], ids=["translate-short", "vertices-scalars", "basis-scalar"])
+        # a rational is a JSON integer, not a bool, or "-?digits(/digits)?"
+        ([[True, 0], [0, 1]], {"kind": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]]},
+         "lattice.basis[0][0]: not a rational"),
+        ([[1, 0], [0, 1]], {"kind": "polytope", "vertices": [[0, 0], [1, 0], [0, "1_0"]]},
+         "body.vertices[2][1]: not a rational"),
+        ([[" 3", 0], [0, 1]], {"kind": "polytope", "vertices": [[0, 0], [1, 0], [0, 1]]},
+         "lattice.basis[0][0]: not a rational"),
+        ([[1, 0], [0, 1]],
+         {"kind": "translated_polytope", "vertices": [[0, 0], [1, 0], [0, 1]],
+          "translate": ["1/2", "1/-2"]},
+         "body.translate[1]: not a rational"),
+    ], ids=["translate-short", "vertices-scalars", "basis-scalar", "bool", "underscore",
+            "space", "negative-denominator"])
     def test_malformed_field_named(self, capsys, tmp_path, lattice, body, field):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": 1, "lattice": {"basis": lattice}, "body": body}))

@@ -259,9 +259,9 @@ class TestIntrinsicVolumeReuse:
         calls = []
         acos = pt.acos_interval
 
-        def counted(c, bits):
+        def counted(dot, nn, bits):
             calls.append(bits)
-            return acos(c, bits)
+            return acos(dot, nn, bits)
 
         monkeypatch.setattr(pt, "acos_interval", counted)
         entry = wt.CorpusEntry(index=0, name="hull", body=Body.from_polytope(poly))

@@ -186,23 +186,21 @@ class TestTrig:
 
     def test_acos_zero_is_half_pi(self):
         half_pi = pi(96) / Interval.point(2)
-        iv = acos_interval(Interval.point(Fraction(0)), 96)
+        iv = acos_interval(Fraction(0), Fraction(3), 96)
         assert iv.lo <= half_pi.hi and half_pi.lo <= iv.hi
 
     def test_acos_rejects_endpoints(self):
-        with pytest.raises(ValueError):
-            acos_interval(Interval.point(Fraction(1)), 96)
-        with pytest.raises(ValueError):
-            acos_interval(Interval.point(Fraction(-1)), 96)
+        # the cosine dot / sqrt(nn) must lie strictly inside (-1, 1): dot^2 < nn
+        for dot, nn in [(1, 1), (-1, 1), (2, 3), (Fraction(-3, 2), 2), (0, 0)]:
+            with pytest.raises(ValueError):
+                acos_interval(Fraction(dot), Fraction(nn), 96)
 
     def test_acos_complement(self):
-        # acos(c) + acos(-c) = pi
-        c = Fraction(5, 13)
-        total = acos_interval(Interval.point(c), 96) + acos_interval(
-            Interval.point(-c), 96
-        )
+        # acos(c) + acos(-c) = pi, for c = 5/13 and c = 5/sqrt(171)
         p = pi(96)
-        assert total.lo <= p.hi and p.lo <= total.hi
+        for nn in (Fraction(169), Fraction(171)):
+            total = acos_interval(Fraction(5), nn, 96) + acos_interval(Fraction(-5), nn, 96)
+            assert total.lo <= p.hi and p.lo <= total.hi
 
 
 def _atan_series_fraction(t: Fraction, bits: int) -> Interval:
@@ -278,6 +276,26 @@ def _acos_reference(c: Interval, bits: int) -> Interval:
     return (_pi_fraction(bits) / 2 - _atan_reference(c / s, bits)).round_out(bits)
 
 
+def _cot_reference(dot: Fraction, nn: Fraction, bits: int) -> Interval:
+    """dot / sqrt(nn - dot^2) on Fractions, rounded out to 2^-(bits+16).
+
+    With dot = dn/dd and nn = P/Q in lowest terms, m = (Q dd)^2 (nn - dot^2)
+    is an integer and the cotangent is dot sqrt(m) / (Q dd (nn - dot^2)),
+    sqrt(m) rounded out to 2^-(bits+16) as well.
+    """
+    e, g = bits + 16, nn.denominator * dot.denominator
+    r = nn - dot * dot
+    m = g * g * r
+    assert m.denominator == 1
+    return (dot * sqrt_fraction(m, e) / (g * r)).round_out(e)
+
+
+def _acos_exact_reference(dot: Fraction, nn: Fraction, bits: int) -> Interval:
+    """pi/2 - atan(dot / sqrt(nn - dot^2)) on Fractions."""
+    return (_pi_fraction(bits) / 2 - _atan_reference(_cot_reference(dot, nn, bits), bits)
+            ).round_out(bits)
+
+
 def _v1_reference(poly, bits: int) -> Interval:
     """V1 = sum of edge length * exterior angle / (2 pi) on Intervals, over
     the exact path's arccos and pi."""
@@ -297,6 +315,21 @@ def _counted(fn, calls: list):
     def wrapper(*args):
         calls.append(args)
         return fn(*args)
+    return wrapper
+
+
+def _outer_calls(fn, calls: list):
+    """As ``_counted``, but a call that fn makes of itself is not recorded."""
+    depth = [0]
+
+    def wrapper(*args):
+        if not depth[0]:
+            calls.append(args)
+        depth[0] += 1
+        try:
+            return fn(*args)
+        finally:
+            depth[0] -= 1
     return wrapper
 
 
@@ -322,6 +355,15 @@ ACOS_BRANCHES = {
     "shifted": _in(Fraction(1, 2), Fraction(7, 10)),
     "reciprocal": _in(Fraction(3, 4), 1),
 }
+
+
+def _dot_near(c: Fraction, nn: Fraction) -> Fraction:
+    """c sqrt(nn) truncated toward 0 to 2^-40: a dot whose cosine
+    dot / sqrt(nn) lies within 2^-40 / sqrt(nn) of c, with dot^2 < nn."""
+    x = c * c * nn * 4**40
+    return (1 if c > 0 else -1) * Fraction(isqrt(x.numerator // x.denominator), 2**40)
+
+
 PI_BITS = tuple(b for k in range(6) for b in (128 << k, (128 << k) + 16, (128 << k) + 32))
 # 3D hulls with acute and obtuse dihedral angles: the benchmark's fixed hull,
 # and one over a sheared lattice whose arctangents take every branch
@@ -330,6 +372,20 @@ V1_HULLS = {
     "skew3": ([(0, 0, 0), (3, 0, 0), (0, 2, 0), (0, 0, 2), (2, 2, 1), (1, -1, 2)],
               [[1, 0, 0], [Fraction(1, 2), 1, 0], [Fraction(1, 3), Fraction(1, 2), 1]]),
 }
+
+
+def _check_acos(dot: Fraction, nn: Fraction, bits: int) -> Interval:
+    """``acos_interval``, checked: it has the reference's endpoints, and it
+    passes the reference's cotangent ends to ``_atan_fraction`` (the final
+    rounding hides most errors of a unit in those ends)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interval, "_atan_fraction", _outer_calls(_atan_fraction, calls))
+        got = acos_interval(dot, nn, bits)
+    want, cot = _acos_exact_reference(dot, nn, bits), _cot_reference(dot, nn, bits)
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert [Fraction(a, b) for a, b, _ in calls] == [cot.lo, cot.hi]
+    return got
 
 
 class TestAtanSeriesOracle:
@@ -384,20 +440,32 @@ class TestAtanSeriesOracle:
     @given(data=st.data())
     def test_acos_interval(self, branch, data):
         c = data.draw(ACOS_BRANCHES[branch])
-        width = data.draw(st.sampled_from((0, Fraction(1, 2**40))))
+        # an exact cosine c, or dot / sqrt(nn) next to c with nn not a square
+        nn = Fraction(data.draw(st.sampled_from((1, Fraction(1, 3), 2, Fraction(7, 5),
+                                                 10**9 + 7))))
         bits = data.draw(st.sampled_from(KERNEL_BITS))
-        # the cap keeps hi below 1; a c drawn above the cap gives a point
-        iv = Interval(c, max(c, min(c + width, Fraction(2**40 - 1, 2**40))))
-        got, want = acos_interval(iv, bits), _acos_reference(iv, bits)
-        assert (got.lo, got.hi) == (want.lo, want.hi)
+        _check_acos(c if nn == 1 else _dot_near(c, nn), nn, bits)
+
+    @pytest.mark.parametrize("bits", (144, 160))
+    def test_acos_interval_small_integers(self, bits):
+        # the cosines of adjacent facets over Z^3 with short normals: the
+        # radicand Q R is small, so a unit of its root moves the cotangent
+        for nn in range(1, 40):
+            for dn in range(-isqrt(nn - 1), isqrt(nn - 1) + 1):
+                _check_acos(Fraction(dn), Fraction(nn), bits)
 
     @pytest.mark.parametrize("lo, hi", [(Fraction(-1, 3), Fraction(1, 5)),
                                         (Fraction(-1, 5), Fraction(1, 3)),
                                         (Fraction(-2, 7), Fraction(2, 7))])
     @pytest.mark.parametrize("bits", (128, 272))
     def test_acos_interval_straddling_zero(self, lo, hi, bits):
-        got, want = acos_interval(Interval(lo, hi), bits), _acos_reference(Interval(lo, hi), bits)
-        assert (got.lo, got.hi) == (want.lo, want.hi)
+        # cosines on both sides of 0 and 0 itself, exact and over sqrt(2):
+        # each matches the reference, and their arccos are disjoint, in order
+        for nn in (Fraction(1), Fraction(2)):
+            ivs = []
+            for c in (lo, Fraction(0), hi):
+                ivs.append(_check_acos(c if nn == 1 else _dot_near(c, nn), nn, bits))
+            assert ivs[2].hi < ivs[1].lo <= ivs[1].hi < ivs[0].lo
 
     @pytest.mark.parametrize("t", (Fraction(1, 5), Fraction(1, 239), Fraction(-5**68, 2**160)),
                              ids=("1/5", "1/239", "2^-160"))
@@ -447,10 +515,20 @@ class TestAtanSeriesOracle:
             assert (got.lo, got.hi) == (want.lo, want.hi)
         assert calls
         for _ in range(10):
-            c = Interval.point(Fraction(rng.randrange(-2**64 + 1, 2**64), 2**64))
-            bits = rng.choice(KERNEL_BITS)
-            got, want = acos_interval(c, bits), _acos_reference(c, bits)
-            assert (got.lo, got.hi) == (want.lo, want.hi)
+            dot = Fraction(rng.randrange(-2**64 + 1, 2**64), 2**64)
+            nn = Fraction(rng.randrange(2**64, 2**66), 2**64)
+            _check_acos(dot, nn, rng.choice(KERNEL_BITS))
+
+    @pytest.mark.parametrize("bits", KERNEL_BITS)
+    def test_zero_argument_needs_no_fallback(self, bits, monkeypatch):
+        # atan(0) = 0 exactly, directly and as the shifted branch's argument
+        # (t - 1)/(1 + t) for t = 1, where the rounding test could not decide
+        calls = []
+        monkeypatch.setattr(interval, "_atan_sums", _counted(_atan_sums, calls))
+        for b in (1, 10, 2**(bits + 16)):
+            assert _atan_series(0, b, bits) == (0, 0)
+            assert _atan_fraction(b, b, bits) == numerators(pi(bits), 1 << bits + 6)
+        assert calls == []
 
     def test_corpus_arguments_need_no_fallback(self, monkeypatch):
         spec = wt.CorpusSpec(seed=20260824, dimensions=(3,), num_random_hulls=60,
@@ -473,6 +551,15 @@ class TestAtanSeriesOracle:
         poly = pt.hull(corners, lattice=Lattice(basis) if basis else None)
         got, want = poly.intrinsic_volumes.v1(bits), _v1_reference(poly, bits)
         assert (got.lo, got.hi) == (want.lo, want.hi)
+
+    def test_flat_pyramid_v1_is_narrow(self):
+        # apex (N, N, 1) over the square [0, 2N]^2, N = 2^75: at the base edges
+        # 1 - cos^2 = 1/(N^2 + 1); the exact cosine keeps V1 at its precision
+        n = 2**75
+        poly = pt.hull([(0, 0, 0), (2 * n, 0, 0), (0, 2 * n, 0), (2 * n, 2 * n, 0), (n, n, 1)])
+        got, want = poly.intrinsic_volumes.v1(128), _v1_reference(poly, 128)
+        assert got.hi - got.lo < Fraction(1, 2**60)
+        assert want.lo < got.lo and got.hi < want.hi
 
     @given(
         st.dictionaries(

@@ -167,6 +167,20 @@ class TestSerialization:
 
 
 class TestSerializationErrors:
+    @pytest.mark.parametrize("raw, value", [
+        (7, Fraction(7)), (-7, Fraction(-7)), ("7", Fraction(7)), ("-3/4", Fraction(-3, 4)),
+        ("6/8", Fraction(3, 4)), ("0/5", Fraction(0)), ("2/01", Fraction(2)),
+    ])
+    def test_rational_forms(self, raw, value):
+        assert wt.str_to_frac(raw, "x") == value
+
+    @pytest.mark.parametrize("raw", [True, False, 1.5, None, [1], "", "1/0", "+1", "1/-2",
+                                     " 3", "3 ", "1_0", "1.5", "\u0663", "1/2/3", "-"])
+    def test_loose_rationals(self, raw):
+        with pytest.raises(wt.BodySpecError) as exc:
+            wt.str_to_frac(raw, "x")
+        assert exc.value.field_path == "x"
+
     def test_bad_schema(self):
         with pytest.raises(wt.BodySpecError) as exc:
             wt.body_from_dict({"schema": 99})
