@@ -95,6 +95,12 @@ def _load_body(path: str, budget: int) -> ct.Body:
         raise _CliError(f"body-spec {path}: {exc}") from exc
 
 
+def _digits(text: str) -> bool:
+    """True for ASCII [0-9]+, the integers body specs take (``isdecimal``
+    alone also takes every other script's decimal digits)."""
+    return text.isascii() and text.isdecimal()
+
+
 def _budget(args) -> int:
     """``--budget``, else a non-empty ``BLICH_BUDGET``, else the default."""
     name, text = "--budget", args.budget
@@ -102,13 +108,13 @@ def _budget(args) -> int:
         name, text = "BLICH_BUDGET", os.environ.get("BLICH_BUDGET") or None
     if text is None:
         return ct.DEFAULT_BUDGET
-    if not text.isdecimal():
+    if not _digits(text):
         raise _CliError(f"{name}: expected an integer of at least 0, got {text!r}")
     return int(text)
 
 
 def _precision_bits(text: str) -> int:
-    if not (text.isdecimal() and DEFAULT_BITS <= int(text) <= MAX_BITS):
+    if not (_digits(text) and DEFAULT_BITS <= int(text) <= MAX_BITS):
         raise argparse.ArgumentTypeError(
             f"expected an integer from {DEFAULT_BITS} to {MAX_BITS}, got {text!r}")
     return int(text)

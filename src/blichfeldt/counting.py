@@ -11,8 +11,11 @@ rows the body's shadow reaches: Fourier-Motzkin elimination of x_0
 (Schrijver, Theory of Linear and Integer Programming, 12.2) from chosen
 pairs of constraints gives, per (x_1, .., x_{n-2}), one interval of
 x_{n-1}.  Each eliminated pair is a valid inequality, so any set of pairs
-is sound; a polytope's ridge pairs are its exact shadow.  A ball is an
-ellipsoid in coefficients, counted by ``lattice.enum_ellipsoid``.
+is sound; a polytope's ridge pairs are its exact shadow.  Within a group
+the rows differ only in x_{n-1}, so each constraint's residual is folded
+once per group and a row costs one multiply-subtract and one floor
+division per constraint.  A ball is an ellipsoid in coefficients, counted
+by ``lattice.enum_ellipsoid``.
 """
 
 from __future__ import annotations
@@ -134,14 +137,54 @@ def _row_interval(constraints, base, lb, ub):
         rem = t - sum(map(mul, c, base))
         c0 = c[0]
         if c0 > 0:
-            ub = min(ub, rem // c0)
+            q = rem // c0
+            if q < ub:
+                ub = q
+                if lb > ub:
+                    break
         elif c0 < 0:
-            lb = max(lb, -(rem // (-c0)))  # ceil(rem / c0)
+            q = -(rem // -c0)   # ceil(rem / c0)
+            if q > lb:
+                lb = q
+                if lb > ub:
+                    break
         elif rem < 0:
             return lb, lb - 1
-        if lb > ub:
-            break
     return lb, ub
+
+
+def _group_rows(constraints, head, ylo, yhi, lb, ub):
+    """The non-empty rows (head + (y,), lb', ub') for ylo <= y <= yhi.
+
+    ``head`` is (0, x_1, .., x_{n-2}) and the row at x_{n-1} = y keeps
+    lb <= x_0 <= ub with c.x <= t, as ``_row_interval`` solves it.  The
+    group's fixed coordinates are folded once into a residual
+    r = t - c.(0, x_1, .., x_{n-2}, 0) per constraint, so a row costs one
+    multiply-subtract and one floor division per constraint, in the
+    constraints' order and with the same early exit.  In 1D the one row
+    is the empty head at y = 0.
+    """
+    folded = [(c[-1], c[0], t - sum(map(mul, c, head))) for c, t in constraints]
+    for y in range(ylo, yhi + 1):
+        lo, hi = lb, ub
+        for cy, c0, r in folded:
+            rem = r - cy * y
+            if c0 > 0:
+                q = rem // c0
+                if q < hi:
+                    hi = q
+                    if lo > hi:
+                        break
+            elif c0 < 0:
+                q = -(rem // -c0)   # ceil(rem / c0)
+                if q > lo:
+                    lo = q
+                    if lo > hi:
+                        break
+            elif rem < 0:
+                break
+        else:
+            yield head + (y,), lo, hi
 
 
 def _rows(constraints, box, budget, pairs):
@@ -150,10 +193,11 @@ def _rows(constraints, box, budget, pairs):
     A row is the line base + x_0 e_0, base = (0, x_1, .., x_{n-1}), and its
     points are lb <= x_0 <= ub.  Only the rows that the shadow of ``pairs``
     (index pairs into the constraints, see ``_shadow``) reaches are solved:
-    for each (x_1, .., x_{n-2}) the one x_{n-1} interval it leaves.  A
-    skipped row meets no real point of the body, so it holds no integer
-    one.  Raises ``EnumerationBudgetError`` when the box holds more cells
-    than the budget allows.
+    for each group (x_1, .., x_{n-2}) the one x_{n-1} interval it leaves,
+    whose rows ``_group_rows`` solves.  A skipped row meets no real point
+    of the body, so it holds no integer one.  Raises
+    ``EnumerationBudgetError`` when the box holds more cells than the
+    budget allows.
     """
     (lo0, *los), (hi0, *his) = box
     cells = prod(max(0, hi - lo + 1) for lo, hi in zip(*box))
@@ -161,17 +205,16 @@ def _rows(constraints, box, budget, pairs):
         raise EnumerationBudgetError(budget)
     if not cells:
         return
-    bases = [(0,)]
-    if los:
-        shadow = _shadow(constraints, pairs)
-        *heads, last = [range(lo, hi + 1) for lo, hi in zip(los, his)]
-        bases = (base + (x,) for base in ((0,) + head for head in itertools.product(*heads))
-                 for lo, hi in [_row_interval(shadow, base, last[0], last[-1])]
-                 for x in range(lo, hi + 1))
-    for base in bases:
-        lb, ub = _row_interval(constraints, base, lo0, hi0)
-        if lb <= ub:
-            yield base, lb, ub
+    if not los:
+        yield from _group_rows(constraints, (), 0, 0, lo0, hi0)
+        return
+    shadow = _shadow(constraints, pairs)
+    *heads, (ylo, yhi) = zip(los, his)
+    for head in itertools.product(*(range(lo, hi + 1) for lo, hi in heads)):
+        head = (0,) + head
+        lo, hi = _row_interval(shadow, head, ylo, yhi)
+        if lo <= hi:
+            yield from _group_rows(constraints, head, lo, hi, lo0, hi0)
 
 
 def _enumerate_linear(constraints, box, budget, pairs) -> int:

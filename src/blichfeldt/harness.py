@@ -24,7 +24,7 @@ import json
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 from operator import mul
 from typing import Callable, NamedTuple
 
@@ -355,9 +355,10 @@ def boundary_layer_audit(
     # of the facet lattice, and the translate lemma in dimension n-1 bounds
     # the layer by D_i = (n-1)! vol(F_i); layer 0 is F_i (Blichfeldt: D_i + n - 1).
     #
-    # Why P's box holds every point of Q_i: such a point is
+    # Why F_i's box holds every point of Q_i: such a point is
     # z = p - (j/|a|_1) sign(a) with p in F_i and 0 <= j <= gamma_i, so each
-    # coordinate of z is within j/|a|_1 < 1/2 of the integral box of F_i.
+    # coordinate of z is within j/|a|_1 < 1/2 of the integral box of F_i,
+    # the box of F_i's vertices; being an integer, it lies in that box.
     #
     # Why the facets sharing a ridge with F_i are enough: the swept image x
     # has a.x = b, and within aff(F_i) F_i is cut out by its own facets, the
@@ -382,6 +383,9 @@ def boundary_layer_audit(
         # coordinates of the vertices, so they must be the ambient ones
         poly = pt.hull([lat.to_ambient(v) for v in poly.vertices], budget=budget)
     box = [[f(col) for col in zip(*poly.vertices)] for f in (min, max)]
+    if prod(hi - lo + 1 for lo, hi in zip(*box)) > budget:
+        # before any prism: each sweeps its facet's box, which lies in P's
+        raise ct.EnumerationBudgetError(budget)
     inside = [(f.normal, f.offset) for f in poly.facets]
     ridges = {p for i, j in poly.ridges for p in ((i, j), (j, i))}
     interior, layers = [], []
@@ -402,7 +406,9 @@ def boundary_layer_audit(
             hs = sum(map(mul, h, sign))
             cons.append((tuple(l1 * x - hs * y for x, y in zip(h, a)), l1 * bh - b * hs))
         counts = [0] * (gamma + 1)
-        for base, lb, ub in ct._rows(cons, box, budget, combinations(range(len(cons)), 2)):
+        cols = list(zip(*(poly.vertices[v] for v in poly.facets[i].vertex_ids)))
+        facet_box = [[f(col) for col in cols] for f in (min, max)]
+        for base, lb, ub in ct._rows(cons, facet_box, budget, combinations(range(len(cons)), 2)):
             cover.setdefault(base, []).append((lb, ub))
             slack = b - sum(map(mul, a, base))
             if a[0]:

@@ -1,6 +1,29 @@
-"""Shared pytest plumbing: surface acceptance-criterion outcomes."""
+"""Shared pytest plumbing: acceptance-criterion outcomes and a row-solve recorder."""
+
+import pytest
+
+from blichfeldt import counting as ct
 
 ACCEPTANCE_LINES = []
+
+
+@pytest.fixture
+def row_solves(monkeypatch):
+    """Every row the sweep solves, as (constraints, base), in order.
+
+    ``counting._rows`` hands each group's shadow interval of x_{n-1} to
+    ``counting._group_rows``, which solves one row per y in it; the shadow
+    solves themselves are not recorded.
+    """
+    solves = []
+    group_rows = ct._group_rows
+
+    def recorded(cons, head, ylo, yhi, lb, ub):
+        solves.extend((cons, head + (y,)) for y in range(ylo, yhi + 1))
+        return group_rows(cons, head, ylo, yhi, lb, ub)
+
+    monkeypatch.setattr(ct, "_group_rows", recorded)
+    return solves
 
 
 def record_criterion(number: int, ok: bool, detail: str) -> None:

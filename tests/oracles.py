@@ -10,7 +10,9 @@ Pick's identity in 2D, a 3D polytope's edges as the facet pairs sharing
 two vertices, the greedy facet key of the hull's earlier placing order,
 the Ehrhart polynomial through a polytope's dilate counts, whether a real
 line along x_0 meets a polytope, in
-rationals, and roots by Newton's iteration into ``Interval``s of
+rationals, the row sweep that solves each row's x_0 slab by a full dot
+product (the package's earlier sweep, which shares only
+``counting._shadow`` with the code under test), and roots by Newton's iteration into ``Interval``s of
 ``Fraction``s and by search loops on ``Fraction``s (the package's earlier
 root code, which ``interval.root_ends`` replaced).  ``width`` is the
 tests' gauge of an enclosure's precision.
@@ -19,14 +21,15 @@ Nothing in ``src/`` calls these.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, gcd, isqrt, prod
 from operator import mul
 
 from blichfeldt import linalg
-from blichfeldt.counting import Body, count
+from blichfeldt.counting import Body, _shadow, count
 from blichfeldt.interval import Interval
-from blichfeldt.lattice import DEFAULT_BUDGET, Lattice
+from blichfeldt.lattice import DEFAULT_BUDGET, EnumerationBudgetError, Lattice
 from blichfeldt.linalg import DegenerateBasisError
 from blichfeldt.polytope import LatticePolytope, convex_hull_facets
 
@@ -328,6 +331,62 @@ def real_row_meets(constraints, base):
         elif rem < 0:
             return False
     return lo is None or hi is None or lo <= hi
+
+
+# ---------------------------------------------------------------------------
+# the row sweep that solves every row by full dot products (the package's
+# earlier ``counting._row_interval`` and ``counting._rows``, before a
+# group's residuals were folded); it eliminates x_0 by ``counting._shadow``
+
+
+def row_interval(constraints, base, lb, ub):
+    """The x_0 range [lb', ub'] of the row base + x_0 e_0 inside [lb, ub].
+
+    ``base`` has x_0 = 0; the points kept satisfy c.x <= t for every
+    integer pair (c, t).  The row is empty when lb' > ub'.
+    """
+    for c, t in constraints:
+        rem = t - sum(map(mul, c, base))
+        c0 = c[0]
+        if c0 > 0:
+            ub = min(ub, rem // c0)
+        elif c0 < 0:
+            lb = max(lb, -(rem // (-c0)))  # ceil(rem / c0)
+        elif rem < 0:
+            return lb, lb - 1
+        if lb > ub:
+            break
+    return lb, ub
+
+
+def sweep_rows(constraints, box, budget, pairs):
+    """The non-empty rows (base, lb, ub) of the box's points with c.x <= t.
+
+    A row is the line base + x_0 e_0, base = (0, x_1, .., x_{n-1}), and its
+    points are lb <= x_0 <= ub.  Only the rows that the shadow of ``pairs``
+    (index pairs into the constraints, see ``_shadow``) reaches are solved:
+    for each (x_1, .., x_{n-2}) the one x_{n-1} interval it leaves.  A
+    skipped row meets no real point of the body, so it holds no integer
+    one.  Raises ``EnumerationBudgetError`` when the box holds more cells
+    than the budget allows.
+    """
+    (lo0, *los), (hi0, *his) = box
+    cells = prod(max(0, hi - lo + 1) for lo, hi in zip(*box))
+    if cells > budget:
+        raise EnumerationBudgetError(budget)
+    if not cells:
+        return
+    bases = [(0,)]
+    if los:
+        shadow = _shadow(constraints, pairs)
+        *heads, last = [range(lo, hi + 1) for lo, hi in zip(los, his)]
+        bases = (base + (x,) for base in ((0,) + head for head in itertools.product(*heads))
+                 for lo, hi in [row_interval(shadow, base, last[0], last[-1])]
+                 for x in range(lo, hi + 1))
+    for base in bases:
+        lb, ub = row_interval(constraints, base, lo0, hi0)
+        if lb <= ub:
+            yield base, lb, ub
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,17 @@ class TestFlags:
         assert code == cli.EXIT_USAGE and out == ""
         assert "--precision-max-bits" in err
 
+    @pytest.mark.parametrize("command", ["check", "corpus"])
+    @pytest.mark.parametrize("bits", ["\u0661\u0662\u0668", "\uff11\uff12\uff18"],
+                             ids=["arabic-indic", "full-width"])
+    def test_precision_cap_ascii_only(self, capsys, cube_body, command, bits):
+        # 128 in Arabic-Indic and in full-width digits: int() reads both
+        argv = {"check": ["check", "--id", "MAIN_THM_1_1", "--body", cube_body],
+                "corpus": ["corpus", "--spec", cube_body]}[command]
+        code, out, err = _run(capsys, argv + ["--precision-max-bits", bits])
+        assert code == cli.EXIT_USAGE and out == ""
+        assert "--precision-max-bits" in err
+
     @pytest.mark.parametrize("bits", ["128", "4096"])
     def test_precision_cap_bounds_accepted(self, capsys, cube_body, bits):
         argv = ["check", "--id", "MAIN_THM_1_1", "--body", cube_body, "--precision-max-bits", bits]
@@ -562,6 +573,21 @@ class TestBudgetPlumbing:
         code, _, err = _run(capsys, ["count", "--body", cube_body])
         assert code == cli.EXIT_USAGE
         assert "BLICH_BUDGET" in err and "budget=" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("text", ["\u0661\u0660\u0660\u0660", "\uff11\uff10\uff10\uff10"],
+                             ids=["arabic-indic", "full-width"])
+    def test_non_ascii_digits(self, capsys, cube_body, monkeypatch, source, text):
+        # 1000 in Arabic-Indic and in full-width digits: a usage error naming
+        # the flag or the variable, not a count under a budget of 1000
+        argv = ["count", "--body", cube_body]
+        if source == "flag":
+            argv += ["--budget", text]
+        else:
+            monkeypatch.setenv("BLICH_BUDGET", text)
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert {"flag": "--budget", "env": "BLICH_BUDGET"}[source] in err
 
     @pytest.mark.parametrize("command", ["count", "measure", "check", "audit"])
     def test_negative_flag(self, capsys, cube_body, command):

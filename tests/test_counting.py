@@ -1,6 +1,7 @@
 """Exact lattice-point counting for polytopes, translates, cells, balls."""
 
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 from operator import mul
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from blichfeldt import counting as ct
+from blichfeldt import harness as hz
 from blichfeldt import lattice as lt
 from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
@@ -17,7 +19,8 @@ from blichfeldt.lattice import Lattice
 from blichfeldt.linalg import det_bareiss
 from blichfeldt.polytope import DegenerateHullError
 from blichfeldt.rng import Rng
-from oracles import ceil_sqrt_by_search, interpolate, pick_quantities, real_row_meets
+from oracles import (ceil_sqrt_by_search, interpolate, pick_quantities, real_row_meets,
+                     row_interval, sweep_rows)
 
 
 def _cube(n, side):
@@ -314,26 +317,27 @@ class TestShadowRows:
                 assert ct._enumerate_linear(cons, box, 10**6, pairs) == expected
         assert ct.count(Body.translated(t, poly)).count == expected
 
-    def test_empty_shadow_row(self, monkeypatch):
+    def test_empty_shadow_row(self, monkeypatch, row_solves):
         # x_0 <= x_1 - 1 and x_0 >= x_1 eliminate to 0 <= -1: the one group's
         # shadow interval is empty and no row is solved
         cons = [((1, -1), -1), ((-1, 1), 0)]
         assert ct._shadow(cons, [(0, 1)]) == [((0,), -1)]
-        calls = []
+        shadows = []
         row_interval = ct._row_interval
-        monkeypatch.setattr(ct, "_row_interval", lambda *a: calls.append(a) or row_interval(*a))
+        monkeypatch.setattr(ct, "_row_interval", lambda *a: shadows.append(a) or row_interval(*a))
         assert ct._enumerate_linear(cons, ([-5, -5], [5, 5]), 10**6, [(0, 1)]) == 0
-        assert len(calls) == 1
+        assert len(shadows) == 1
+        assert row_solves == []
 
-    def test_solves_only_rows_meeting_p(self, monkeypatch):
+    def test_solves_only_rows_meeting_p(self, monkeypatch, row_solves):
         # 12 S_1 in 4D: of its 13^3 box rows only those meeting P are solved,
         # plus one shadow interval per (x_1, x_2) group
         poly = wt.simplex_Sk(4, 1).scaled(12)
-        calls = []
+        shadows = []
         row_interval = ct._row_interval
 
         def counted(cons, base, lb, ub):
-            calls.append(base)
+            shadows.append(base)
             return row_interval(cons, base, lb, ub)
 
         monkeypatch.setattr(ct, "_row_interval", counted)
@@ -344,11 +348,101 @@ class TestShadowRows:
         meeting = sum(real_row_meets(cons, (0,) + rest) for rest in itertools.product(*ranges))
         groups = len(ranges[0]) * len(ranges[1])
         assert (meeting, groups) == (455, 169)
-        assert len(calls) <= meeting + groups
+        assert len(shadows) == groups
+        assert len(row_solves) == meeting
+        assert len(shadows) + len(row_solves) <= meeting + groups
+
+    def test_4d_hull_count(self):
+        # the cost table's 4D 32-point hull: random.Random(1), [-10, 10]^4
+        rng = random.Random(1)
+        poly = pt.hull([tuple(rng.randint(-10, 10) for _ in range(4)) for _ in range(32)])
+        cons, box = ct._polytope_system(poly)
+        swept = sum(ub - lb + 1 for _, lb, ub in sweep_rows(cons, box, 10**6, poly.ridges))
+        assert ct.count(Body.from_polytope(poly)).count == swept == 36014
 
     def test_count_result_field(self):
         # a field named count, read by callers as .count, not tuple.count
         assert CountResult(5).count == 5
+
+
+class TestRowSweepOracle:
+    """``_rows`` yields the earlier sweep's rows (``oracles.sweep_rows``),
+    each (base, lb, ub) the same and in the same order."""
+
+    @staticmethod
+    def _system(data, n):
+        cons = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            c = list(data.draw(st.tuples(*[st.integers(-3, 3)] * n)))
+            # rows free of x_0 and constraints free of x_{n-1}, often
+            if data.draw(st.booleans()):
+                c[0] = 0
+            if data.draw(st.booleans()):
+                c[-1] = 0
+            cons.append((tuple(c), data.draw(st.integers(-6, 6))))
+        if data.draw(st.booleans()):
+            # c.x <= t and -c.x <= -t - 1 together empty the shadow
+            c, t = cons[0]
+            cons.append((tuple(-x for x in c), -t - 1))
+        return cons
+
+    @given(data=st.data(), n=st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_random_systems(self, data, n):
+        # no pairs, some pairs and all pairs
+        cons = self._system(data, n)
+        los = data.draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n))
+        his = [lo + data.draw(st.integers(-1, 4)) for lo in los]
+        every = list(itertools.combinations(range(len(cons)), 2))
+        some = data.draw(st.lists(st.sampled_from(every), unique=True)) if every else []
+        for pairs in ([], some, every):
+            assert (list(ct._rows(cons, (los, his), 10**6, pairs))
+                    == list(sweep_rows(cons, (los, his), 10**6, pairs)))
+
+    @pytest.mark.parametrize("t, rows", [(-1, []), (0, [((0,), -2, 3)])])
+    def test_constant_constraint_1d(self, t, rows):
+        # 0.x_0 <= t: in 1D no shadow drops the row, so its solve must
+        cons = [((1,), 3), ((0,), t)]
+        assert list(ct._rows(cons, ([-2], [5]), 100, [])) == rows
+        assert list(sweep_rows(cons, ([-2], [5]), 100, [])) == rows
+
+    @given(data=st.data(), n=st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_row_interval(self, data, n):
+        # on the non-empty [lb, ub] every caller passes
+        cons = self._system(data, n)
+        base = (0,) + data.draw(st.tuples(*[st.integers(-4, 4)] * (n - 1)))
+        lb = data.draw(st.integers(-8, 8))
+        ub = lb + data.draw(st.integers(0, 12))
+        assert ct._row_interval(cons, base, lb, ub) == row_interval(cons, base, lb, ub)
+
+    @pytest.mark.parametrize("n, seed", [(3, 41), (3, 42), (4, 41), (4, 42), (5, 41)])
+    def test_hull_systems(self, monkeypatch, n, seed):
+        # P's system with its ridge pairs and every facet prism the audit
+        # sweeps, recorded as the audit calls them; the interior system of
+        # its L1 with all pairs, and L1's slab solved within each row of P
+        poly = wt.random_hull(Rng(seed, stream=n), n, n + 4, 3)
+        sweeps = []
+        rows = ct._rows
+
+        def recorded(cons, box, budget, pairs):
+            pairs = list(pairs)
+            sweeps.append((cons, box, pairs))
+            return rows(cons, box, budget, pairs)
+
+        monkeypatch.setattr(ct, "_rows", recorded)
+        hz.boundary_layer_audit(poly)
+        monkeypatch.undo()
+        assert len(sweeps) == len(poly.facets) + 1
+        cons, box, _ = sweeps[-1]
+        interior = [(a, b - (sum(map(abs, a)) + 1) // 2) for a, b in cons]
+        sweeps.append((interior, box, list(itertools.combinations(range(len(cons)), 2))))
+        for cons, box, pairs in sweeps:
+            assert list(ct._rows(cons, box, 10**7, pairs)) == list(sweep_rows(cons, box, 10**7, pairs))
+        p_rows = list(sweep_rows(*sweeps[-2][:2], 10**7, sweeps[-2][2]))
+        assert p_rows
+        for base, lb, ub in p_rows:
+            assert ct._row_interval(interior, base, lb, ub) == row_interval(interior, base, lb, ub)
 
 
 def _sheared(n):

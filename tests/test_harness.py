@@ -515,23 +515,16 @@ class TestBoundaryLayerAudit:
         monkeypatch.undo()
         assert record == _reference_audit(poly)
 
-    def test_prism_solved_only_on_rows_its_shadow_reaches(self, monkeypatch):
+    def test_prism_solved_only_on_rows_its_shadow_reaches(self, monkeypatch, row_solves):
         # T_24's facets have long normals and boxes spanning P's box; a row
         # is solved for Q_i only when the real prism Q_i meets it
         poly = wt.reeve_Tm(3, 24)
-        solves = []
-        row_interval = ct._row_interval
-
-        def counted(cons, base, lb, ub):
-            # a prism's list opens with its slab a.z <= b, -a.z <= gamma - b
-            if len(base) == poly.dim and cons[1][0] == tuple(-c for c in cons[0][0]):
-                solves.append(base)
-            return row_interval(cons, base, lb, ub)
-
-        monkeypatch.setattr(ct, "_row_interval", counted)
         record = hz.boundary_layer_audit(poly)
         monkeypatch.undo()
         assert record == _reference_audit(poly)
+        # a prism's list opens with its slab a.z <= b, -a.z <= gamma - b
+        solves = [base for cons, base in row_solves
+                  if cons[1][0] == tuple(-c for c in cons[0][0])]
         los, his = ([f(c) for c in zip(*poly.vertices)] for f in (min, max))
         rows = [(0, y, z) for y in range(los[1], his[1] + 1) for z in range(los[2], his[2] + 1)]
         in_shadow = sum(_real_prism_row_meets(poly, i, base)
@@ -543,29 +536,60 @@ class TestBoundaryLayerAudit:
             in_boxes += (y1 - y0 + 1) * (z1 - z0 + 1)
         assert len(solves) <= in_shadow
         assert 4 * in_shadow < in_boxes
+        # each row of the real prism's shadow is in its facet's box, so the
+        # recorder sees a solve for every row the real prism meets
+        assert len(solves) == in_shadow
 
-    def test_p_solved_only_on_rows_it_meets(self, monkeypatch):
+    def test_p_solved_only_on_rows_it_meets(self, monkeypatch, row_solves):
         # P's own row is solved on the rows of P's shadow only: on T_24 the
         # 26 rows that meet P, not all 625 rows of its 25 x 25 box
         poly = wt.reeve_Tm(3, 24)
         inside = [(f.normal, f.offset) for f in poly.facets]
-        solves = []
-        row_interval = ct._row_interval
-
-        def counted(cons, base, lb, ub):
-            if len(base) == poly.dim and cons == inside:
-                solves.append(base)
-            return row_interval(cons, base, lb, ub)
-
-        monkeypatch.setattr(ct, "_row_interval", counted)
         record = hz.boundary_layer_audit(poly)
         monkeypatch.undo()
         assert record == _reference_audit(poly)
+        solves = [base for cons, base in row_solves if cons == inside]
         los, his = ([f(c) for c in zip(*poly.vertices)] for f in (min, max))
         rows = [(0, y, z) for y in range(los[1], his[1] + 1) for z in range(los[2], his[2] + 1)]
         assert len(rows) == 625
         assert sorted(solves) == [base for base in rows if real_row_meets(inside, base)]
         assert len(solves) == 26
+
+    def test_budget_checked_before_any_prism(self, row_solves):
+        # each facet box of [0, 4]^3 holds 25 cells and fits a budget of
+        # 100; P's 125 do not, and the audit stops before sweeping a prism
+        with pytest.raises(lt.EnumerationBudgetError):
+            hz.boundary_layer_audit(_cube(3, 4), budget=100)
+        assert row_solves == []
+        assert hz.boundary_layer_audit(_cube(3, 4), budget=125).total == 125
+
+    def test_prisms_swept_over_facet_boxes(self, monkeypatch):
+        # each prism's rows come from its facet's box, and a sweep over P's
+        # box yields the same rows: every point of Q_i lies in F_i's box
+        poly = wt.random_hull(Rng(43, stream=3), 3, 9, 6)
+        sweeps = []
+        rows = ct._rows
+
+        def recorded(cons, box, budget, pairs):
+            pairs = list(pairs)
+            sweeps.append((cons, box, pairs))
+            return rows(cons, box, budget, pairs)
+
+        monkeypatch.setattr(ct, "_rows", recorded)
+        record = hz.boundary_layer_audit(poly)
+        monkeypatch.undo()
+        assert record == _reference_audit(poly)
+        p_box = [[f(col) for col in zip(*poly.vertices)] for f in (min, max)]
+        *prisms, (_, last_box, _) = sweeps
+        assert last_box == p_box and len(prisms) == len(poly.facets)
+        held = 0
+        for (cons, box, pairs), f in zip(prisms, poly.facets):
+            cols = list(zip(*(poly.vertices[v] for v in f.vertex_ids)))
+            assert box == [[min(c) for c in cols], [max(c) for c in cols]] != p_box
+            swept = list(rows(cons, box, 10**6, pairs))
+            assert swept == list(rows(cons, p_box, 10**6, pairs))
+            held += bool(swept)
+        assert held == len(prisms)
 
     # (count, n, d, s, holds): near ties of two surds, counts below n - 1,
     # and exact ties, which fail the strict bound
