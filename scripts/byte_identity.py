@@ -22,10 +22,12 @@ negative determinant, ``measure`` on a triangle whose edge norm^2 is the
 product of two 40-bit primes, ``measure`` on a nearly flat pyramid whose
 base angles have 1 - cos^2 of about 2^-150 and a cotangent of -2^75, and
 ``measure`` and ``check --id BOKOWSKI_3_4`` on a wedge whose two slanted
-edges have a cotangent of exactly -1.  A ``hull-record`` line hashes
+edges have a cotangent of exactly -1, and ``count`` and ``measure`` on a 1D
+segment.  A ``hull-record`` line hashes
 the repr of a hull's vertices, facets, ``facet_dets``, ``dets`` and
 ``facet_ridges``: one per polytope file of the ``audit`` and ``bodies``
-workloads, and one for the ``audit`` workload's seeded random hulls built
+workloads, one for the segment, and one for the ``audit`` workload's
+seeded random hulls built
 in process, whose facet order comes from all their points, collinear and
 coplanar non-vertex points included.  Each line is ``sha256  exit-code
 command``; a record line shows ``audit-record`` or ``hull-record``.
@@ -153,6 +155,12 @@ def _commands(seed: int, workdir: str):
         [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (0, 0, 2), (2, 0, 2)])), path)
     yield ["measure", "--body", path]
     yield ["check", "--id", "BOKOWSKI_3_4", "--body", path]
+    # a segment: a 1D hull and its one row
+    path = os.path.join(workdir, "segment.json")
+    wt.save_body(Body.from_polytope(pt.hull([(7,), (-3,), (2,)])), path)
+    yield ["count", "--body", path]
+    yield ["measure", "--body", path]
+    yield ["-c", HULL_RECORD, path]
 
 
 def main() -> int:

@@ -17,7 +17,6 @@ import sys
 import tempfile
 
 from blichfeldt import counting as ct
-from blichfeldt import polytope as pt
 from blichfeldt import witnesses as wt
 from blichfeldt.interval import DEFAULT_BITS, MAX_BITS
 from blichfeldt.lattice import SVP_MAX_DIM
@@ -89,9 +88,7 @@ def _load_body(path: str, budget: int) -> ct.Body:
         return wt.load_body(path, budget)
     except OSError as exc:
         raise _CliError(f"body-spec {path}: {exc.strerror}") from exc
-    except wt.BodySpecError as exc:
-        raise _CliError(f"body-spec {path}: {exc}") from exc
-    except (ValueError, pt.DegenerateHullError) as exc:
+    except ValueError as exc:
         raise _CliError(f"body-spec {path}: {exc}") from exc
 
 

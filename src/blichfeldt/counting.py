@@ -6,16 +6,18 @@ compiled to integer thresholds per constraint (a rational or single-radical
 right-hand side rounds to the exact integer cutoff).  One row sweep,
 ``_rows``, yields each non-empty row along x_0 with its exact 1D slab of
 x_0; counting sums the slabs, and ``harness.boundary_layer_audit`` walks
-the same rows for P and for its facet prisms.  The sweep visits only the
-rows the body's shadow reaches: Fourier-Motzkin elimination of x_0
-(Schrijver, Theory of Linear and Integer Programming, 12.2) from chosen
-pairs of constraints gives, per (x_1, .., x_{n-2}), one interval of
-x_{n-1}.  Each eliminated pair is a valid inequality, so any set of pairs
-is sound; a polytope's ridge pairs are its exact shadow.  Within a group
-the rows differ only in x_{n-1}, so each constraint's residual is folded
-once per group and a row costs one multiply-subtract and one floor
-division per constraint.  A ball is an ellipsoid in coefficients, counted
-by ``lattice.enum_ellipsoid``.
+the same rows for P, for its interior layer and for its facet prisms.  The
+sweep visits only the rows the body's shadow reaches: Fourier-Motzkin
+elimination of x_0 (Schrijver, Theory of Linear and Integer Programming,
+12.2) from chosen pairs of constraints gives, per (x_1, .., x_{n-2}), one
+interval of x_{n-1}.  Each eliminated pair is a valid inequality, so any
+set of pairs is sound; a polytope's ridge pairs are its exact shadow.
+Each job has one solver: ``_row_interval`` solves a group's shadow
+interval of x_{n-1}, and ``_group_rows`` every row's slab of x_0.  Within
+a group the rows differ only in x_{n-1}, so each constraint on x_0 has its
+residual folded once per group, and a row costs one multiply-subtract and
+one floor division per such constraint.  A ball is an ellipsoid in
+coefficients, counted by ``lattice.enum_ellipsoid``.
 """
 
 from __future__ import annotations
@@ -99,14 +101,6 @@ def ceil_sqrt_fraction(r) -> int:
     return -(-root_ends(r.numerator, r.denominator, 2, 0)[1] // r.denominator)
 
 
-def _int_threshold(rhs: Fraction, strict: bool) -> int:
-    """Largest integer value t with (t <= rhs) resp. (t < rhs)."""
-    f = rhs.__floor__()
-    if strict and f == rhs:
-        return f - 1
-    return f
-
-
 def _shadow(constraints, pairs):
     """Fourier-Motzkin elimination of x_0, coefficients x_{n-1} first.
 
@@ -131,7 +125,8 @@ def _row_interval(constraints, base, lb, ub):
     """The x_0 range [lb', ub'] of the row base + x_0 e_0 inside [lb, ub].
 
     ``base`` has x_0 = 0; the points kept satisfy c.x <= t for every
-    integer pair (c, t).  The row is empty when lb' > ub'.
+    integer pair (c, t).  The row is empty when lb' > ub'.  ``_rows``
+    solves each group's shadow with it, whose x_0 is x_{n-1}.
     """
     for c, t in constraints:
         rem = t - sum(map(mul, c, base))
@@ -157,14 +152,15 @@ def _group_rows(constraints, head, ylo, yhi, lb, ub):
     """The non-empty rows (head + (y,), lb', ub') for ylo <= y <= yhi.
 
     ``head`` is (0, x_1, .., x_{n-2}) and the row at x_{n-1} = y keeps
-    lb <= x_0 <= ub with c.x <= t, as ``_row_interval`` solves it.  The
-    group's fixed coordinates are folded once into a residual
+    lb <= x_0 <= ub with c.x <= t for every constraint with c_0 != 0; the
+    caller's y interval already satisfies the others.  The group's fixed
+    coordinates are folded once into a residual
     r = t - c.(0, x_1, .., x_{n-2}, 0) per constraint, so a row costs one
     multiply-subtract and one floor division per constraint, in the
-    constraints' order and with the same early exit.  In 1D the one row
-    is the empty head at y = 0.
+    constraints' order and with an early exit.  In 1D the one row is the
+    empty head at y = 0.
     """
-    folded = [(c[-1], c[0], t - sum(map(mul, c, head))) for c, t in constraints]
+    folded = [(c[-1], c[0], t - sum(map(mul, c, head))) for c, t in constraints if c[0]]
     for y in range(ylo, yhi + 1):
         lo, hi = lb, ub
         for cy, c0, r in folded:
@@ -175,14 +171,12 @@ def _group_rows(constraints, head, ylo, yhi, lb, ub):
                     hi = q
                     if lo > hi:
                         break
-            elif c0 < 0:
+            else:
                 q = -(rem // -c0)   # ceil(rem / c0)
                 if q > lo:
                     lo = q
                     if lo > hi:
                         break
-            elif rem < 0:
-                break
         else:
             yield head + (y,), lo, hi
 
@@ -195,7 +189,8 @@ def _rows(constraints, box, budget, pairs):
     (index pairs into the constraints, see ``_shadow``) reaches are solved:
     for each group (x_1, .., x_{n-2}) the one x_{n-1} interval it leaves,
     whose rows ``_group_rows`` solves.  A skipped row meets no real point
-    of the body, so it holds no integer one.  Raises
+    of the body, so it holds no integer one.  In 1D there is no shadow,
+    and the constraints free of x_0, 0 <= t, are tested once.  Raises
     ``EnumerationBudgetError`` when the box holds more cells than the
     budget allows.
     """
@@ -206,7 +201,8 @@ def _rows(constraints, box, budget, pairs):
     if not cells:
         return
     if not los:
-        yield from _group_rows(constraints, (), 0, 0, lo0, hi0)
+        if all(t >= 0 for c, t in constraints if not c[0]):
+            yield from _group_rows(constraints, (), 0, 0, lo0, hi0)
         return
     shadow = _shadow(constraints, pairs)
     *heads, (ylo, yhi) = zip(los, his)
@@ -272,8 +268,8 @@ def count_halfopen_parallelepiped(body: Body, budget: int = DEFAULT_BUDGET) -> C
         shift = sum(Fraction(c) * t for c, t in zip(ci, t_coeff))
         # 0 <= rho_i:   -ci . x <= -shift        (closed)
         # rho_i < 1:     ci . x <  denom + shift (strict)
-        cons.append((tuple(-c for c in ci), _int_threshold(-shift, False)))
-        cons.append((tuple(ci), _int_threshold(Fraction(denom) + shift, True)))
+        cons.append((tuple(-c for c in ci), (-shift).__floor__()))
+        cons.append((tuple(ci), (denom + shift).__ceil__() - 1))
     # the box of the 2^n corners, from the generators' signs
     cols = list(zip(*gens))
     los = [(t + sum(min(0, g) for g in col)).__ceil__() for t, col in zip(t_coeff, cols)]
@@ -305,5 +301,4 @@ def count_inner_parallel(
     """Exact count of lattice points of the inner parallel body P - rho*B."""
     cons = inner_parallel_thresholds(poly, rho_sq)
     _, box = _polytope_system(poly)
-    pairs = itertools.combinations(range(len(cons)), 2)
-    return CountResult(_enumerate_linear(cons, box, budget, pairs))
+    return CountResult(_enumerate_linear(cons, box, budget, poly.ridges))

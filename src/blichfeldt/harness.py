@@ -340,9 +340,10 @@ def boundary_layer_audit(
     Each row's points of P, of L1 and of every Q_i form an interval of x_0,
     and ``counting._rows`` yields them only for the rows a body's shadow
     reaches.  The audit walks each prism's rows, counting its layers and
-    keeping its x_0 interval per row; then P's rows, counting G and L1 and
-    checking that L1 and the kept intervals cover each row.  No point list
-    is kept.
+    keeping its x_0 interval per row; then L1's rows, counting L1 and
+    keeping its intervals the same way; then P's rows, counting G and
+    checking that the kept intervals cover each row.  No point list is
+    kept.
     """
     # Why every point of L2 is covered: take the facet i minimising
     # r_i = (b_i - a_i.z)/(|a_i|_1/2).  A point of L2 has r_i < 1, so z lies
@@ -369,7 +370,8 @@ def boundary_layer_audit(
     # real prism on (x_1, .., x_{n-1}) (Fourier-Motzkin; Schrijver, Theory of
     # Linear and Integer Programming, 12.2).  For fixed x_1 .. x_{n-2} its
     # integer x_{n-1} form one interval; a row outside it meets no real point.
-    # P's own rows come the same way from its ridge pairs (see ``counting``).
+    # P's own rows come the same way from its ridge pairs (see ``counting``),
+    # and so do L1's: any pairs are sound, and L1 is cut out by P's normals.
     lat = poly.lattice
     if not _is_integer_lattice(lat):
         raise ValueError("audit requires the integer lattice")
@@ -389,7 +391,7 @@ def boundary_layer_audit(
     inside = [(f.normal, f.offset) for f in poly.facets]
     ridges = {p for i, j in poly.ridges for p in ((i, j), (j, i))}
     interior, layers = [], []
-    # per row base, the x_0 intervals of the prisms that meet the row
+    # per row base, the x_0 intervals of the prisms and of L1 that meet the row
     cover = {}
     for i, (a, b) in enumerate(inside):
         l1 = sum(map(abs, a))
@@ -419,13 +421,14 @@ def boundary_layer_audit(
         layers.append(counts)
 
     g = l1_count = 0
+    for base, lb, ub in ct._rows(interior, box, budget, poly.ridges):
+        cover.setdefault(base, []).append((lb, ub))
+        l1_count += ub - lb + 1
     l2_covered = True
     for base, plb, pub in ct._rows(inside, box, budget, poly.ridges):
         g += pub - plb + 1
-        qlb, qub = ct._row_interval(interior, base, plb, pub)
-        l1_count += max(0, qub - qlb + 1)
-        # L2 is the row less L1: covered when the prisms and L1 cover the row
-        l2_covered = l2_covered and _covers(cover.get(base, []) + [(qlb, qub)], plb, pub)
+        # L2 is the row less L1: covered when L1 and the prisms cover the row
+        l2_covered = l2_covered and _covers(cover.get(base, []), plb, pub)
     l2_count = g - l1_count
 
     facet_audits = []

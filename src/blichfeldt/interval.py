@@ -123,15 +123,6 @@ class Interval:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other.lo <= 0 <= other.hi:
-            raise ZeroDivisionError("division by interval containing zero")
-        return self * Interval(1 / other.hi, 1 / other.lo)
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
     def strictly_less(self, other) -> bool:
         return self.hi < _coerce(other).lo
 

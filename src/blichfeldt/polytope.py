@@ -89,10 +89,6 @@ def convex_hull_facets(points, budget: int = DEFAULT_BUDGET):
     first = tuple([0] + _independent([[x - y for x, y in zip(p, points[0])] for p in points], d))
     if len(first) <= d:
         raise DegenerateHullError("degenerate: dim(K cap Lambda) < n")
-    if d == 1:
-        lo, hi = min(range(n), key=points.__getitem__), max(range(n), key=points.__getitem__)
-        return [((1,), points[hi][0], (hi,), 1),
-                ((-1,), -points[lo][0], (lo,), 1)], points[hi][0] - points[lo][0], 0, [(0, 1)]
 
     # d+1 times a point inside the first simplex, hence inside every later hull
     inner = [sum(col) for col in zip(*(points[i] for i in first))]

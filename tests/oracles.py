@@ -15,7 +15,8 @@ product (the package's earlier sweep, which shares only
 ``counting._shadow`` with the code under test), and roots by Newton's iteration into ``Interval``s of
 ``Fraction``s and by search loops on ``Fraction``s (the package's earlier
 root code, which ``interval.root_ends`` replaced).  ``width`` is the
-tests' gauge of an enclosure's precision.
+tests' gauge of an enclosure's precision, and ``reciprocal`` lets the
+reference formulas divide by an ``Interval``, which has no division.
 Nothing in ``src/`` calls these.
 """
 
@@ -36,6 +37,13 @@ from blichfeldt.polytope import LatticePolytope, convex_hull_facets
 
 def width(iv: Interval) -> Fraction:
     return iv.hi - iv.lo
+
+
+def reciprocal(iv: Interval) -> Interval:
+    """The enclosure 1 / iv of an Interval that excludes 0."""
+    if iv.lo <= 0 <= iv.hi:
+        raise ZeroDivisionError("reciprocal of an interval containing zero")
+    return Interval(1 / iv.hi, 1 / iv.lo)
 
 
 # ---------------------------------------------------------------------------

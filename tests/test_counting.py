@@ -258,6 +258,18 @@ class TestInnerParallel:
         poly = _cube(2, 3)
         assert ct.count_inner_parallel(poly, Fraction(1, 2)).count == 4
 
+    @pytest.mark.parametrize("seed", [51, 52, 53])
+    def test_ridge_pairs_match_all_pairs(self, seed):
+        # P - rho B is cut out by P's normals and swept with P's ridge pairs;
+        # any pairs are sound, so the count is the all-pairs sweep's
+        poly = wt.random_hull(Rng(seed, stream=3), 3, 10, 6)
+        _, box = ct._polytope_system(poly)
+        for rho_sq in (Fraction(1, 4), Fraction(1, 2), 1, Fraction(9, 4), 3):
+            cons = ct.inner_parallel_thresholds(poly, rho_sq)
+            every = itertools.combinations(range(len(cons)), 2)
+            swept = sum(ub - lb + 1 for _, lb, ub in sweep_rows(cons, box, 10**6, every))
+            assert ct.count_inner_parallel(poly, rho_sq).count == swept
+
 
 class TestPick:
     def test_square(self):
@@ -418,9 +430,9 @@ class TestRowSweepOracle:
 
     @pytest.mark.parametrize("n, seed", [(3, 41), (3, 42), (4, 41), (4, 42), (5, 41)])
     def test_hull_systems(self, monkeypatch, n, seed):
-        # P's system with its ridge pairs and every facet prism the audit
-        # sweeps, recorded as the audit calls them; the interior system of
-        # its L1 with all pairs, and L1's slab solved within each row of P
+        # every facet prism the audit sweeps, then its L1 and P, each with
+        # P's box and ridge pairs, recorded as the audit calls them; L1's
+        # system also with all pairs, and L1's slab within each row of P
         poly = wt.random_hull(Rng(seed, stream=n), n, n + 4, 3)
         sweeps = []
         rows = ct._rows
@@ -433,9 +445,11 @@ class TestRowSweepOracle:
         monkeypatch.setattr(ct, "_rows", recorded)
         hz.boundary_layer_audit(poly)
         monkeypatch.undo()
-        assert len(sweeps) == len(poly.facets) + 1
-        cons, box, _ = sweeps[-1]
+        assert len(sweeps) == len(poly.facets) + 2
+        cons, box, pairs = sweeps[-1]
+        assert pairs == poly.ridges
         interior = [(a, b - (sum(map(abs, a)) + 1) // 2) for a, b in cons]
+        assert sweeps[-2] == (interior, box, pairs)
         sweeps.append((interior, box, list(itertools.combinations(range(len(cons)), 2))))
         for cons, box, pairs in sweeps:
             assert list(ct._rows(cons, box, 10**7, pairs)) == list(sweep_rows(cons, box, 10**7, pairs))

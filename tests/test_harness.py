@@ -19,7 +19,7 @@ from blichfeldt.interval import Interval, pi
 from blichfeldt.lattice import Lattice
 from blichfeldt.radical import Cmp, RadicalSum, certified_compare
 from blichfeldt.rng import Rng
-from oracles import real_row_meets, root_interval
+from oracles import real_row_meets, reciprocal, root_interval
 
 
 def _cube(n, side):
@@ -155,7 +155,7 @@ class TestVerdicts:
     def test_rho3_endpoints(self, bits):
         # each end's cube root on the grid of that end of 3/(4 pi) in lowest terms
         got = hz._rho3_enclosure(bits)
-        want = root_interval(Interval.point(Fraction(3, 4)) / pi(bits + 16), 3, bits)
+        want = root_interval(Interval.point(Fraction(3, 4)) * reciprocal(pi(bits + 16)), 3, bits)
         assert (got.lo, got.hi) == (want.lo, want.hi)
 
     def test_conjecture_and_general_over_random_lattice(self):
@@ -580,8 +580,10 @@ class TestBoundaryLayerAudit:
         monkeypatch.undo()
         assert record == _reference_audit(poly)
         p_box = [[f(col) for col in zip(*poly.vertices)] for f in (min, max)]
-        *prisms, (_, last_box, _) = sweeps
+        *prisms, (_, l1_box, l1_pairs), (_, last_box, p_pairs) = sweeps
         assert last_box == p_box and len(prisms) == len(poly.facets)
+        # L1 is swept like one more prism, over P's box with P's ridge pairs
+        assert l1_box == p_box and l1_pairs == p_pairs == poly.ridges
         held = 0
         for (cons, box, pairs), f in zip(prisms, poly.facets):
             cols = list(zip(*(poly.vertices[v] for v in f.vertex_ids)))
@@ -590,6 +592,25 @@ class TestBoundaryLayerAudit:
             assert swept == list(rows(cons, p_box, 10**6, pairs))
             held += bool(swept)
         assert held == len(prisms)
+
+    @pytest.mark.parametrize("n, seed", [(3, 44), (4, 44)])
+    def test_row_interval_only_solves_shadows(self, monkeypatch, n, seed):
+        # every x_0 row of P, L1 and the prisms is solved by _group_rows;
+        # _row_interval only solves a group's shadow, on a base of n - 1
+        # entries (0, x_1, .., x_{n-2})
+        poly = wt.random_hull(Rng(seed, stream=n), n, n + 6, 4)
+        lengths = []
+        row_interval = ct._row_interval
+
+        def recorded(cons, base, lb, ub):
+            lengths.append(len(base))
+            return row_interval(cons, base, lb, ub)
+
+        monkeypatch.setattr(ct, "_row_interval", recorded)
+        record = hz.boundary_layer_audit(poly)
+        monkeypatch.undo()
+        assert record == _reference_audit(poly)
+        assert lengths and set(lengths) == {n - 1}
 
     # (count, n, d, s, holds): near ties of two surds, counts below n - 1,
     # and exact ties, which fail the strict bound

@@ -34,6 +34,7 @@ from blichfeldt.lattice import Lattice, dual_inner, dual_norm_sq
 from oracles import (
     iroot,
     polytope_edges,
+    reciprocal,
     root_fraction,
     sqrt_fraction,
     sqrt_interval,
@@ -104,13 +105,6 @@ class TestInterval:
         assert (a + b).lo <= Fraction(3, 2) <= (a + b).hi
         assert (a - b).lo <= 2 <= (a - b).hi
         assert (a * b).lo == -2 and (a * b).hi == 2
-        q = a / Interval.point(2)
-        assert q.lo <= Fraction(3, 4) <= q.hi
-
-    def test_division_through_zero_rejected(self):
-        a = Interval.point(Fraction(1))
-        with pytest.raises(ZeroDivisionError):
-            a / Interval(Fraction(-1), Fraction(1))
 
     def test_strictly_less(self):
         assert Interval(Fraction(0), Fraction(1)).strictly_less(
@@ -176,7 +170,7 @@ class TestTrig:
     def test_atan_one(self):
         # atan(1) = pi/4
         iv = on_grid(*_atan_fraction(1, 1, 96), 104)
-        quarter_pi = pi(96) / Interval.point(4)
+        quarter_pi = pi(96) * Fraction(1, 4)
         assert iv.lo <= quarter_pi.hi and quarter_pi.lo <= iv.hi
 
     def test_atan_odd(self):
@@ -185,7 +179,7 @@ class TestTrig:
         assert (a + b).lo <= 0 <= (a + b).hi
 
     def test_acos_zero_is_half_pi(self):
-        half_pi = pi(96) / Interval.point(2)
+        half_pi = pi(96) * Fraction(1, 2)
         iv = acos_interval(Fraction(0), Fraction(3), 96)
         assert iv.lo <= half_pi.hi and half_pi.lo <= iv.hi
 
@@ -257,11 +251,11 @@ def _atan_fraction_reference(t: Fraction, bits: int) -> Interval:
     if t < 0:
         return -_atan_fraction_reference(-t, bits)
     if t > 1:
-        return _pi_fraction(bits) / 2 - _atan_fraction_reference(1 / t, bits)
+        return _pi_fraction(bits) * Fraction(1, 2) - _atan_fraction_reference(1 / t, bits)
     if t == 1:
-        return _pi_fraction(bits) / 4
+        return _pi_fraction(bits) * Fraction(1, 4)
     if t > Fraction(1, 2):
-        return _pi_fraction(bits) / 4 + _exact_series((t - 1) / (1 + t), bits)
+        return _pi_fraction(bits) * Fraction(1, 4) + _exact_series((t - 1) / (1 + t), bits)
     return _exact_series(t, bits)
 
 
@@ -273,7 +267,8 @@ def _atan_reference(iv: Interval, bits: int) -> Interval:
 
 def _acos_reference(c: Interval, bits: int) -> Interval:
     s = sqrt_interval((1 - c * c).round_out(bits + 16), bits + 16)
-    return (_pi_fraction(bits) / 2 - _atan_reference(c / s, bits)).round_out(bits)
+    return (_pi_fraction(bits) * Fraction(1, 2)
+            - _atan_reference(c * reciprocal(s), bits)).round_out(bits)
 
 
 def _cot_reference(dot: Fraction, nn: Fraction, bits: int) -> Interval:
@@ -287,12 +282,13 @@ def _cot_reference(dot: Fraction, nn: Fraction, bits: int) -> Interval:
     r = nn - dot * dot
     m = g * g * r
     assert m.denominator == 1
-    return (dot * sqrt_fraction(m, e) / (g * r)).round_out(e)
+    return (dot * sqrt_fraction(m, e) * (1 / (g * r))).round_out(e)
 
 
 def _acos_exact_reference(dot: Fraction, nn: Fraction, bits: int) -> Interval:
     """pi/2 - atan(dot / sqrt(nn - dot^2)) on Fractions."""
-    return (_pi_fraction(bits) / 2 - _atan_reference(_cot_reference(dot, nn, bits), bits)
+    return (_pi_fraction(bits) * Fraction(1, 2)
+            - _atan_reference(_cot_reference(dot, nn, bits), bits)
             ).round_out(bits)
 
 
@@ -305,10 +301,10 @@ def _v1_reference(poly, bits: int) -> Interval:
         edge = [x - y for x, y in zip(poly.vertices[va], poly.vertices[vb])]
         dot = dual_inner(lat, facets[fi].normal, facets[fj].normal)
         nn = dual_norm_sq(lat, facets[fi].normal) * dual_norm_sq(lat, facets[fj].normal)
-        angle = (_pi_fraction(work) / 2 if dot == 0 else
-                 _acos_reference(Interval.point(dot) / sqrt_fraction(nn, work), work))
+        angle = (_pi_fraction(work) * Fraction(1, 2) if dot == 0 else
+                 _acos_reference(dot * reciprocal(sqrt_fraction(nn, work)), work))
         total = total + sqrt_fraction(lat.norm_sq_of_coeff(edge), work) * angle
-    return (total / (2 * _pi_fraction(work))).round_out(bits)
+    return (total * reciprocal(2 * _pi_fraction(work))).round_out(bits)
 
 
 def _counted(fn, calls: list):

@@ -53,15 +53,16 @@ def _affine_rank(points) -> int:
 
 
 def _reference_facets(pts):
-    """Exhaustive supporting-hyperplane search over every d-subset."""
+    """Exhaustive supporting-hyperplane search over every d-subset, in the
+    order of the facets' point ids."""
     d = len(pts[0])
     if d == 1:
         vals = [p[0] for p in pts]
         lo, hi = min(vals), max(vals)
-        return [
+        return sorted([
             ((1,), hi, tuple(i for i, p in enumerate(pts) if p[0] == hi)),
             ((-1,), -lo, tuple(i for i, p in enumerate(pts) if p[0] == lo)),
-        ]
+        ], key=lambda f: f[2])
     found = {}
     for subset in itertools.combinations(range(len(pts)), d):
         normal = _hyperplane_normal([pts[i] for i in subset])
@@ -76,7 +77,7 @@ def _reference_facets(pts):
             found[key] = tuple(i for i, v in enumerate(values) if v == b)
         elif all(v >= b for v in values):
             found[nkey] = tuple(i for i, v in enumerate(values) if v == b)
-    return [(c, b, on) for (c, b), on in found.items()]
+    return sorted(((c, b, on) for (c, b), on in found.items()), key=lambda f: f[2])
 
 
 def _reference_hull(points):
@@ -167,6 +168,18 @@ class TestHull:
             ((3, 0, 1), 9, (3, 4, 5), 5),
         ]
         assert (dets, work) == (58, 46)
+
+    def test_segment_in_point_id_order(self):
+        # 1D takes the placing sweep too: the facet at the least point comes
+        # first, and its work (2 tests to place point 2, then 2 facets each
+        # scanning 3 points) counts against the budget as in any dimension
+        pts = [(0,), (1,), (3,)]
+        facets, dets, work, ridges = pt.convex_hull_facets(pts)
+        assert facets == [((-1,), 0, (0,), 1), ((1,), 3, (2,), 1)]
+        assert (dets, work, ridges) == (3, 8, [(0, 1)])
+        pt.convex_hull_facets(pts, budget=work)
+        with pytest.raises(pt.EnumerationBudgetError):
+            pt.convex_hull_facets(pts, budget=work - 1)
 
 
 @st.composite
