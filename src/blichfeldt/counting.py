@@ -12,12 +12,16 @@ elimination of x_0 (Schrijver, Theory of Linear and Integer Programming,
 12.2) from chosen pairs of constraints gives, per (x_1, .., x_{n-2}), one
 interval of x_{n-1}.  Each eliminated pair is a valid inequality, so any
 set of pairs is sound; a polytope's ridge pairs are its exact shadow.
-Each job has one solver: ``_row_interval`` solves a group's shadow
-interval of x_{n-1}, and ``_group_rows`` every row's slab of x_0.  Within
-a group the rows differ only in x_{n-1}, so each constraint on x_0 has its
-residual folded once per group, and a row costs one multiply-subtract and
-one floor division per such constraint.  A ball is an ellipsoid in
-coefficients, counted by ``lattice.enum_ellipsoid``.
+``_walk`` visits the groups (x_1, .., x_{n-2}) level by level and keeps
+each constraint's residual r = t - c.x over the coordinates fixed so far:
+an outer level x_k folds r - c_k x_k once per value, for the shadow rows
+and for the constraints on x_0 alike.  The last level, x_{n-2}, solves
+each group's shadow in place, one multiply-subtract and one floor division
+per shadow row, for its interval of x_{n-1}.  A non-empty group folds the
+constraints on x_0 once more, and the one solver left, ``_group_rows``,
+gives every row's slab of x_0 with one multiply-subtract and one floor
+division per such constraint.  No dot product is left in the sweep.  A
+ball is an ellipsoid in coefficients, counted by ``lattice.enum_ellipsoid``.
 """
 
 from __future__ import annotations
@@ -102,15 +106,13 @@ def ceil_sqrt_fraction(r) -> int:
 
 
 def _shadow(constraints, pairs):
-    """Fourier-Motzkin elimination of x_0, coefficients x_{n-1} first.
+    """Fourier-Motzkin elimination of x_0.
 
     Keeps the constraints free of x_0 and, for each index pair (i, j) whose
     x_0 coefficients differ in sign, their positive combination free of x_0;
     a row 0.x <= t stays only when t < 0, where it empties the body.  Each
     row is implied by the constraints, so any set of pairs bounds the real
-    projection from outside, and all pairs give it exactly.  Coefficients
-    are ordered (x_{n-1}, x_1, .., x_{n-2}): ``_row_interval`` on the base
-    (0, x_1, .., x_{n-2}) gives the one x_{n-1} interval of that group.
+    projection from outside, and all pairs give it exactly.
     """
     rows = [(c, t) for c, t in constraints if not c[0]]
     for i, j in pairs:
@@ -118,49 +120,66 @@ def _shadow(constraints, pairs):
         if c[0] * d[0] < 0:
             p, q = abs(d[0]), abs(c[0])
             rows.append((tuple(p * x + q * y for x, y in zip(c, d)), p * t + q * s))
-    return [(c[-1:] + c[1:-1], t) for c, t in rows if t < 0 or any(c)]
+    return [(c, t) for c, t in rows if t < 0 or any(c)]
 
 
-def _row_interval(constraints, base, lb, ub):
-    """The x_0 range [lb', ub'] of the row base + x_0 e_0 inside [lb, ub].
+def _walk(shadow, bounds, head, levels, ylo, yhi, lb, ub):
+    """The non-empty rows of the groups that extend ``head``, in order.
 
-    ``base`` has x_0 = 0; the points kept satisfy c.x <= t for every
-    integer pair (c, t).  The row is empty when lb' > ub'.  ``_rows``
-    solves each group's shadow with it, whose x_0 is x_{n-1}.
+    ``head`` fixes x_0 = 0, x_1, .., x_{k-1} and ``levels`` holds the ranges
+    of x_k .. x_{n-2} (x_0's is [0, 0]).  Each pair (c, r) of the shadow
+    and of the bounds on x_0 (the constraints with c_0 != 0) carries its
+    residual r = t - c.head.  An outer level folds r - c_k x_k once per
+    value of x_k.  The last level, x_{n-2}, solves each group's shadow in
+    place, with no list per group: one multiply-subtract and one floor
+    division per shadow row give the group's interval of x_{n-1} within
+    [ylo, yhi].  A non-empty group folds the bounds once more and hands
+    them to ``_group_rows``.
     """
-    for c, t in constraints:
-        rem = t - sum(map(mul, c, base))
-        c0 = c[0]
-        if c0 > 0:
-            q = rem // c0
-            if q < ub:
-                ub = q
-                if lb > ub:
-                    break
-        elif c0 < 0:
-            q = -(rem // -c0)   # ceil(rem / c0)
-            if q > lb:
-                lb = q
-                if lb > ub:
-                    break
-        elif rem < 0:
-            return lb, lb - 1
-    return lb, ub
+    k = len(head)
+    (lo, hi), *levels = levels
+    if levels:
+        for x in range(lo, hi + 1):
+            yield from _walk([(c, r - c[k] * x) for c, r in shadow],
+                             [(c, r - c[k] * x) for c, r in bounds],
+                             head + (x,), levels, ylo, yhi, lb, ub)
+        return
+    shadow = [(c[k], c[-1], r) for c, r in shadow]
+    bounds = [(c[k], c[-1], c[0], r) for c, r in bounds]
+    for z in range(lo, hi + 1):
+        y0, y1 = ylo, yhi
+        for cz, cy, r in shadow:
+            rem = r - cz * z
+            if cy > 0:
+                q = rem // cy
+                if q < y1:
+                    y1 = q
+                    if y0 > y1:
+                        break
+            elif cy < 0:
+                q = -(rem // -cy)   # ceil(rem / cy)
+                if q > y0:
+                    y0 = q
+                    if y0 > y1:
+                        break
+            elif rem < 0:
+                break
+        else:
+            yield from _group_rows([(cy, c0, r - cz * z) for cz, cy, c0, r in bounds],
+                                   head + (z,), y0, y1, lb, ub)
 
 
-def _group_rows(constraints, head, ylo, yhi, lb, ub):
+def _group_rows(folded, head, ylo, yhi, lb, ub):
     """The non-empty rows (head + (y,), lb', ub') for ylo <= y <= yhi.
 
-    ``head`` is (0, x_1, .., x_{n-2}) and the row at x_{n-1} = y keeps
-    lb <= x_0 <= ub with c.x <= t for every constraint with c_0 != 0; the
-    caller's y interval already satisfies the others.  The group's fixed
-    coordinates are folded once into a residual
-    r = t - c.(0, x_1, .., x_{n-2}, 0) per constraint, so a row costs one
-    multiply-subtract and one floor division per constraint, in the
-    constraints' order and with an early exit.  In 1D the one row is the
-    empty head at y = 0.
+    ``head`` is (0, x_1, .., x_{n-2}) and each (c_{n-1}, c_0, r) of
+    ``folded`` is a constraint with c_0 != 0 and its residual
+    r = t - c.head; the caller's y interval already satisfies the
+    constraints free of x_0.  The row at x_{n-1} = y keeps lb <= x_0 <= ub
+    with c_0 x_0 <= r - c_{n-1} y: one multiply-subtract and one floor
+    division per constraint, in the constraints' order and with an early
+    exit.  In 1D the one row is the empty head at y = 0.
     """
-    folded = [(c[-1], c[0], t - sum(map(mul, c, head))) for c, t in constraints if c[0]]
     for y in range(ylo, yhi + 1):
         lo, hi = lb, ub
         for cy, c0, r in folded:
@@ -187,10 +206,12 @@ def _rows(constraints, box, budget, pairs):
     A row is the line base + x_0 e_0, base = (0, x_1, .., x_{n-1}), and its
     points are lb <= x_0 <= ub.  Only the rows that the shadow of ``pairs``
     (index pairs into the constraints, see ``_shadow``) reaches are solved:
-    for each group (x_1, .., x_{n-2}) the one x_{n-1} interval it leaves,
-    whose rows ``_group_rows`` solves.  A skipped row meets no real point
-    of the body, so it holds no integer one.  In 1D there is no shadow,
-    and the constraints free of x_0, 0 <= t, are tested once.  Raises
+    ``_walk`` visits each group (x_1, .., x_{n-2}) level by level and
+    solves the rows of the one x_{n-1} interval the shadow leaves it.  The
+    first level is x_0's slot, 0 in every base, so in 2D the empty head is
+    the one group.  A skipped row meets no real point of the body, so it
+    holds no integer one.  In 1D there is no shadow, and the constraints
+    free of x_0, 0 <= t, are tested once.  Raises
     ``EnumerationBudgetError`` when the box holds more cells than the
     budget allows.
     """
@@ -200,17 +221,14 @@ def _rows(constraints, box, budget, pairs):
         raise EnumerationBudgetError(budget)
     if not cells:
         return
+    bounds = [(c, t) for c, t in constraints if c[0]]
     if not los:
         if all(t >= 0 for c, t in constraints if not c[0]):
-            yield from _group_rows(constraints, (), 0, 0, lo0, hi0)
+            yield from _group_rows([(0, c[0], t) for c, t in bounds], (), 0, 0, lo0, hi0)
         return
-    shadow = _shadow(constraints, pairs)
-    *heads, (ylo, yhi) = zip(los, his)
-    for head in itertools.product(*(range(lo, hi + 1) for lo, hi in heads)):
-        head = (0,) + head
-        lo, hi = _row_interval(shadow, head, ylo, yhi)
-        if lo <= hi:
-            yield from _group_rows(constraints, head, lo, hi, lo0, hi0)
+    *levels, (ylo, yhi) = zip(los, his)
+    yield from _walk(_shadow(constraints, pairs), bounds, (), [(0, 0), *levels],
+                     ylo, yhi, lo0, hi0)
 
 
 def _enumerate_linear(constraints, box, budget, pairs) -> int:

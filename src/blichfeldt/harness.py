@@ -389,7 +389,12 @@ def boundary_layer_audit(
         # before any prism: each sweeps its facet's box, which lies in P's
         raise ct.EnumerationBudgetError(budget)
     inside = [(f.normal, f.offset) for f in poly.facets]
-    ridges = {p for i, j in poly.ridges for p in ((i, j), (j, i))}
+    # per facet, the facets sharing a ridge with it, ascending: the pairs
+    # (i, j), i < j, are sorted
+    neighbours = [[] for _ in inside]
+    for i, j in poly.ridges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
     interior, layers = [], []
     # per row base, the x_0 intervals of the prisms and of L1 that meet the row
     cover = {}
@@ -404,7 +409,7 @@ def boundary_layer_audit(
         # sharing a ridge with F_i; scaled by |a|_1 > 0 that is
         # (|a|_1 h - (h.sign) a).z <= |a|_1 b_h - b (h.sign)
         cons = [(a, b), (tuple(-c for c in a), gamma - b)]
-        for h, bh in (f for j, f in enumerate(inside) if (i, j) in ridges):
+        for h, bh in (inside[j] for j in neighbours[i]):
             hs = sum(map(mul, h, sign))
             cons.append((tuple(l1 * x - hs * y for x, y in zip(h, a)), l1 * bh - b * hs))
         counts = [0] * (gamma + 1)

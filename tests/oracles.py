@@ -386,7 +386,8 @@ def sweep_rows(constraints, box, budget, pairs):
         return
     bases = [(0,)]
     if los:
-        shadow = _shadow(constraints, pairs)
+        # x_{n-1} first, the coordinate row_interval solves
+        shadow = [(c[-1:] + c[1:-1], t) for c, t in _shadow(constraints, pairs)]
         *heads, last = [range(lo, hi + 1) for lo, hi in zip(los, his)]
         bases = (base + (x,) for base in ((0,) + head for head in itertools.product(*heads))
                  for lo, hi in [row_interval(shadow, base, last[0], last[-1])]

@@ -20,7 +20,7 @@ from blichfeldt.linalg import det_bareiss
 from blichfeldt.polytope import DegenerateHullError
 from blichfeldt.rng import Rng
 from oracles import (ceil_sqrt_by_search, interpolate, pick_quantities, real_row_meets,
-                     row_interval, sweep_rows)
+                     sweep_rows)
 
 
 def _cube(n, side):
@@ -329,40 +329,28 @@ class TestShadowRows:
                 assert ct._enumerate_linear(cons, box, 10**6, pairs) == expected
         assert ct.count(Body.translated(t, poly)).count == expected
 
-    def test_empty_shadow_row(self, monkeypatch, row_solves):
+    def test_empty_shadow_row(self, row_solves, shadow_solves):
         # x_0 <= x_1 - 1 and x_0 >= x_1 eliminate to 0 <= -1: the one group's
         # shadow interval is empty and no row is solved
         cons = [((1, -1), -1), ((-1, 1), 0)]
-        assert ct._shadow(cons, [(0, 1)]) == [((0,), -1)]
-        shadows = []
-        row_interval = ct._row_interval
-        monkeypatch.setattr(ct, "_row_interval", lambda *a: shadows.append(a) or row_interval(*a))
+        assert ct._shadow(cons, [(0, 1)]) == [((0, 0), -1)]
         assert ct._enumerate_linear(cons, ([-5, -5], [5, 5]), 10**6, [(0, 1)]) == 0
-        assert len(shadows) == 1
+        assert shadow_solves == [(0,)]
         assert row_solves == []
 
-    def test_solves_only_rows_meeting_p(self, monkeypatch, row_solves):
+    def test_solves_only_rows_meeting_p(self, row_solves, shadow_solves):
         # 12 S_1 in 4D: of its 13^3 box rows only those meeting P are solved,
         # plus one shadow interval per (x_1, x_2) group
         poly = wt.simplex_Sk(4, 1).scaled(12)
-        shadows = []
-        row_interval = ct._row_interval
-
-        def counted(cons, base, lb, ub):
-            shadows.append(base)
-            return row_interval(cons, base, lb, ub)
-
-        monkeypatch.setattr(ct, "_row_interval", counted)
         assert ct.count(Body.from_polytope(poly)).count == 1820
-        monkeypatch.undo()
         cons, (los, his) = ct._polytope_system(poly)
         ranges = [range(lo, hi + 1) for lo, hi in zip(los[1:], his[1:])]
         meeting = sum(real_row_meets(cons, (0,) + rest) for rest in itertools.product(*ranges))
         groups = len(ranges[0]) * len(ranges[1])
         assert (meeting, groups) == (455, 169)
-        assert len(shadows) == groups
+        assert len(shadow_solves) == groups
         assert len(row_solves) == meeting
-        assert len(shadows) + len(row_solves) <= meeting + groups
+        assert len(shadow_solves) + len(row_solves) == meeting + groups == 624
 
     def test_4d_hull_count(self):
         # the cost table's 4D 32-point hull: random.Random(1), [-10, 10]^4
@@ -398,13 +386,15 @@ class TestRowSweepOracle:
             cons.append((tuple(-x for x in c), -t - 1))
         return cons
 
-    @given(data=st.data(), n=st.integers(1, 5))
+    @given(data=st.data(), n=st.integers(1, 6))
     @settings(max_examples=150, deadline=None)
     def test_random_systems(self, data, n):
-        # no pairs, some pairs and all pairs
+        # no pairs, some pairs and all pairs; the levels x_1 .. x_{n-2} that
+        # the walk folds span two to four values each
         cons = self._system(data, n)
         los = data.draw(st.lists(st.integers(-3, 1), min_size=n, max_size=n))
-        his = [lo + data.draw(st.integers(-1, 4)) for lo in los]
+        his = [lo + data.draw(st.integers(1, 3) if 0 < k < n - 1 else st.integers(-1, 4))
+               for k, lo in enumerate(los)]
         every = list(itertools.combinations(range(len(cons)), 2))
         some = data.draw(st.lists(st.sampled_from(every), unique=True)) if every else []
         for pairs in ([], some, every):
@@ -418,15 +408,39 @@ class TestRowSweepOracle:
         assert list(ct._rows(cons, ([-2], [5]), 100, [])) == rows
         assert list(sweep_rows(cons, ([-2], [5]), 100, [])) == rows
 
-    @given(data=st.data(), n=st.integers(1, 5))
-    @settings(max_examples=150, deadline=None)
-    def test_row_interval(self, data, n):
-        # on the non-empty [lb, ub] every caller passes
-        cons = self._system(data, n)
-        base = (0,) + data.draw(st.tuples(*[st.integers(-4, 4)] * (n - 1)))
-        lb = data.draw(st.integers(-8, 8))
-        ub = lb + data.draw(st.integers(0, 12))
-        assert ct._row_interval(cons, base, lb, ub) == row_interval(cons, base, lb, ub)
+    @pytest.mark.parametrize("cons, box, rows", [
+        # 1D: -1 <= x_0 <= 3; and x_0 <= -1 with x_0 >= 1, empty
+        ([((2,), 7), ((-3,), 4)], ([-5], [5]), [((0,), -1, 3)]),
+        ([((1,), -1), ((-1,), -1)], ([-5], [5]), []),
+        # 2D: x_0, x_1 >= 0, x_0 + 2 x_1 <= 5 and x_1 <= 1 free of x_0
+        ([((-1, 0), 0), ((0, -1), 0), ((1, 2), 5), ((0, 1), 1)], ([0, 0], [5, 2]),
+         [((0, 0), 0, 5), ((0, 1), 0, 3)]),
+        # 2D: x_0 <= x_1 - 1 and x_0 >= x_1, an empty shadow
+        ([((1, -1), -1), ((-1, 1), 0)], ([-5, -5], [5, 5]), []),
+    ], ids=["1d", "1d-empty", "2d", "2d-empty-shadow"])
+    def test_explicit_1d_2d(self, cons, box, rows):
+        # the walk's first level is x_0's slot: in 2D the empty head is one
+        # group, and in 1D there is no walk
+        every = list(itertools.combinations(range(len(cons)), 2))
+        for pairs in ([], every):
+            assert list(ct._rows(cons, box, 10**6, pairs)) == rows
+            assert list(sweep_rows(cons, box, 10**6, pairs)) == rows
+
+    def test_6d_hull(self):
+        # x_0's slot and four folded levels: P's system and its interior
+        # layer L1's (empty here, its long normals leave no unit cube inside),
+        # on P's ridge pairs and on all pairs
+        poly = wt.random_hull(Rng(46, stream=6), 6, 10, 8)
+        cons, box = ct._polytope_system(poly)
+        interior = [(a, b - (sum(map(abs, a)) + 1) // 2) for a, b in cons]
+        every = list(itertools.combinations(range(len(cons)), 2))
+        counts = []
+        for system in (cons, interior):
+            for pairs in (poly.ridges, every):
+                swept = list(ct._rows(system, box, 10**6, pairs))
+                assert swept == list(sweep_rows(system, box, 10**6, pairs))
+                counts.append(sum(ub - lb + 1 for _, lb, ub in swept))
+        assert counts == [216, 216, 0, 0]
 
     @pytest.mark.parametrize("n, seed", [(3, 41), (3, 42), (4, 41), (4, 42), (5, 41)])
     def test_hull_systems(self, monkeypatch, n, seed):
@@ -450,13 +464,14 @@ class TestRowSweepOracle:
         assert pairs == poly.ridges
         interior = [(a, b - (sum(map(abs, a)) + 1) // 2) for a, b in cons]
         assert sweeps[-2] == (interior, box, pairs)
+        p_rows = {base: (lb, ub) for base, lb, ub in ct._rows(cons, box, 10**7, pairs)}
+        assert p_rows
+        for base, lb, ub in ct._rows(interior, box, 10**7, pairs):
+            plb, pub = p_rows[base]
+            assert plb <= lb <= ub <= pub
         sweeps.append((interior, box, list(itertools.combinations(range(len(cons)), 2))))
         for cons, box, pairs in sweeps:
             assert list(ct._rows(cons, box, 10**7, pairs)) == list(sweep_rows(cons, box, 10**7, pairs))
-        p_rows = list(sweep_rows(*sweeps[-2][:2], 10**7, sweeps[-2][2]))
-        assert p_rows
-        for base, lb, ub in p_rows:
-            assert ct._row_interval(interior, base, lb, ub) == row_interval(interior, base, lb, ub)
 
 
 def _sheared(n):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -594,23 +595,26 @@ class TestBoundaryLayerAudit:
         assert held == len(prisms)
 
     @pytest.mark.parametrize("n, seed", [(3, 44), (4, 44)])
-    def test_row_interval_only_solves_shadows(self, monkeypatch, n, seed):
-        # every x_0 row of P, L1 and the prisms is solved by _group_rows;
-        # _row_interval only solves a group's shadow, on a base of n - 1
-        # entries (0, x_1, .., x_{n-2})
+    def test_audit_calls_only_rows(self, shadow_solves, n, seed):
+        # the audit reaches counting through _rows alone, for P, L1 and the
+        # prisms; the walk solves shadows only on groups (0, x_1, .., x_{n-2})
         poly = wt.random_hull(Rng(seed, stream=n), n, n + 6, 4)
-        lengths = []
-        row_interval = ct._row_interval
+        called = set()
 
-        def recorded(cons, base, lb, ub):
-            lengths.append(len(base))
-            return row_interval(cons, base, lb, ub)
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_globals["__name__"] == ct.__name__
+                    and frame.f_back.f_globals["__name__"] == hz.__name__):
+                called.add(frame.f_code.co_name)
 
-        monkeypatch.setattr(ct, "_row_interval", recorded)
-        record = hz.boundary_layer_audit(poly)
-        monkeypatch.undo()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            record = hz.boundary_layer_audit(poly)
+        finally:
+            sys.setprofile(previous)
         assert record == _reference_audit(poly)
-        assert lengths and set(lengths) == {n - 1}
+        assert called == {"_rows"}
+        assert shadow_solves and {len(head) for head in shadow_solves} == {n - 1}
 
     # (count, n, d, s, holds): near ties of two surds, counts below n - 1,
     # and exact ties, which fail the strict bound
