@@ -13,15 +13,17 @@ elimination of x_0 (Schrijver, Theory of Linear and Integer Programming,
 interval of x_{n-1}.  Each eliminated pair is a valid inequality, so any
 set of pairs is sound; a polytope's ridge pairs are its exact shadow.
 ``_walk`` visits the groups (x_1, .., x_{n-2}) level by level and keeps
-each constraint's residual r = t - c.x over the coordinates fixed so far:
-an outer level x_k folds r - c_k x_k once per value, for the shadow rows
-and for the constraints on x_0 alike.  The last level, x_{n-2}, solves
-each group's shadow in place, one multiply-subtract and one floor division
-per shadow row, for its interval of x_{n-1}.  A non-empty group folds the
-constraints on x_0 once more, and the one solver left, ``_group_rows``,
-gives every row's slab of x_0 with one multiply-subtract and one floor
-division per such constraint.  No dot product is left in the sweep.  A
-ball is an ellipsoid in coefficients, counted by ``lattice.enum_ellipsoid``.
+each constraint's residual r = t - c.x over the coordinates fixed so far,
+starting from r = t at x_0 = 0 (only 2D, with no such level, walks x_0's
+slot [0, 0]): an outer level x_k folds r - c_k x_k once per value, for the
+shadow rows and for the constraints on x_0 alike.  The last level,
+x_{n-2}, solves each group's shadow in place, one multiply-subtract and
+one floor division per shadow row, for its interval of x_{n-1}.  A
+non-empty group folds the constraints on x_0 once more, and the one solver
+left, ``_group_rows``, gives every row's slab of x_0 with one
+multiply-subtract and one floor division per such constraint.  No dot
+product is left in the sweep.  A ball is an ellipsoid in coefficients,
+counted by ``lattice.enum_ellipsoid``.
 """
 
 from __future__ import annotations
@@ -127,14 +129,14 @@ def _walk(shadow, bounds, head, levels, ylo, yhi, lb, ub):
     """The non-empty rows of the groups that extend ``head``, in order.
 
     ``head`` fixes x_0 = 0, x_1, .., x_{k-1} and ``levels`` holds the ranges
-    of x_k .. x_{n-2} (x_0's is [0, 0]).  Each pair (c, r) of the shadow
-    and of the bounds on x_0 (the constraints with c_0 != 0) carries its
-    residual r = t - c.head.  An outer level folds r - c_k x_k once per
-    value of x_k.  The last level, x_{n-2}, solves each group's shadow in
-    place, with no list per group: one multiply-subtract and one floor
-    division per shadow row give the group's interval of x_{n-1} within
-    [ylo, yhi].  A non-empty group folds the bounds once more and hands
-    them to ``_group_rows``.
+    of x_k .. x_{n-2} (in 2D the one level is x_0's slot, [0, 0]).  Each
+    pair (c, r) of the shadow and of the bounds on x_0 (the constraints
+    with c_0 != 0) carries its residual r = t - c.head.  An outer level
+    folds r - c_k x_k once per value of x_k.  The last level, x_{n-2},
+    solves each group's shadow in place, with no list per group: one
+    multiply-subtract and one floor division per shadow row give the
+    group's interval of x_{n-1} within [ylo, yhi].  A non-empty group folds
+    the bounds once more and hands them to ``_group_rows``.
     """
     k = len(head)
     (lo, hi), *levels = levels
@@ -208,12 +210,12 @@ def _rows(constraints, box, budget, pairs):
     (index pairs into the constraints, see ``_shadow``) reaches are solved:
     ``_walk`` visits each group (x_1, .., x_{n-2}) level by level and
     solves the rows of the one x_{n-1} interval the shadow leaves it.  The
-    first level is x_0's slot, 0 in every base, so in 2D the empty head is
-    the one group.  A skipped row meets no real point of the body, so it
-    holds no integer one.  In 1D there is no shadow, and the constraints
-    free of x_0, 0 <= t, are tested once.  Raises
-    ``EnumerationBudgetError`` when the box holds more cells than the
-    budget allows.
+    walk starts at head (0,) on x_1's level, x_0 = 0 leaving every residual
+    t; in 2D it walks x_0's slot [0, 0] from the empty head, its one group.
+    A skipped row meets no real point of the body, so it holds no integer
+    one.  In 1D there is no shadow, and the constraints free of x_0,
+    0 <= t, are tested once.  Raises ``EnumerationBudgetError`` when the
+    box holds more cells than the budget allows.
     """
     (lo0, *los), (hi0, *his) = box
     cells = prod(max(0, hi - lo + 1) for lo, hi in zip(*box))
@@ -227,8 +229,8 @@ def _rows(constraints, box, budget, pairs):
             yield from _group_rows([(0, c[0], t) for c, t in bounds], (), 0, 0, lo0, hi0)
         return
     *levels, (ylo, yhi) = zip(los, his)
-    yield from _walk(_shadow(constraints, pairs), bounds, (), [(0, 0), *levels],
-                     ylo, yhi, lo0, hi0)
+    head, levels = ((0,), levels) if levels else ((), [(0, 0)])
+    yield from _walk(_shadow(constraints, pairs), bounds, head, levels, ylo, yhi, lo0, hi0)
 
 
 def _enumerate_linear(constraints, box, budget, pairs) -> int:

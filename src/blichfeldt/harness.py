@@ -23,7 +23,6 @@ import io
 import json
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from math import factorial, prod
 from operator import mul
 from typing import Callable, NamedTuple
@@ -339,8 +338,9 @@ def boundary_layer_audit(
 
     Each row's points of P, of L1 and of every Q_i form an interval of x_0,
     and ``counting._rows`` yields them only for the rows a body's shadow
-    reaches.  The audit walks each prism's rows, counting its layers and
-    keeping its x_0 interval per row; then L1's rows, counting L1 and
+    reaches.  The audit walks each prism's rows on the shadow of its pairs
+    (slab side, swept side), keeping its x_0 interval per row and counting
+    its layers with O(1) work per row; then L1's rows, counting L1 and
     keeping its intervals the same way; then P's rows, counting G and
     checking that the kept intervals cover each row.  No point list is
     kept.
@@ -365,13 +365,20 @@ def boundary_layer_audit(
     # has a.x = b, and within aff(F_i) F_i is cut out by its own facets, the
     # ridges F_i cap F_h, each on h.x <= b_h.
     #
-    # Why a skipped row holds no point of Q_i: eliminating x_0, each lower
-    # bound on it against each upper one, gives exactly the projection of the
-    # real prism on (x_1, .., x_{n-1}) (Fourier-Motzkin; Schrijver, Theory of
-    # Linear and Integer Programming, 12.2).  For fixed x_1 .. x_{n-2} its
-    # integer x_{n-1} form one interval; a row outside it meets no real point.
-    # P's own rows come the same way from its ridge pairs (see ``counting``),
-    # and so do L1's: any pairs are sound, and L1 is cut out by P's normals.
+    # Why a skipped row holds no point of Q_i: eliminating x_0 from a lower
+    # and an upper bound on it gives an inequality valid on the real prism
+    # (Fourier-Motzkin; Schrijver, Theory of Linear and Integer Programming,
+    # 12.2), so the shadow of any pairs contains its projection on
+    # (x_1, .., x_{n-1}): for fixed x_1 .. x_{n-2}, one interval of x_{n-1},
+    # outside which a row meets no real point.  A prism pairs its two slab
+    # sides with its swept sides only; the pairs of two swept sides cost more
+    # than the rows they skip.  P's rows come the same way from its ridge
+    # pairs (see ``counting``), and so do L1's, cut out by P's normals.
+    #
+    # Why a row's layers are one strided run: along the row, j = b - a.z
+    # moves by a_0 per step of x_0 (a_0 = 0: one layer, the row taken whole).
+    # The row adds +1 at its first layer and -1 one step past its last to a
+    # difference array; a prefix sum of stride |a_0| gives the layer counts.
     lat = poly.lattice
     if not _is_integer_lattice(lat):
         raise ValueError("audit requires the integer lattice")
@@ -408,22 +415,25 @@ def boundary_layer_audit(
         # image x = z + ((b - a.z)/|a|_1) sign(a) of z and each facet h
         # sharing a ridge with F_i; scaled by |a|_1 > 0 that is
         # (|a|_1 h - (h.sign) a).z <= |a|_1 b_h - b (h.sign)
-        cons = [(a, b), (tuple(-c for c in a), gamma - b)]
+        cons = [(a, b), (tuple([-c for c in a]), gamma - b)]
         for h, bh in (inside[j] for j in neighbours[i]):
             hs = sum(map(mul, h, sign))
-            cons.append((tuple(l1 * x - hs * y for x, y in zip(h, a)), l1 * bh - b * hs))
-        counts = [0] * (gamma + 1)
-        cols = list(zip(*(poly.vertices[v] for v in poly.facets[i].vertex_ids)))
-        facet_box = [[f(col) for col in cols] for f in (min, max)]
-        for base, lb, ub in ct._rows(cons, facet_box, budget, combinations(range(len(cons)), 2)):
+            cons.append((tuple([l1 * x - hs * y for x, y in zip(h, a)]), l1 * bh - b * hs))
+        vs = [poly.vertices[v] for v in poly.facets[i].vertex_ids]
+        pairs = [(s, k) for s in (0, 1) for k in range(2, len(cons))]
+        a0 = a[0]
+        step = abs(a0) or 1
+        diff = [0] * (gamma + 1 + step)
+        for base, lb, ub in ct._rows(cons, [[*map(min, *vs)], [*map(max, *vs)]], budget, pairs):
             cover.setdefault(base, []).append((lb, ub))
             slack = b - sum(map(mul, a, base))
-            if a[0]:
-                for x0 in range(lb, ub + 1):
-                    counts[slack - a[0] * x0] += 1
-            else:       # the whole row lies in one layer
-                counts[slack] += ub - lb + 1
-        layers.append(counts)
+            first, last = (ub, lb) if a0 > 0 else (lb, ub)
+            w = 1 if a0 else ub - lb + 1        # a_0 = 0: the whole row is one layer
+            diff[slack - a0 * first] += w
+            diff[slack - a0 * last + step] -= w
+        for j in range(step, gamma + 1):
+            diff[j] += diff[j - step]
+        layers.append(diff[:gamma + 1])
 
     g = l1_count = 0
     for base, lb, ub in ct._rows(interior, box, budget, poly.ridges):

@@ -473,6 +473,64 @@ class TestRowSweepOracle:
         for cons, box, pairs in sweeps:
             assert list(ct._rows(cons, box, 10**7, pairs)) == list(sweep_rows(cons, box, 10**7, pairs))
 
+    @pytest.mark.parametrize("n, seed", [*((3, seed) for seed in range(41, 49)),
+                                         (4, 41), (4, 42), (5, 41)])
+    def test_prism_slab_side_pairs(self, monkeypatch, row_solves, n, seed):
+        # each prism is swept on the pairs (slab side, swept side) alone:
+        # its rows are those of the earlier sweep on all pairs, and in 3D
+        # it solves the same rows as a sweep on all pairs
+        poly = wt.random_hull(Rng(seed, stream=n), n, 12, 9 - n)
+        sweeps = []
+        rows = ct._rows
+
+        def recorded(cons, box, budget, pairs):
+            sweeps.append((cons, box, pairs))
+            return rows(cons, box, budget, pairs)
+
+        monkeypatch.setattr(ct, "_rows", recorded)
+        hz.boundary_layer_audit(poly)
+        monkeypatch.setattr(ct, "_rows", rows)
+        prisms = sweeps[:-2]
+        assert len(prisms) == len(poly.facets)
+        for cons, box, pairs in prisms:
+            assert pairs == [(s, k) for s in (0, 1) for k in range(2, len(cons))]
+            every = list(itertools.combinations(range(len(cons)), 2))
+            row_solves.clear()
+            swept = list(ct._rows(cons, box, 10**7, pairs))
+            solves = row_solves[:]
+            row_solves.clear()
+            assert swept == list(ct._rows(cons, box, 10**7, every))
+            assert swept == list(sweep_rows(cons, box, 10**7, every))
+            if n == 3:
+                assert solves == row_solves
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_walk_starts_past_x0_slot(self, monkeypatch, n):
+        # x_0 = 0 in every base leaves each residual r = t, so for n >= 3
+        # the walk starts at head (0,) on x_1's level; only 2D, which has
+        # no level but x_{n-2} = x_0, walks x_0's slot [0, 0]
+        calls = []
+        walk = ct._walk
+
+        def recorded(shadow, bounds, head, levels, *rest):
+            calls.append((head, list(levels)))
+            return walk(shadow, bounds, head, levels, *rest)
+
+        poly = wt.random_hull(Rng(47, stream=n), n, n + 3, 3)
+        cons, (los, his) = ct._polytope_system(poly)
+        monkeypatch.setattr(ct, "_walk", recorded)
+        swept = list(ct._rows(cons, (los, his), 10**6, poly.ridges))
+        monkeypatch.undo()
+        assert swept == list(sweep_rows(cons, (los, his), 10**6, poly.ridges))
+        assert swept
+        head, levels = calls[0]
+        if n == 2:
+            assert (head, levels) == ((), [(0, 0)])
+        else:
+            assert head == (0,) and levels == list(zip(los[1:-1], his[1:-1]))
+            assert (0, 0) not in levels
+        assert {len(head) + len(levels) for head, levels in calls} == {n - 1}
+
 
 def _sheared(n):
     return Lattice([[1 if i == j else Fraction(1, 2) * (j < i) for j in range(n)]
@@ -490,7 +548,7 @@ class TestEhrhart:
     BODIES = {
         f"{name} n={n} seed={seed}": lambda n=n, bound=bound, seed=seed, lat=lat: wt.random_hull(
             Rng(seed, stream=n), n, n + 4, bound, lattice=lat(n))
-        for n, bound in ((2, 5), (3, 4), (4, 3))
+        for n, bound in ((2, 5), (3, 4), (4, 3), (5, 2))
         for name, lat, seeds in (("Z^n", lambda n: None, (31, 32)), ("sheared", _sheared, (33,)))
         for seed in seeds
     }

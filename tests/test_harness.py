@@ -501,6 +501,29 @@ class TestBoundaryLayerAudit:
                 (m + 1) * c for c in short.facets[i].layer_counts
             ]
 
+    @pytest.mark.parametrize("seed", [16, 22, 39])
+    def test_layer_counts_every_a0(self, monkeypatch, seed):
+        # facet normals with a_0 = 0, a_0 = 1 and -1, and |a_0| >= 2 of both
+        # signs whose prisms have rows of two points or more: such a row's
+        # points lie |a_0| layers apart
+        poly = wt.random_hull(Rng(seed, stream=3), 3, 8, 6)
+        a0s = {f.normal[0] for f in poly.facets}
+        assert {0, 1, -1} <= a0s
+        spread = set()
+        rows = ct._rows
+
+        def recorded(cons, box, budget, pairs):
+            for base, lb, ub in rows(cons, box, budget, pairs):
+                if ub > lb and cons[1][0] == tuple(-c for c in cons[0][0]):
+                    spread.add(cons[0][0][0])
+                yield base, lb, ub
+
+        monkeypatch.setattr(ct, "_rows", recorded)
+        record = hz.boundary_layer_audit(poly)
+        monkeypatch.undo()
+        assert record == _reference_audit(poly)
+        assert max(spread) >= 2 and min(spread) <= -2
+
     def test_integers_only(self, monkeypatch):
         # no surd, no certified comparison and, once the lattice's
         # determinant is known, no Fraction
