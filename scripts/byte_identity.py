@@ -23,14 +23,19 @@ product of two 40-bit primes, ``measure`` on a nearly flat pyramid whose
 base angles have 1 - cos^2 of about 2^-150 and a cotangent of -2^75, and
 ``measure`` and ``check --id BOKOWSKI_3_4`` on a wedge whose two slanted
 edges have a cotangent of exactly -1, and ``count`` and ``measure`` on a 1D
-segment.  A ``hull-record`` line hashes
+segment.  An ``enum-record`` line hashes the ellipsoid enumeration's
+``(found, nodes)`` and ``points=True`` list for each ball (the two of the
+``bodies`` workload, the 4D one and the one with points on its sphere),
+and the relevant vectors and the polar's shortest vectors, with their
+node counts, of the sheared 4D and 3D lattices.  A ``hull-record`` line hashes
 the repr of a hull's vertices, facets, ``facet_dets``, ``dets`` and
 ``facet_ridges``: one per polytope file of the ``audit`` and ``bodies``
 workloads, one for the segment, and one for the ``audit`` workload's
 seeded random hulls built
 in process, whose facet order comes from all their points, collinear and
 coplanar non-vertex points included.  Each line is ``sha256  exit-code
-command``; a record line shows ``audit-record`` or ``hull-record``.
+command``; a record line shows ``audit-record``, ``enum-record`` or
+``hull-record``.
 
 Usage:
     python3 scripts/byte_identity.py --seed 101 > change.txt
@@ -76,9 +81,24 @@ HULL_RECORD = (
 )
 
 
+# run as ``python -c ENUM_RECORD body-file``: for a ball, the ellipsoid
+# enumeration's (found, nodes) and its points=True list; for a hull, its
+# lattice's relevant vectors and its polar's shortest vectors, each with the
+# nodes that decide a budget's exit
+ENUM_RECORD = (
+    "import sys; from blichfeldt import lattice as lt, witnesses as wt; "
+    "b = wt.load_body(sys.argv[1]); lat = b.lattice; "
+    "print(repr([lt.enum_ellipsoid(lat, lat.to_coeff(b.center), b.radius_sq, points=p) "
+    "for p in (False, True)]) if b.kind == 'ball' else "
+    "repr((lt._relevant_vectors(lat, lt.DEFAULT_BUDGET), "
+    "lt._shortest_vector(lat.polar, lt.DEFAULT_BUDGET))))"
+)
+RECORDS = {AUDIT_RECORD: "audit-record", HULL_RECORD: "hull-record", ENUM_RECORD: "enum-record"}
+
+
 def _commands(seed: int, workdir: str):
-    """CLI argv lists, and ``["-c", AUDIT_RECORD or HULL_RECORD, arg, ..]``
-    for a record."""
+    """CLI argv lists, and ``["-c", record, arg, ..]`` for a record of
+    ``RECORDS``."""
     corpus_ops, _, _ = workloads.setup("corpus", seed, workdir)
     for op in corpus_ops:
         for fmt in ("json", "csv"):
@@ -87,8 +107,11 @@ def _commands(seed: int, workdir: str):
     for op in bodies_ops:
         yield op["argv"]
     for entry in bodies.values():
-        if wt.load_body(entry["path"]).polytope is not None:
+        body = wt.load_body(entry["path"])
+        if body.polytope is not None:
             yield ["-c", HULL_RECORD, entry["path"]]
+        elif body.kind == "ball":
+            yield ["-c", ENUM_RECORD, entry["path"]]
     _, audit_bodies, _ = workloads.setup("audit", seed, workdir)
     for entry in audit_bodies.values():
         yield ["audit", "--body", entry["path"]]
@@ -111,12 +134,14 @@ def _commands(seed: int, workdir: str):
         path = os.path.join(workdir, name)
         wt.save_body(body, path)
         yield ["count", "--body", path]
+        yield ["-c", ENUM_RECORD, path]
     # GENERAL_THM_4_1 needs the covering radius, so this builds a 4D
     # Voronoi cell (the corpus specs are 2D/3D)
     corners4 = [(0, 0, 0, 0), (2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2), (1, 1, 1, 1)]
     path = os.path.join(workdir, "skew4_hull.json")
     wt.save_body(Body.from_polytope(pt.hull(corners4, lattice=skew4)), path)
     yield ["check", "--id", "GENERAL_THM_4_1", "--body", path]
+    yield ["-c", ENUM_RECORD, path]
     # V1 through dual_inner: a 3D hull over the sheared lattice with acute,
     # right and obtuse dihedral angles, whose arctangents take every branch
     # of interval._atan_fraction
@@ -124,6 +149,7 @@ def _commands(seed: int, workdir: str):
     path = os.path.join(workdir, "skew3_hull.json")
     wt.save_body(Body.from_polytope(pt.hull(corners3, lattice=skew3)), path)
     yield ["measure", "--body", path]
+    yield ["-c", ENUM_RECORD, path]
     # the polar and its shortest vector in 3D, and a translate over skew3
     yield ["check", "--id", "CONJECTURE_1_4", "--body", path]
     path = os.path.join(workdir, "skew3_hull_half.json")
@@ -173,8 +199,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as workdir:
         for argv in _commands(args.seed, workdir):
             if argv[0] == "-c":
-                record = "audit-record" if argv[1] == AUDIT_RECORD else "hull-record"
-                command, argv = argv, [record, *argv[2:]]
+                command, argv = argv, [RECORDS[argv[1]], *argv[2:]]
             else:
                 command = ["-m", "blichfeldt.cli", *argv]
             proc = subprocess.run([sys.executable, *command],

@@ -110,6 +110,21 @@ def _budget(args) -> int:
     return int(text)
 
 
+def _natural(text: str) -> int:
+    """``--n``, ``--k`` and ``--m``: ASCII digits only."""
+    if not _digits(text):
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 0, got {text!r}")
+    return int(text)
+
+
+def _seed(text: str) -> int:
+    """``--seed``: ASCII digits after an optional '-', as a spec file's seed
+    may be negative."""
+    if not _digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
 def _precision_bits(text: str) -> int:
     if not (_digits(text) and DEFAULT_BITS <= int(text) <= MAX_BITS):
         raise argparse.ArgumentTypeError(
@@ -344,7 +359,7 @@ def _parser() -> argparse.ArgumentParser:
     so.add_argument("--spec", required=True, help="corpus spec JSON file")
     so.add_argument("--ids", nargs="*", default=None,
                     help="inequality ids (default: all)")
-    so.add_argument("--seed", type=int, default=None)
+    so.add_argument("--seed", type=_seed, default=None)
     so.add_argument("--format", choices=("csv", "json", "human"), default="human")
     so.set_defaults(fn=_cmd_corpus)
 
@@ -352,9 +367,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="emit a witness-family body-spec")
     sw.add_argument("--family", required=True,
                     choices=tuple(wt.FAMILIES))
-    sw.add_argument("--n", type=int, required=True)
-    sw.add_argument("--k", type=int, default=None)
-    sw.add_argument("--m", type=int, default=None)
+    sw.add_argument("--n", type=_natural, required=True)
+    sw.add_argument("--k", type=_natural, default=None)
+    sw.add_argument("--m", type=_natural, default=None)
     sw.add_argument("--translate", action="store_true",
                     help="emit the half-shifted translate instead")
     sw.set_defaults(fn=_cmd_witness)

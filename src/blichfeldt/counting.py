@@ -23,7 +23,7 @@ non-empty group folds the constraints on x_0 once more, and the one solver
 left, ``_group_rows``, gives every row's slab of x_0 with one
 multiply-subtract and one floor division per such constraint.  No dot
 product is left in the sweep.  A ball is an ellipsoid in coefficients,
-counted by ``lattice.enum_ellipsoid``.
+counted in integers by ``lattice.enum_ellipsoid``.
 """
 
 from __future__ import annotations
@@ -101,10 +101,10 @@ class CountResult(NamedTuple):
 
 
 def ceil_sqrt_fraction(r) -> int:
-    """Smallest integer >= sqrt(r) for a non-negative rational r."""
-    r = Fraction(r)
-    # ceil(ceil(sqrt(r) q) / q) = ceil(sqrt(r))
-    return -(-root_ends(r.numerator, r.denominator, 2, 0)[1] // r.denominator)
+    """Smallest integer >= sqrt(r) for a rational r >= 0: the least m with m^2 >= ceil(r)."""
+    p, q = r.as_integer_ratio()
+    # ceil(p/q) is 0 for -q < p < 0, so a negative p goes to root_ends, which rejects it
+    return root_ends(-(-p // q) if p >= 0 else p, 1, 2, 0)[1]
 
 
 def _shadow(constraints, pairs):

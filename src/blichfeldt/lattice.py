@@ -6,10 +6,11 @@ its polar come from B by integer elimination (``linalg.det_bareiss``,
 ``linalg.adjugate``), each divided once.  All point work happens in
 coefficient space (so counting over any lattice is counting over Z^n),
 and Euclidean geometry enters only through the Gram matrix.  One exact
-Fincke-Pohst enumerator, on the Gram matrix's LDL^T factored once per
-lattice, counts the points of balls and lists the short vectors, each
-with its norm, behind shortest and Voronoi-relevant vectors (found
-coset-wise in L/2L); the covering radius is the largest vertex norm
+Fincke-Pohst enumerator, on a fraction-free LDL^T of the integer Gram
+matrix B B^T (Bareiss) factored once per lattice, runs in integers (each
+level's interval is one ``isqrt``).  It counts the points of balls and lists
+the short vectors, each with its norm, behind shortest and Voronoi-relevant
+vectors (found coset-wise in L/2L); the covering radius is the largest vertex norm
 of the Dirichlet-Voronoi cell, whose vertices are the facets of the hull of
 the points 2v/|v|^2 (``polytope.convex_hull_facets``), and both invariants are
 memoised per exact basis.  Enumeration nodes and the hull's orientation
@@ -21,12 +22,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
 from blichfeldt import linalg
-from blichfeldt.interval import root_ends
 from blichfeldt.linalg import DegenerateBasisError
 
 SVP_MAX_DIM = 6
@@ -105,9 +105,8 @@ class Lattice:
 
     @cached_property
     def ldl(self):
-        """The Gram matrix's LDL^T, factored once per lattice (``_ldl``)."""
-        d2 = self.den ** 2
-        return _ldl([[Fraction(x, d2) for x in row] for row in self.gram_B])
+        """``_ldl`` of the integer ``gram_B``, factored once per lattice."""
+        return _ldl(self.gram_B)
 
     @cached_property
     def polar(self) -> "Lattice":
@@ -147,29 +146,21 @@ class DirichletVoronoiCell(NamedTuple):
 
 
 def _ldl(gram):
-    """G = L D L^T with unit lower-triangular L and positive diagonal D."""
+    """G = L D L^T for a positive definite integer G, fraction-free (Bareiss):
+    ``(N, minors)``, minors[j] the j-th leading principal minor (minors[0] = 1),
+    D_j = minors[j+1] / minors[j] and L[i][j] = N[i][j] / minors[j+1] for
+    i > j.  Only the lower triangle, which stays symmetric, is eliminated."""
     n = len(gram)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for j in range(n):
-        D[j] = gram[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if D[j] <= 0:
+    a = [list(row) for row in gram]
+    minors = [1]
+    for k in range(n):
+        if a[k][k] <= 0:
             raise ValueError("Gram matrix not positive definite")
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            L[i][j] = (gram[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
-    return L, D
-
-
-def _floor_plus_sqrt(a: Fraction, t: Fraction) -> int:
-    """floor(a + sqrt(t)) for rationals, t >= 0, computed exactly: with
-    a = u/v and t = p/q it is (u q + floor(sqrt(v^2 p q))) // (v q)."""
-    u, v, p, q = a.numerator, a.denominator, t.numerator, t.denominator
-    return (u * q + root_ends(v * v * p, q, 2, 0)[0]) // (v * q)
-
-
-def _ceil_minus_sqrt(a: Fraction, t: Fraction) -> int:
-    return -_floor_plus_sqrt(-a, t)
+        for i in range(k + 1, n):
+            for j in range(k + 1, i + 1):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[j][k]) // minors[-1]
+        minors.append(a[k][k])
+    return a, minors
 
 
 def enum_ellipsoid(lat: Lattice, center, radius_sq, budget: int = DEFAULT_BUDGET,
@@ -180,25 +171,33 @@ def enum_ellipsoid(lat: Lattice, center, radius_sq, budget: int = DEFAULT_BUDGET
     Returns ``(found, nodes)``: their number, or when ``points`` the list of
     pairs ``(x, (x - center)^T G (x - center))``, and the candidate
     coordinates tried, which count against ``budget``.  LDL^T gives each
-    level the exact interval of its coordinate (``lat.ldl``, shared by
-    every call on the lattice), so the innermost level is
-    counted without building a vector, and a point's norm is radius_sq less
-    what remains of it at the innermost level.
+    level the exact interval of its coordinate (``lat.ldl``, shared by every
+    call on the lattice), so the innermost level is counted without building
+    a vector, and a point's norm is radius_sq less what remains of it at the
+    innermost level.  All in integers, with center = C / e, radius_sq = rn / rd
+    and P = prod(minors): level j's centre is A_j / q_j, q_j = e minors[j+1],
+    what remains is rho / (rd (e den)^2 P), and the level spends w_j u^2 of it,
+    u = q_j x_j - A_j, w_j = rd P / (minors[j] minors[j+1]).  So its interval
+    is |u| <= isqrt(rho // w_j), and x_j folds -e N[j][k] x_j into A_k, k < j.
     """
     n = lat.dim
-    L, D = lat.ldl
-    # level j is centred at shift[j] - sum_{i>j} L[i][j] x_i
-    shift = [center[j] + sum(L[i][j] * center[i] for i in range(j + 1, n)) for j in range(n)]
-    radius_sq = Fraction(radius_sq)
+    N, minors = lat.ldl
+    rn, rd = Fraction(radius_sq).as_integer_ratio()
+    e = lcm(*(c.denominator for c in center))
+    C = [c.numerator * (e // c.denominator) for c in center]
+    P = prod(minors)
+    scale = (e * lat.den) ** 2 * P
+    w = [rd * P // (minors[j] * minors[j + 1]) for j in range(n)]
+    folds = [[e * N[j][k] for k in range(j)] for j in range(n)]
     out = []
     x = [0] * n
     found = nodes = 0
 
-    def rec(j, remaining):
+    def rec(j, rho, centres):
         nonlocal found, nodes
-        a = shift[j] - sum(L[i][j] * x[i] for i in range(j + 1, n))
-        bound = remaining / D[j]
-        lo, hi = _ceil_minus_sqrt(a, bound), _floor_plus_sqrt(a, bound)
+        a, qj = centres[j], e * minors[j + 1]
+        s = isqrt(rho // w[j])
+        lo, hi = -((s - a) // qj), (a + s) // qj
         if lo > hi:
             return
         nodes += hi - lo + 1
@@ -209,13 +208,14 @@ def enum_ellipsoid(lat: Lattice, center, radius_sq, budget: int = DEFAULT_BUDGET
             return
         for xj in range(lo, hi + 1):
             x[j] = xj
-            left = remaining - D[j] * (xj - a) ** 2
+            left = rho - w[j] * (qj * xj - a) ** 2
             if j == 0:
-                out.append((tuple(x), radius_sq - left))
+                out.append((tuple(x), Fraction(rn * scale - left, rd * scale)))
             else:
-                rec(j - 1, left)
+                rec(j - 1, left, [c - f * xj for c, f in zip(centres, folds[j])])
 
-    rec(n - 1, radius_sq)
+    rec(n - 1, rn * scale,
+        [C[j] * minors[j + 1] + sum(N[i][j] * C[i] for i in range(j + 1, n)) for j in range(n)])
     return (out if points else found), nodes
 
 

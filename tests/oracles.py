@@ -12,9 +12,12 @@ the Ehrhart polynomial through a polytope's dilate counts, whether a real
 line along x_0 meets a polytope, in
 rationals, the row sweep that solves each row's x_0 slab by a full dot
 product (the package's earlier sweep, which shares only
-``counting._shadow`` with the code under test), and roots by Newton's iteration into ``Interval``s of
+``counting._shadow`` with the code under test), roots by Newton's iteration into ``Interval``s of
 ``Fraction``s and by search loops on ``Fraction``s (the package's earlier
-root code, which ``interval.root_ends`` replaced).  ``width`` is the
+root code, which ``interval.root_ends`` replaced), and the Fraction
+Fincke-Pohst enumerator on a Fraction LDL^T with its closed-form
+floor(a + sqrt(t)) bounds (the package's earlier ``enum_ellipsoid``, which
+the integer one replaced).  ``width`` is the
 tests' gauge of an enclosure's precision, and ``reciprocal`` lets the
 reference formulas divide by an ``Interval``, which has no division.
 Nothing in ``src/`` calls these.
@@ -29,7 +32,7 @@ from operator import mul
 
 from blichfeldt import linalg
 from blichfeldt.counting import Body, _shadow, count
-from blichfeldt.interval import Interval
+from blichfeldt.interval import Interval, root_ends
 from blichfeldt.lattice import DEFAULT_BUDGET, EnumerationBudgetError, Lattice
 from blichfeldt.linalg import DegenerateBasisError
 from blichfeldt.polytope import LatticePolytope, convex_hull_facets
@@ -462,3 +465,72 @@ def floor_plus_sqrt_by_search(a: Fraction, t: Fraction) -> int:
         if diff <= 0 or diff * diff <= t:
             return m
         m -= 1
+
+
+# ---------------------------------------------------------------------------
+# ellipsoid enumeration in Fractions (the package's earlier enumerator)
+
+
+def _ldl(gram):
+    """G = L D L^T with unit lower-triangular L and positive diagonal D."""
+    n = len(gram)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    D = [Fraction(0)] * n
+    for j in range(n):
+        D[j] = gram[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
+        if D[j] <= 0:
+            raise ValueError("Gram matrix not positive definite")
+        L[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            L[i][j] = (gram[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / D[j]
+    return L, D
+
+
+def floor_plus_sqrt(a: Fraction, t: Fraction) -> int:
+    """floor(a + sqrt(t)) for rationals, t >= 0, computed exactly: with
+    a = u/v and t = p/q it is (u q + floor(sqrt(v^2 p q))) // (v q)."""
+    u, v, p, q = a.numerator, a.denominator, t.numerator, t.denominator
+    return (u * q + root_ends(v * v * p, q, 2, 0)[0]) // (v * q)
+
+
+def ceil_minus_sqrt(a: Fraction, t: Fraction) -> int:
+    return -floor_plus_sqrt(-a, t)
+
+
+def enum_ellipsoid_fractions(lat: Lattice, center, radius_sq, budget: int = DEFAULT_BUDGET,
+                             points: bool = False):
+    """``lattice.enum_ellipsoid`` on a Fraction LDL^T of the Gram matrix:
+    every level's centre, remaining radius and bound is a ``Fraction``."""
+    n = lat.dim
+    d2 = lat.den ** 2
+    L, D = _ldl([[Fraction(x, d2) for x in row] for row in lat.gram_B])
+    # level j is centred at shift[j] - sum_{i>j} L[i][j] x_i
+    shift = [center[j] + sum(L[i][j] * center[i] for i in range(j + 1, n)) for j in range(n)]
+    radius_sq = Fraction(radius_sq)
+    out = []
+    x = [0] * n
+    found = nodes = 0
+
+    def rec(j, remaining):
+        nonlocal found, nodes
+        a = shift[j] - sum(L[i][j] * x[i] for i in range(j + 1, n))
+        bound = remaining / D[j]
+        lo, hi = ceil_minus_sqrt(a, bound), floor_plus_sqrt(a, bound)
+        if lo > hi:
+            return
+        nodes += hi - lo + 1
+        if nodes > budget:
+            raise EnumerationBudgetError(budget)
+        if j == 0 and not points:
+            found += hi - lo + 1
+            return
+        for xj in range(lo, hi + 1):
+            x[j] = xj
+            left = remaining - D[j] * (xj - a) ** 2
+            if j == 0:
+                out.append((tuple(x), radius_sq - left))
+            else:
+                rec(j - 1, left)
+
+    rec(n - 1, radius_sq)
+    return (out if points else found), nodes

@@ -456,6 +456,35 @@ class TestFlags:
         assert _run(capsys, argv)[0] == cli.EXIT_USAGE
 
 
+    @pytest.mark.parametrize("text", ["\u0663", "1_0", " 7", "+3"],
+                             ids=["arabic-indic", "underscore", "padded", "plus"])
+    @pytest.mark.parametrize("flag", ["--seed", "--n", "--k", "--m"])
+    def test_integer_flags_ascii_only(self, capsys, tmp_path, flag, text):
+        # int() reads all four (3, 10, 7 and 3); each is one usage error line
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 5, "dimensions": [2], "num_random_hulls": 1,
+                                    "points_per_hull": 6, "coord_bound": 3}))
+        argv = {"--seed": ["corpus", "--spec", str(spec), "--ids", "BLICHFELDT_1_1"],
+                "--n": ["witness", "--family", "simplex_Sk", "--k", "2"],
+                "--k": ["witness", "--family", "simplex_Sk", "--n", "3"],
+                "--m": ["witness", "--family", "reeve_Tm", "--n", "3"]}[flag]
+        assert _run(capsys, argv + [flag, "3"])[0] == cli.EXIT_OK
+        code, out, err = _run(capsys, argv + [flag, text])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and flag in errors[0]
+
+    def test_negative_seed(self, capsys, tmp_path):
+        # a spec file's seed may be negative, and so may --seed
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": -5, "dimensions": [2], "num_random_hulls": 1,
+                                    "points_per_hull": 6, "coord_bound": 3}))
+        argv = ["corpus", "--spec", str(spec), "--ids", "BLICHFELDT_1_1", "--format", "csv"]
+        _, from_file, _ = _run(capsys, argv)
+        code, from_flag, _ = _run(capsys, argv + ["--seed", "-5"])
+        assert code == cli.EXIT_OK and from_flag == from_file
+
+
 class TestBudgetPlumbing:
     def test_flag(self, capsys, cube_body):
         code, _, err = _run(

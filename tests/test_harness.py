@@ -299,8 +299,11 @@ def _reference_audit(poly):
 
     Every lattice point is tested on its own.  The points of facet prism i
     are the points of the slab b - gamma_i <= a.z <= b in P's bounding box
-    widened by gamma_i, kept when z + ((b - a.z)/|a|_1) sign(a) satisfies
-    every facet inequality (compared in integers scaled by |a|_1).
+    widened by 1, kept when z + ((b - a.z)/|a|_1) sign(a) satisfies
+    every facet inequality (compared in integers scaled by |a|_1).  Such a
+    z is p - (j/|a|_1) sign(a) for a point p of the facet and
+    j <= gamma_i < |a|_1 / 2, so each coordinate lies within 1/2 of P's box:
+    no member may lie on the widened box's outer shell, and none does.
     """
     n = poly.dim
     facets = [(tuple(int(c) for c in f.normal), int(f.offset)) for f in poly.facets]
@@ -316,17 +319,19 @@ def _reference_audit(poly):
     def gamma(a):
         return -(-l1_norm(a) // 2) - 1
 
+    wide_lo = [x - 1 for x in los]
+    wide_hi = [x + 1 for x in his]
+
     def slab(a, b, g):
-        lo = [x - g for x in los]
-        hi = [x + g for x in his]
-        for rest in itertools.product(*(range(l, h + 1) for l, h in zip(lo[1:], hi[1:]))):
+        ranges = (range(l, h + 1) for l, h in zip(wide_lo[1:], wide_hi[1:]))
+        for rest in itertools.product(*ranges):
             r = b - dot(a[1:], rest)        # r - g <= a0 x0 <= r
             if a[0] == 0:
-                xs = range(lo[0], hi[0] + 1) if 0 <= r <= g else ()
+                xs = range(wide_lo[0], wide_hi[0] + 1) if 0 <= r <= g else ()
             else:
                 ends = (Fraction(r - g, a[0]), Fraction(r, a[0]))
-                xs = range(max(lo[0], math.ceil(min(ends))),
-                           min(hi[0], math.floor(max(ends))) + 1)
+                xs = range(max(wide_lo[0], math.ceil(min(ends))),
+                           min(wide_hi[0], math.floor(max(ends))) + 1)
             yield from ((x0,) + rest for x0 in xs)
 
     def project_in_facet(a, b, z):
@@ -346,6 +351,7 @@ def _reference_audit(poly):
         {z for z in slab(a, b, gamma(a)) if project_in_facet(a, b, z)}
         for a, b in facets
     ]
+    assert not any(z[k] in (wide_lo[k], wide_hi[k]) for m in members for z in m for k in range(n))
     facet_audits = []
     for i, (a, b) in enumerate(facets):
         normalized = pt.facet_lattice_volume(poly, i)

@@ -15,7 +15,8 @@ from blichfeldt.linalg import det_bareiss
 from blichfeldt.radical import RadicalSum
 from blichfeldt.rng import Rng
 from blichfeldt.witnesses import random_lattice
-from oracles import floor_plus_sqrt_by_search, hyperplane_sublattice_det_sq
+from oracles import (ceil_minus_sqrt, enum_ellipsoid_fractions, floor_plus_sqrt,
+                     floor_plus_sqrt_by_search, hyperplane_sublattice_det_sq)
 
 
 def _random_integer_lattice(rng, n, max_abs_det=8):
@@ -30,8 +31,8 @@ _RATIONALS = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=2**
 
 
 class TestFloorPlusSqrt:
-    """The closed forms of floor(a + sqrt(t)) and ceil(a - sqrt(t)) against
-    the search loop they replaced."""
+    """The Fraction enumerator's closed forms of floor(a + sqrt(t)) and
+    ceil(a - sqrt(t)) against the search loop they replaced."""
 
     @given(_RATIONALS, st.one_of(
         st.just(Fraction(0)),
@@ -40,14 +41,14 @@ class TestFloorPlusSqrt:
             lambda mr: Fraction(mr[0] ** 2, mr[1] ** 2))))
     @settings(max_examples=300)
     def test_matches_search(self, a, t):
-        assert lt._floor_plus_sqrt(a, t) == floor_plus_sqrt_by_search(a, t)
-        assert lt._ceil_minus_sqrt(a, t) == -floor_plus_sqrt_by_search(-a, t)
+        assert floor_plus_sqrt(a, t) == floor_plus_sqrt_by_search(a, t)
+        assert ceil_minus_sqrt(a, t) == -floor_plus_sqrt_by_search(-a, t)
 
     @given(st.integers(-10**6, 10**6), st.integers(0, 10**6))
     def test_integers(self, a, m):
         # integer a and a perfect square t: the bounds are a +- m exactly
-        assert lt._floor_plus_sqrt(a, m * m) == a + m
-        assert lt._ceil_minus_sqrt(a, m * m) == a - m
+        assert floor_plus_sqrt(a, m * m) == a + m
+        assert ceil_minus_sqrt(a, m * m) == a - m
 
 
 class TestLatticeBasics:
@@ -168,6 +169,36 @@ class TestGramFactorization:
         lt.covering_radius_sq(lat)
         lt.shortest_vector(lat.polar)
         assert len(factored) == 2
+
+
+class TestIntegerEnumeration:
+    """``enum_ellipsoid`` in integers against the Fraction enumerator it
+    replaced: the same count, nodes, points in order and norms."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans(), st.integers(1, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_enumerator(self, seed, n, polar, scale):
+        # a random basis or its polar, a rational centre c in coefficients,
+        # and r^2 = scale * |v - c|^2 for the integer v in [-2, 2]^n nearest
+        # to c: at scale 1, v and any point as near lie on the sphere
+        rng = Rng(seed)
+        lat = random_lattice(rng, n, 8)
+        if polar:
+            lat = lat.polar
+        center = [Fraction(rng.randint(-3, 3), rng.randint(1, 6)) for _ in range(n)]
+
+        def norm_sq(v):
+            d = [a - c for a, c in zip(v, center)]
+            return Fraction(lt._form(lat.gram_B, d, d), lat.den ** 2)
+
+        nearest = min((v for v in itertools.product(range(-2, 3), repeat=n) if norm_sq(v)),
+                      key=norm_sq)
+        r2 = scale * norm_sq(nearest)
+        for points in (False, True):
+            assert (lt.enum_ellipsoid(lat, center, r2, points=points)
+                    == enum_ellipsoid_fractions(lat, center, r2, points=points))
+        found, _ = lt.enum_ellipsoid(lat, center, r2, points=True)
+        assert scale > 1 or (nearest, r2) in found
 
 
 class TestCoveringRadius:

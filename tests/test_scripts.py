@@ -76,6 +76,43 @@ def test_byte_identity_hashes_the_hull_record(tmp_path):
         assert proc.stdout == "".join(map(record, polys))
 
 
+def test_byte_identity_hashes_the_enum_record(tmp_path):
+    # the enum record of a ball is its enumeration in both modes, nodes
+    # included; of any other body, its lattice's relevant vectors and its
+    # polar's shortest vectors with their nodes
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(
+        "byte_identity", ROOT / "scripts" / "byte_identity.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    from fractions import Fraction
+
+    from blichfeldt import lattice as lt
+    from blichfeldt import witnesses
+    from blichfeldt.counting import Body
+    from blichfeldt.lattice import Lattice
+
+    lat = Lattice([[1, 0, 0], [Fraction(1, 2), 1, 0], [Fraction(1, 3), Fraction(1, 2), 1]])
+    ball = Body.ball((Fraction(1, 2), 0, Fraction(1, 4)), 3, lattice=lat)
+    hull = Body.from_polytope(witnesses.simplex_Sk(3, 2))
+    cc = lat.to_coeff(ball.center)
+    budget = lt.DEFAULT_BUDGET
+    expected = {
+        "ball": repr([lt.enum_ellipsoid(lat, cc, 3, points=p) for p in (False, True)]),
+        "hull": repr((lt._relevant_vectors(hull.lattice, budget),
+                      lt._shortest_vector(hull.lattice.polar, budget))),
+    }
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for name, body in (("ball", ball), ("hull", hull)):
+        path = str(tmp_path / f"{name}.json")
+        witnesses.save_body(body, path)
+        proc = subprocess.run([sys.executable, "-c", script.ENUM_RECORD, path], env=env,
+                              capture_output=True, text=True, timeout=60, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected[name] + "\n"
+
+
 def test_readme_library_example(capsys):
     # the README's "Library" block runs against the package as it is
     readme = (ROOT / "README.md").read_text()
