@@ -149,12 +149,12 @@ def _cmd_measure(args) -> int:
     lines = [
         f"dimension: {poly.dim}",
         f"volume: {format_value(poly.volume)}",
-        f"surface_area: {format_value(poly.surface_area, bits=128)}",
+        f"surface_area: {format_value(poly.surface_area)}",
     ]
     if poly.dim == 3:
         iv = poly.intrinsic_volumes
-        lines.append(f"V1: {format_value(iv.v1, bits=128)}")
-        lines.append(f"V2: {format_value(iv.v2, bits=128)}")
+        lines.append(f"V1: {format_value(iv.v1)}")
+        lines.append(f"V2: {format_value(iv.v2)}")
         lines.append(f"V3: {format_value(iv.v3)}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK
@@ -190,7 +190,7 @@ def _cmd_check(args) -> int:
     if report.note:
         lines.append(f"note: {report.note}")
     if report.tightness is not None:
-        lines.append(f"slack: [{report.tightness.lo}, {report.tightness.hi}]@128")
+        lines.append(f"slack: [{report.tightness.lo}, {report.tightness.hi}]@{DEFAULT_BITS}")
     _emit("\n".join(lines), args.out)
     return _verdict_exit([report])
 
@@ -243,14 +243,14 @@ def _corpus_spec_from_file(path: str, seed_override) -> wt.CorpusSpec:
     if "seed" not in doc:
         raise _CliError(f"corpus spec {path}: missing seed (or pass --seed)")
     for key, value in doc.items():
-        if key in ("dimensions", "k_values", "m_values"):
+        kind = type(wt.CorpusSpec._field_defaults.get(key, 0))   # seed: no default, an int
+        if kind is tuple:
             if not isinstance(value, list) or any(type(x) is not int for x in value):
                 raise _CliError(f"corpus spec {path}: {key}: expected a list of integers")
             doc[key] = tuple(value)
-        elif key == "include_translates" and type(value) is not bool:
-            raise _CliError(f"corpus spec {path}: {key}: expected true or false")
-        elif key != "include_translates" and type(value) is not int:
-            raise _CliError(f"corpus spec {path}: {key}: expected an integer")
+        elif type(value) is not kind:
+            expected = "true or false" if kind is bool else "an integer"
+            raise _CliError(f"corpus spec {path}: {key}: expected {expected}")
     spec = wt.CorpusSpec(**doc)
     n, hulls = max(spec.dimensions, default=0), spec.num_random_hulls > 0
     lattices = spec.num_random_lattices > 0
@@ -304,6 +304,9 @@ def _cmd_witness(args) -> int:
     make, flag, shift = wt.FAMILIES[args.family]
     if getattr(args, flag) is None:
         raise _CliError(f"{args.family} requires --{flag}")
+    for _, other, _ in wt.FAMILIES.values():
+        if other != flag and getattr(args, other) is not None:
+            raise _CliError(f"{args.family} takes no --{other}")
     try:
         poly = make(args.n, getattr(args, flag))
     except ValueError as exc:      # n, k or m out of range

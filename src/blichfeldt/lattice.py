@@ -1,9 +1,9 @@
 """Full-rank lattices and their classical invariants.
 
 A lattice keeps its rational row basis as one integer matrix B over one
-denominator; its determinant, inverse, Gram and dual Gram matrices and
-its polar come from B by integer elimination (``linalg.det_bareiss``,
-``linalg.adjugate``), each divided once.  All point work happens in
+denominator; its determinant, inverse, Gram matrix and polar come from B
+by integer elimination (``linalg.det_bareiss``, ``linalg.adjugate``), each
+divided once, and the dual Gram matrix is the polar's.  All point work happens in
 coefficient space (so counting over any lattice is counting over Z^n),
 and Euclidean geometry enters only through the Gram matrix.  One exact
 Fincke-Pohst enumerator, on a fraction-free LDL^T of the integer Gram
@@ -56,8 +56,8 @@ class Lattice:
     keys the memo.  ``B = den * basis`` is the same basis as an integer
     matrix over the least common denominator ``den``, and every other datum
     is an integer matrix from B, divided once where a rational is needed:
-    Gram = B B^T / den^2, basis^-1 = den adj(B) / det(B), and the dual Gram
-    = den^2 adj(B)^T adj(B) / det(B)^2.
+    Gram = B B^T / den^2 and basis^-1 = den adj(B) / det(B).  The polar's
+    basis is basis^-1 transposed, so the dual Gram is the polar's Gram.
     """
 
     def __init__(self, basis):
@@ -91,17 +91,10 @@ class Lattice:
         return tuple(tuple(sum(map(mul, r, s)) for s in self.B) for r in self.B)
 
     @cached_property
-    def gram_adj(self):
-        """adj(B)^T adj(B), the dual Gram matrix times (det(B) / den)^2."""
-        cols = tuple(zip(*self.adj))
-        return tuple(tuple(sum(map(mul, c, d)) for d in cols) for c in cols)
-
-    @cached_property
     def dual_gram(self):
-        """The dual Gram matrix, the inverse of the Gram matrix."""
-        scale = self.det_B ** 2
-        d2 = self.den ** 2
-        return tuple(tuple(Fraction(x * d2, scale) for x in row) for row in self.gram_adj)
+        """The dual Gram matrix, the inverse of the Gram matrix: the polar's."""
+        d2 = self.polar.den ** 2
+        return tuple(tuple(Fraction(x, d2) for x in row) for row in self.polar.gram_B)
 
     @cached_property
     def ldl(self):
@@ -340,7 +333,7 @@ def min_hyperplane_sublattice_det(lat: Lattice, budget: int = DEFAULT_BUDGET) ->
 
 def dual_inner(lat: Lattice, u, v) -> Fraction:
     """Inner product of the dual vectors with dual-basis coefficients u, v."""
-    return Fraction(_form(lat.gram_adj, u, v) * lat.den ** 2, lat.det_B ** 2)
+    return Fraction(_form(lat.polar.gram_B, u, v), lat.polar.den ** 2)
 
 
 def dual_norm_sq(lat: Lattice, coeffs) -> Fraction:

@@ -51,9 +51,8 @@ def det_bareiss(m) -> int:
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
         prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
+    return sign * a[n - 1][n - 1]
 
 
 def cross(rows):

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from blichfeldt import linalg
 from blichfeldt.interval import (
-    Interval, acos_interval, numerators, on_grid, pi, root_ends,
+    DEFAULT_BITS, Interval, acos_interval, numerators, on_grid, pi, root_ends,
 )
 from blichfeldt.lattice import (
     DEFAULT_BUDGET,
@@ -354,7 +354,7 @@ def intrinsic_volumes_3d(poly: LatticePolytope) -> IntrinsicVolumes3:
     return IntrinsicVolumes3(1, v1_fn, v2, v3)
 
 
-def steiner_volume(poly: LatticePolytope, rho, bits: int = 128) -> Interval:
+def steiner_volume(poly: LatticePolytope, rho, bits: int = DEFAULT_BITS) -> Interval:
     """Enclosure of vol(P + rho*B_3) via the Steiner polynomial (n = 3).
 
     ``rho`` is any exact value (int, Fraction, RadicalSum) or an adaptive
@@ -362,8 +362,6 @@ def steiner_volume(poly: LatticePolytope, rho, bits: int = 128) -> Interval:
     """
     from blichfeldt.radical import enclose
 
-    if poly.dim != 3:
-        raise ValueError("dimension unsupported")
     iv = poly.intrinsic_volumes
     work = bits + 16
     r = enclose(rho, work)

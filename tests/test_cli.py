@@ -455,6 +455,16 @@ class TestFlags:
         argv = ["witness", "--family", "simplex_Sk", "--n", "3", "--k", "2", "--budget", "5"]
         assert _run(capsys, argv)[0] == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("family, flags, stray", [
+        ("simplex_Sk", ["--k", "2", "--m", "5"], "--m"),
+        ("reeve_Tm", ["--m", "2", "--k", "9"], "--k"),
+    ])
+    def test_witness_takes_only_its_family_flag(self, capsys, family, flags, stray):
+        code, out, err = _run(capsys, ["witness", "--family", family, "--n", "3", *flags])
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and stray in errors[0]
+
 
     @pytest.mark.parametrize("text", ["\u0663", "1_0", " 7", "+3"],
                              ids=["arabic-indic", "underscore", "padded", "plus"])
@@ -483,6 +493,62 @@ class TestFlags:
         _, from_file, _ = _run(capsys, argv)
         code, from_flag, _ = _run(capsys, argv + ["--seed", "-5"])
         assert code == cli.EXIT_OK and from_flag == from_file
+
+
+class TestExitCodes:
+    """Exit 1 for a proved inequality VIOLATED, 3 for a comparison left
+    inconclusive at the precision cap; ``GENERAL_1_3_i``'s sides are
+    replaced by ones with a known comparison."""
+
+    @pytest.fixture()
+    def sides(self, monkeypatch):
+        from blichfeldt import harness as hz
+
+        def use(lhs, rhs):
+            monkeypatch.setitem(hz.INEQUALITIES, hz.InequalityId.GENERAL_1_3_i,
+                                hz.Inequality(lambda s: (lhs, rhs)))
+        return use
+
+    def _corpus(self, capsys, tmp_path, *flags):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"seed": 5, "dimensions": [2], "num_random_hulls": 0,
+                                    "k_values": [1], "include_translates": False,
+                                    "num_random_lattices": 0}))
+        code, out, _ = _run(capsys, ["corpus", "--spec", str(spec), "--ids", "GENERAL_1_3_i",
+                                     "--format", "json", *flags])
+        return code, json.loads(out)
+
+    def test_violated(self, capsys, tmp_path, cube_body, sides):
+        sides(2, 1)
+        code, out, _ = _run(capsys, ["check", "--id", "GENERAL_1_3_i", "--body", cube_body])
+        assert code == cli.EXIT_VIOLATED and "verdict: VIOLATED" in out
+        code, doc = self._corpus(capsys, tmp_path)
+        assert code == cli.EXIT_VIOLATED
+        [violation] = doc["violations"]
+        assert violation["id"] == "GENERAL_1_3_i"
+        assert wt.body_from_dict(violation["body_spec"]).kind == "polytope"
+
+    def test_inconclusive(self, capsys, tmp_path, cube_body, sides):
+        from blichfeldt.radical import RadicalSum
+
+        sides(RadicalSum({4: Fraction(1)}), 2)   # sqrt(4) against 2: never separates
+        argv = ["check", "--id", "GENERAL_1_3_i", "--body", cube_body,
+                "--precision-max-bits", "128"]
+        code, out, _ = _run(capsys, argv)
+        assert code == cli.EXIT_INCONCLUSIVE and "verdict: Inconclusive" in out
+        code, doc = self._corpus(capsys, tmp_path, "--precision-max-bits", "128")
+        assert code == cli.EXIT_INCONCLUSIVE
+        [row] = doc["rows"]
+        assert row["verdict"] == "Inconclusive" and row["precision_bits"] == 128
+        assert doc["violations"] == []
+
+    def test_audit_failed_bound(self, capsys, cube_body, monkeypatch):
+        from blichfeldt import harness as hz
+
+        monkeypatch.setattr(hz, "_prism_bound_ok", lambda *args: False)
+        code, out, _ = _run(capsys, ["audit", "--body", cube_body])
+        assert code == cli.EXIT_VIOLATED
+        assert "prism_bounds_ok: False" in out and "all_ok: False" in out
 
 
 class TestBudgetPlumbing:

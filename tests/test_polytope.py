@@ -467,6 +467,8 @@ class TestIntrinsicVolumes:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             pt.intrinsic_volumes_3d(_cube(2))
+        with pytest.raises(ValueError):
+            pt.steiner_volume(_cube(2), 1)
 
 
 class TestSteinerVolume:

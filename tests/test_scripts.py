@@ -113,6 +113,25 @@ def test_byte_identity_hashes_the_enum_record(tmp_path):
         assert proc.stdout == expected[name] + "\n"
 
 
+def test_mutants_apply_to_the_package():
+    # each kept mutation's old text occurs exactly once in its file, and its
+    # tests exist under the names it gives
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    names = [m.name for m in script.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in script.MUTANTS:
+        assert (script.PACKAGE / m.file).read_text().count(m.old) == 1, m.name
+        assert m.old != m.new, m.name
+        for node in m.tests:
+            path, *parts = node.split("::")
+            text = (ROOT / path).read_text()
+            assert all(re.search(rf"(class|def) {p}\b", text) for p in parts), node
+
+
 def test_readme_library_example(capsys):
     # the README's "Library" block runs against the package as it is
     readme = (ROOT / "README.md").read_text()
