@@ -59,6 +59,50 @@ MUTANTS = (
     Mutant("inconclusive-exits-0", "cli.py",
            "        return EXIT_INCONCLUSIVE\n", "        return EXIT_OK\n",
            ("tests/test_cli.py::TestExitCodes::test_inconclusive",)),
+    # the id parser of --id and --ids
+    Mutant("id-parser-accepts-unknown", "cli.py",
+           "    for text in texts:\n        if text not in known:\n            raise _CliError("
+           "f\"unknown inequality id {text!r}; one of {', '.join(known)}\")\n"
+           "    return [known[text] for text in texts]\n",
+           "    return [known[text] for text in texts if text in known]\n",
+           ("tests/test_cli.py::TestCorpus::test_unknown_id_rejected_as_by_check",
+            "tests/test_cli.py::TestCheck::test_unknown_id_rejected")),
+    # the verdict path: the table's strict flag, the audit's checks, the
+    # certified comparison and the exact arithmetic under it
+    Mutant("main-theorem-not-strict", "harness.py",
+           "surface_area),\n        strict=True,", "surface_area),\n        strict=False,",
+           ("tests/test_harness.py::TestVerdicts::test_equal_sides_violate_exactly_the_strict_rows",
+            "tests/test_harness.py::TestVerdicts::test_strict_ids_fixed")),
+    Mutant("covers-skips-a-point", "harness.py",
+           "lo = max(lo, ub + 1)", "lo = max(lo, ub + 2)",
+           ("tests/test_harness.py::TestBoundaryLayerAudit::test_covers",
+            "tests/test_harness.py::TestBoundaryLayerAudit::test_dropped_prism_leaves_points_uncovered",
+            "tests/test_cli.py::TestExitCodes::test_audit_uncovered_point")),
+    Mutant("partition-l1-row-end-unchecked", "harness.py",
+           "l1_inside and plb <= lb and ub <= pub", "l1_inside and plb <= lb",
+           ("tests/test_harness.py::TestBoundaryLayerAudit::test_l1_row_past_p_breaks_partition",
+            "tests/test_cli.py::TestExitCodes::test_audit_partition")),
+    Mutant("partition-unmet-l1-row-ignored", "harness.py",
+           "partition_ok=l1_inside and not l1_rows,", "partition_ok=l1_inside,",
+           ("tests/test_harness.py::TestBoundaryLayerAudit::test_l1_row_off_p_breaks_partition",)),
+    Mutant("prism-bound-passes-on-equality", "harness.py",
+           "L * L < 4 * n * (d * d * s) ** 2", "L * L <= 4 * n * (d * d * s) ** 2",
+           ("tests/test_harness.py::TestBoundaryLayerAudit::test_integer_prism_bound",)),
+    Mutant("single-term-zero-read-as-greater", "radical.py",
+           "return Cmp.GREATER if c > 0 else Cmp.LESS if c < 0 else Cmp.EQUAL",
+           "return Cmp.GREATER if c >= 0 else Cmp.LESS",
+           ("tests/test_interval_radical.py::TestCertifiedCompare::test_exact_radical_paths",
+            "tests/test_interval_radical.py::TestRadicalSum::test_sign")),
+    Mutant("radical-mul-without-gcd", "radical.py",
+           "                g = gcd(d1, d2)\n", "                g = 1\n",
+           ("tests/test_interval_radical.py::TestRadicalSum::test_arithmetic",
+            "tests/test_interval_radical.py::TestCanonicalInvariant::test_matches_factor_every_term")),
+    # a point on a live simplex's hyperplane re-cones that simplex: the
+    # facets and dets stay the same, but the number of orientation tests
+    # charged to the budget changes (46 to 44 on the pinned hull)
+    Mutant("hull-beyond-includes-coplanar", "polytope.py",
+           "(h := sum(map(mul, nv, x)) - c) > 0}", "(h := sum(map(mul, nv, x)) - c) >= 0}",
+           ("tests/test_polytope.py::TestHull::test_facet_order_follows_the_key_from_points_0",)),
     # the row sweep and the audit's prisms
     Mutant("layer-prefix-sum-step-1", "harness.py",
            "diff[j] += diff[j - step]", "diff[j] += diff[j - 1]",

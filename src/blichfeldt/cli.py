@@ -83,13 +83,25 @@ def _emit(text: str, out: str | None) -> None:
         raise _CliError(f"{where}: {exc.strerror}") from exc
 
 
-def _load_body(path: str, budget: int) -> ct.Body:
+def _load_body(args) -> tuple:
+    """The body of ``--body``, read under ``--budget``, and that budget."""
+    budget = _budget(args)
     try:
-        return wt.load_body(path, budget)
+        return wt.load_body(args.body, budget), budget
     except OSError as exc:
-        raise _CliError(f"body-spec {path}: {exc.strerror}") from exc
+        raise _CliError(f"body-spec {args.body}: {exc.strerror}") from exc
     except ValueError as exc:
-        raise _CliError(f"body-spec {path}: {exc}") from exc
+        raise _CliError(f"body-spec {args.body}: {exc}") from exc
+
+
+def _inequality_ids(texts) -> list:
+    from blichfeldt import harness as hz
+
+    known = {i.value: i for i in hz.InequalityId}
+    for text in texts:
+        if text not in known:
+            raise _CliError(f"unknown inequality id {text!r}; one of {', '.join(known)}")
+    return [known[text] for text in texts]
 
 
 def _digits(text: str) -> bool:
@@ -133,8 +145,7 @@ def _precision_bits(text: str) -> int:
 
 
 def _cmd_count(args) -> int:
-    budget = _budget(args)
-    body = _load_body(args.body, budget)
+    body, budget = _load_body(args)
     _emit(f"count: {ct.count(body, budget=budget).count}", args.out)
     return EXIT_OK
 
@@ -142,7 +153,7 @@ def _cmd_count(args) -> int:
 def _cmd_measure(args) -> int:
     from blichfeldt.radical import format_value
 
-    body = _load_body(args.body, _budget(args))
+    body, _ = _load_body(args)
     if body.polytope is None:
         raise _CliError("measure requires a polytope body")
     poly = body.polytope
@@ -173,13 +184,8 @@ def _verdict_exit(reports) -> int:
 def _cmd_check(args) -> int:
     from blichfeldt import harness as hz
 
-    try:
-        id = hz.InequalityId(args.id)
-    except ValueError as exc:
-        ids = ", ".join(i.value for i in hz.InequalityId)
-        raise _CliError(f"unknown inequality id {args.id!r}; one of {ids}") from exc
-    budget = _budget(args)
-    body = _load_body(args.body, budget)
+    [id] = _inequality_ids([args.id])
+    body, budget = _load_body(args)
     report = hz.check(id, body, budget=budget, max_bits=args.precision_max_bits)
     lines = [
         f"id: {id.value}",
@@ -198,8 +204,7 @@ def _cmd_check(args) -> int:
 def _cmd_audit(args) -> int:
     from blichfeldt import harness as hz
 
-    budget = _budget(args)
-    body = _load_body(args.body, budget)
+    body, budget = _load_body(args)
     if body.kind != "polytope":
         raise _CliError("audit requires an untranslated polytope body")
     try:
@@ -274,13 +279,7 @@ def _cmd_corpus(args) -> int:
     from blichfeldt import harness as hz
 
     spec = _corpus_spec_from_file(args.spec, args.seed)
-    if args.ids:
-        try:
-            ids = [hz.InequalityId(x) for x in args.ids]
-        except ValueError as exc:
-            raise _CliError(str(exc)) from exc
-    else:
-        ids = list(hz.InequalityId)
+    ids = _inequality_ids(args.ids) if args.ids else list(hz.InequalityId)
     report = hz.run_corpus(
         spec, ids, budget=_budget(args), max_bits=args.precision_max_bits
     )

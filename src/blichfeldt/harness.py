@@ -1,13 +1,14 @@
 """Certified checkers for the point-count inequalities, plus audits.
 
-``INEQUALITIES`` is one table with a row per ``InequalityId``: the
-hypotheses the statement needs (integer lattice only, dimension 3 only, a
-translated or an untranslated body, n within reach of its lattice data),
-whether it is strict, whether it is observational, the note its reports
-carry, and a function giving its two sides.  ``check`` tests the hypotheses
-in a fixed order, then compares the sides with ``certified_compare``: exact
-values (int/Fraction/RadicalSum) or adaptive enclosures, so a VIOLATED
-verdict is a certificate, not floating-point noise.  A corpus run counts
+``INEQUALITIES`` is one table with a row per inequality; the ids
+(``InequalityId``) are its keys, in its order.  A row holds the hypotheses
+the statement needs (integer lattice only, dimension 3 only, a translated
+or an untranslated body, n within reach of its lattice data), whether it
+is strict, whether it is observational, the note its reports carry, and a
+function giving its two sides.  ``check`` tests the hypotheses in a fixed
+order, then compares the sides with ``certified_compare``: exact values
+(int/Fraction/RadicalSum) or adaptive enclosures, so a VIOLATED verdict is
+a certificate, not floating-point noise.  A corpus run counts
 each body once for all ids; volume, surface area and facet norms are
 computed once per polytope.
 Two ids are not theorems (CONJECTURE_1_4 is a conjecture, WILLS_3_2 is
@@ -36,23 +37,6 @@ from blichfeldt.radical import (
     MAX_BITS, Cmp, Inconclusive, RadicalSum, certified_compare, enclose, format_value,
 )
 from blichfeldt.witnesses import CorpusSpec, body_to_dict, build_corpus
-
-
-class InequalityId(enum.Enum):
-    BLICHFELDT_1_1 = "BLICHFELDT_1_1"
-    MAIN_THM_1_1 = "MAIN_THM_1_1"
-    DIM3_THM_1_2 = "DIM3_THM_1_2"
-    BHW_LOWER_1_2 = "BHW_LOWER_1_2"
-    TRANSLATE_LEMMA_1_3 = "TRANSLATE_LEMMA_1_3"
-    GENERAL_1_3_i = "GENERAL_1_3_i"
-    GENERAL_1_3_ii = "GENERAL_1_3_ii"
-    CONJECTURE_1_4 = "CONJECTURE_1_4"
-    WILLS_3_2 = "WILLS_3_2"
-    OVERHAGEN_3_3 = "OVERHAGEN_3_3"
-    MCMULLEN_SHELL = "MCMULLEN_SHELL"
-    BOKOWSKI_3_4 = "BOKOWSKI_3_4"
-    SKETCH_RHO_HALF = "SKETCH_RHO_HALF"
-    GENERAL_THM_4_1 = "GENERAL_THM_4_1"
 
 
 REPORT_SCHEMA_VERSION = 1
@@ -161,56 +145,56 @@ class Inequality(NamedTuple):
     note: str = ""
 
 
-_I = InequalityId
-
-INEQUALITIES = {
-    _I.BLICHFELDT_1_1: Inequality(
+_ROWS = {
+    "BLICHFELDT_1_1": Inequality(
         lambda s: (s.count, factorial(s.n) * s.poly.volume + s.n),
         integer_lattice=True,
     ),
-    _I.MAIN_THM_1_1: Inequality(
+    "MAIN_THM_1_1": Inequality(
         lambda s: (s.count, s.poly.volume + (RadicalSum.sqrt(s.n) + 1)
                    * Fraction(factorial(s.n - 1), 2) * s.poly.surface_area),
         strict=True, integer_lattice=True,
     ),
-    _I.DIM3_THM_1_2: Inequality(
+    "DIM3_THM_1_2": Inequality(
         lambda s: (s.count, s.poly.surface_area * 2 + s.poly.volume),
         strict=True, integer_lattice=True, dim3=True,
     ),
-    _I.BHW_LOWER_1_2: Inequality(
+    "BHW_LOWER_1_2": Inequality(
         lambda s: (s.poly.volume - s.poly.surface_area * Fraction(1, 2), s.count),
         strict=True, integer_lattice=True,
     ),
-    _I.TRANSLATE_LEMMA_1_3: Inequality(
+    "TRANSLATE_LEMMA_1_3": Inequality(
         lambda s: (s.count, factorial(s.n) * s.poly.volume),
         integer_lattice=True, translated=True,
     ),
-    _I.GENERAL_1_3_i: Inequality(
+    "GENERAL_1_3_i": Inequality(
         lambda s: (s.count, factorial(s.n) * s.poly.volume / s.lat.determinant + s.n)),
-    _I.GENERAL_1_3_ii: Inequality(
+    "GENERAL_1_3_ii": Inequality(
         lambda s: (s.count, factorial(s.n) * s.poly.volume / s.lat.determinant),
         translated=True,
     ),
-    _I.CONJECTURE_1_4: Inequality(
+    "CONJECTURE_1_4": Inequality(
         _lattice_surface_bound, strict=True, max_dim=(lt.SVP_MAX_DIM, "shortest-vector"),
         observational=True, note="conjecture/observational",
     ),
-    _I.WILLS_3_2: Inequality(
+    "WILLS_3_2": Inequality(
         _v1_bound, integer_lattice=True, dim3=True,
         observational=True, note="conjecture/observational",
     ),
-    _I.OVERHAGEN_3_3: Inequality(_v1_bound, integer_lattice=True, dim3=True),
-    _I.MCMULLEN_SHELL: Inequality(_mcmullen_shell, integer_lattice=True, dim3=True),
-    _I.BOKOWSKI_3_4: Inequality(
+    "OVERHAGEN_3_3": Inequality(_v1_bound, integer_lattice=True, dim3=True),
+    "MCMULLEN_SHELL": Inequality(_mcmullen_shell, integer_lattice=True, dim3=True),
+    "BOKOWSKI_3_4": Inequality(
         lambda s: (s.count, lambda bits: pt.steiner_volume(s.poly, _rho3_enclosure, bits)),
         integer_lattice=True, dim3=True,
     ),
-    _I.SKETCH_RHO_HALF: Inequality(
+    "SKETCH_RHO_HALF": Inequality(
         _sketch_rho_half, strict=True, integer_lattice=True, dim3=True,
         note="proof sketch only",
     ),
-    _I.GENERAL_THM_4_1: Inequality(_general_thm_4_1, max_dim=(lt.MU_MAX_DIM, "covering-radius")),
+    "GENERAL_THM_4_1": Inequality(_general_thm_4_1, max_dim=(lt.MU_MAX_DIM, "covering-radius")),
 }
+InequalityId = enum.Enum("InequalityId", {k: k for k in _ROWS})
+INEQUALITIES = {InequalityId(k): row for k, row in _ROWS.items()}
 
 
 def check(id: InequalityId, body: Body, description: str = "",
@@ -342,8 +326,8 @@ def boundary_layer_audit(
     (slab side, swept side), keeping its x_0 interval per row and counting
     its layers with O(1) work per row; then L1's rows, counting L1 and
     keeping its intervals the same way; then P's rows, counting G and
-    checking that the kept intervals cover each row.  No point list is
-    kept.
+    checking that the kept intervals cover each row and that L1's row on
+    its base lies in it.  No point list is kept.
     """
     # Why every point of L2 is covered: take the facet i minimising
     # r_i = (b_i - a_i.z)/(|a_i|_1/2).  A point of L2 has r_i < 1, so z lies
@@ -436,14 +420,18 @@ def boundary_layer_audit(
         layers.append(diff[:gamma + 1])
 
     g = l1_count = 0
+    l1_rows = {}
     for base, lb, ub in ct._rows(interior, box, budget, poly.ridges):
         cover.setdefault(base, []).append((lb, ub))
+        l1_rows[base] = lb, ub
         l1_count += ub - lb + 1
-    l2_covered = True
+    l2_covered = l1_inside = True
     for base, plb, pub in ct._rows(inside, box, budget, poly.ridges):
         g += pub - plb + 1
         # L2 is the row less L1: covered when L1 and the prisms cover the row
         l2_covered = l2_covered and _covers(cover.get(base, []), plb, pub)
+        lb, ub = l1_rows.pop(base, (plb, pub))
+        l1_inside = l1_inside and plb <= lb and ub <= pub
     l2_count = g - l1_count
 
     facet_audits = []
@@ -465,7 +453,7 @@ def boundary_layer_audit(
         vertex_count_ok=(sum(len(f.vertex_ids) for f in poly.facets)
                          >= len(poly.vertices) + len(inside) * (n - 1)),
         layers_ok=all(f.layer_bounds_ok for f in facet_audits),
-        partition_ok=l1_count + l2_count == g,
+        partition_ok=l1_inside and not l1_rows,    # L1 in P, so #L1 + #L2 = G
         facets=tuple(facet_audits),
     )
 

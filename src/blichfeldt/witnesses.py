@@ -19,7 +19,7 @@ from typing import NamedTuple
 from blichfeldt import polytope as pt
 from blichfeldt.counting import Body
 from blichfeldt.lattice import Lattice
-from blichfeldt.linalg import det_bareiss
+from blichfeldt.linalg import det_bareiss, identity
 from blichfeldt.polytope import DegenerateHullError, LatticePolytope
 
 SCHEMA_VERSION = 1
@@ -42,10 +42,7 @@ def simplex_Sk(n: int, k: int) -> LatticePolytope:
     """conv{0, k*e1, e2, ..., en} over Z^n."""
     if n < 1 or k < 1:
         raise ValueError("need n >= 1 and k >= 1")
-    points = [(0,) * n, tuple(k if j == 0 else 0 for j in range(n))]
-    for i in range(1, n):
-        points.append(tuple(1 if j == i else 0 for j in range(n)))
-    return pt.hull(points)
+    return pt.hull([[0] * n, [k] + [0] * (n - 1), *identity(n)[1:]])
 
 
 def reeve_Tm(n: int, m: int) -> LatticePolytope:
@@ -59,11 +56,7 @@ def reeve_Tm(n: int, m: int) -> LatticePolytope:
         raise ValueError("need n > 2")
     if m < 1:
         raise ValueError("need m >= 1")
-    points = [(0,) * n]
-    for i in range(n - 1):
-        points.append(tuple(1 if j == i else 0 for j in range(n)))
-    points.append((m,) * n)
-    return pt.hull(points)
+    return pt.hull([[0] * n, *identity(n)[:-1], [m] * n])
 
 
 def e1_half(n: int) -> tuple:

@@ -1,4 +1,7 @@
-"""Shared pytest plumbing: acceptance-criterion outcomes and the row sweep's solve recorders."""
+"""Shared pytest plumbing: acceptance-criterion outcomes, and the row sweep's solve
+recorders and editor."""
+
+import itertools
 
 import pytest
 
@@ -52,6 +55,27 @@ def shadow_solves(monkeypatch):
 
     monkeypatch.setattr(ct, "_walk", recorded)
     return heads
+
+
+@pytest.fixture
+def edit_sweep(monkeypatch):
+    """``edit(index, change)`` patches ``counting._rows`` so that the sweep
+    started ``index``-th (from 0) yields ``change(rows)`` in place of its
+    rows.
+
+    An audit starts one sweep per facet prism, in facet order, then L1's,
+    then P's.  Coverage and the partition are theorems, so no honest body
+    fails them; an edited sweep shows that each check reads what it claims.
+    """
+    def edit(index, change):
+        rows, started = ct._rows, itertools.count()
+
+        def edited(*args):
+            out = rows(*args)
+            return change(out) if next(started) == index else out
+
+        monkeypatch.setattr(ct, "_rows", edited)
+    return edit
 
 
 def record_criterion(number: int, ok: bool, detail: str) -> None:

@@ -186,6 +186,23 @@ class TestVerdicts:
         assert not table[I.BLICHFELDT_1_1].strict
         assert not table[I.TRANSLATE_LEMMA_1_3].strict
 
+    # the statements with a strict inequality: Theorems 1.1 and 1.2, the
+    # lower bound beside 1.2, Conjecture 1.4 and the rho = 1/2 sketch
+    STRICT = {I.MAIN_THM_1_1, I.DIM3_THM_1_2, I.BHW_LOWER_1_2, I.CONJECTURE_1_4,
+              I.SKETCH_RHO_HALF}
+
+    @pytest.mark.parametrize("id", list(I))
+    def test_equal_sides_violate_exactly_the_strict_rows(self, monkeypatch, id):
+        # sides 5 and 5 on the cube [0,2]^3, which meets every row's
+        # hypotheses, or on its half translate where the row needs one
+        row = hz.INEQUALITIES[id]
+        monkeypatch.setitem(hz.INEQUALITIES, id, row._replace(sides=lambda s: (5, 5)))
+        cube = _cube(3, 2)
+        body = (wt.half_translate(cube, (Fraction(1, 2),) * 3) if row.translated
+                else Body.from_polytope(cube))
+        r = _check(id, body)
+        assert r.verdict is (V.VIOLATED if id in self.STRICT else V.HOLDS_WITH_EQUALITY)
+
 
 class TestInequalityTable:
     def test_one_row_per_id(self):
@@ -418,6 +435,51 @@ class TestBoundaryLayerAudit:
     def test_partition(self):
         record = hz.boundary_layer_audit(_cube(3, 3))
         assert record.l1_count + record.l2_count == record.total
+
+    @pytest.mark.parametrize("normal", [(-1, 0, 0), (0, -1, 0), (1, 0, 0)],
+                             ids=["row-start", "mid-row", "row-end"])
+    def test_dropped_prism_leaves_points_uncovered(self, edit_sweep, normal):
+        # in [0,2]^3 the centre of a face lies in that facet's prism only; on
+        # its row along x_0 it is a one-point gap at the start, in the
+        # middle or at the end
+        poly = _cube(3, 2)
+        edit_sweep([f.normal for f in poly.facets].index(normal), lambda rows: ())
+        record = hz.boundary_layer_audit(poly)
+        assert not record.l2_covered_ok and not record.all_ok
+        assert record.partition_ok and record.prisms_ok
+
+    def test_l1_row_past_p_breaks_partition(self, edit_sweep):
+        # [0,3]^3 has 6 facets, so L1's is the 7th sweep: its first row
+        # [1, 2] widened past P's row [0, 3] on the same base
+        def widen(rows):
+            (base, lb, ub), *rest = rows
+            return [(base, lb, ub + 2), *rest]
+
+        edit_sweep(6, widen)
+        record = hz.boundary_layer_audit(_cube(3, 3))
+        assert not record.partition_ok and not record.all_ok
+        assert record.l2_covered_ok
+
+    def test_l1_row_off_p_breaks_partition(self, edit_sweep):
+        # an L1 row on a base that P's sweep never meets
+        edit_sweep(6, lambda rows: [*rows, ((0, 9, 9), 1, 1)])
+        record = hz.boundary_layer_audit(_cube(3, 3))
+        assert not record.partition_ok and not record.all_ok
+        assert record.l2_covered_ok
+
+    # [0, 9] against sets of integer intervals: one-point gaps at the start,
+    # in the middle and at the end, then covers that touch, overlap, nest
+    # or reach past the ends
+    COVERS = [
+        ([(1, 9)], False), ([(0, 3), (5, 9)], False), ([(0, 8)], False),
+        ([(5, 9), (0, 4)], True), ([(0, 6), (2, 3), (4, 9)], True), ([(-3, 2), (3, 12)], True),
+        ([], False), ([(0, 4), (4, 7)], False),
+    ]
+
+    @pytest.mark.parametrize("intervals, covered", COVERS)
+    def test_covers(self, intervals, covered):
+        assert hz._covers(intervals, 0, 9) is covered
+        assert hz._covers(intervals, 1, 0)      # an empty row is covered
 
     def test_unimodular_basis_audits_ambient_body(self):
         # coefficients c map to c0 (1,3,0) + c1 e2 + c2 e3; the facet normal
